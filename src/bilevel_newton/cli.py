@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the upper-level starting point (comma-separated)")
     parser.add_argument("--y0", type=_float_list, default=None,
                         help="override the lower-level starting point (comma-separated)")
-    parser.add_argument("--parallel", action="store_true", help="run sweep penalties concurrently")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
@@ -121,7 +120,7 @@ def _cmd_solve(entry: BenchmarkEntry, args) -> int:
 
 def _cmd_sweep(entry: BenchmarkEntry, args) -> int:
     grid = tuple(args.lambda_grid) if args.lambda_grid else DEFAULT_LAMBDA_GRID
-    config = SweepConfig(lambda_grid=grid, base=_solver_config(args, grid[0]), parallel=args.parallel)
+    config = SweepConfig(lambda_grid=grid, base=_solver_config(args, grid[0]))
     report = sweep(entry.problem, config, start=_start_iterate(entry, args), status_known=entry.status)
     if args.format == "csv":
         _emit(reporting.sweep_report_to_csv(report), args.out)

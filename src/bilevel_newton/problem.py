@@ -60,7 +60,7 @@ class BilevelProblem:
     R^{n+m} and hess (n+m)x(n+m).  Vector evaluators map (x, y) ->
     (values, jacobian, hessians) shaped (k,), (k, n+m), (k, n+m, n+m).
     ``G`` may be None when p == 0.  Evaluators must be pure: no hidden
-    state, so they can be called concurrently.
+    state.
     """
 
     name: str
@@ -107,10 +107,14 @@ def _sym(h: np.ndarray) -> np.ndarray:
 
 
 def _check_scalar(name: str, point: np.ndarray, out, nm: int):
-    val, grad, hess = out
-    val = float(val)
-    grad = np.asarray(grad, dtype=float).reshape(nm)
-    hess = _sym(np.asarray(hess, dtype=float).reshape(nm, nm))
+    try:
+        val, grad, hess = out
+        val = float(val)
+        grad = np.asarray(grad, dtype=float).reshape(nm)
+        hess = np.asarray(hess, dtype=float).reshape(nm, nm)
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(name, point, f"malformed value: {exc}") from exc
+    hess = _sym(hess)
     if not (np.isfinite(val) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         raise EvaluationError(name, point)
     return val, grad, hess
@@ -119,10 +123,13 @@ def _check_scalar(name: str, point: np.ndarray, out, nm: int):
 def _check_vector(name: str, point: np.ndarray, out, k: int, nm: int):
     if k == 0:
         return (np.zeros(0), np.zeros((0, nm)), np.zeros((0, nm, nm)))
-    vals, jac, hessians = out
-    vals = np.asarray(vals, dtype=float).reshape(k)
-    jac = np.asarray(jac, dtype=float).reshape(k, nm)
-    hessians = np.asarray(hessians, dtype=float).reshape(k, nm, nm)
+    try:
+        vals, jac, hessians = out
+        vals = np.asarray(vals, dtype=float).reshape(k)
+        jac = np.asarray(jac, dtype=float).reshape(k, nm)
+        hessians = np.asarray(hessians, dtype=float).reshape(k, nm, nm)
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(name, point, f"malformed value: {exc}") from exc
     hessians = 0.5 * (hessians + np.transpose(hessians, (0, 2, 1)))
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(jac)) and np.all(np.isfinite(hessians))):
         raise EvaluationError(name, point)
@@ -208,28 +215,7 @@ def check_derivatives(
         step = h if h is not None else 1e-6 * max(1.0, float(np.linalg.norm(pt)))
         report.points.append((x0, y0))
 
-        bundles = {}
-        for i in range(nm):
-            e = np.zeros(nm)
-            e[i] = step
-            pp, pm = pt + e, pt - e
-            bundles[i] = (
-                evaluate_all(problem, pp[: d.n], pp[d.n:]),
-                evaluate_all(problem, pm[: d.n], pm[d.n:]),
-            )
         base = evaluate_all(problem, x0, y0)
-
-        def fd_pair(extract):
-            grad_fd = np.empty(nm)
-            hess_fd = np.empty((nm, nm))
-            for i in range(nm):
-                bp, bm = bundles[i]
-                vp, gp = extract(bp)
-                vm, gm = extract(bm)
-                grad_fd[i] = (vp - vm) / (2 * step)
-                hess_fd[i] = (gp - gm) / (2 * step)
-            return grad_fd, _sym(hess_fd)
-
         checks = [("F", lambda b: (b.F, b.dF), base.dF, base.d2F),
                   ("f", lambda b: (b.f, b.df), base.df, base.d2f)]
         for j in range(d.p):
@@ -237,10 +223,24 @@ def check_derivatives(
         for j in range(d.q):
             checks.append((f"g[{j}]", lambda b, j=j: (b.g[j], b.dg[j]), base.dg[j], base.d2g[j]))
 
-        for name, extract, grad_exact, hess_exact in checks:
-            grad_fd, hess_fd = fd_pair(extract)
-            ge = _rel_err(grad_fd, grad_exact)
-            he = _rel_err(hess_fd, hess_exact)
+        # one coordinate at a time, so only its two perturbed bundles are held
+        grad_fd = np.empty((len(checks), nm))
+        hess_fd = np.empty((len(checks), nm, nm))
+        for i in range(nm):
+            e = np.zeros(nm)
+            e[i] = step
+            pp, pm = pt + e, pt - e
+            bp = evaluate_all(problem, pp[: d.n], pp[d.n:])
+            bm = evaluate_all(problem, pm[: d.n], pm[d.n:])
+            for c, (_, extract, _, _) in enumerate(checks):
+                vp, gp = extract(bp)
+                vm, gm = extract(bm)
+                grad_fd[c, i] = (vp - vm) / (2 * step)
+                hess_fd[c, i] = (gp - gm) / (2 * step)
+
+        for c, (name, _, grad_exact, hess_exact) in enumerate(checks):
+            ge = _rel_err(grad_fd[c], grad_exact)
+            he = _rel_err(_sym(hess_fd[c]), hess_exact)
             report.grad_errors[name] = max(report.grad_errors.get(name, 0.0), ge)
             report.hess_errors[name] = max(report.hess_errors.get(name, 0.0), he)
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .complementarity import KINK_A, KINK_B
 from .linalg import null_space_basis, sym_eig_min
-from .problem import BilevelProblem, evaluate_all
-from .system import Iterate
+from .problem import BilevelProblem, EvalBundle, evaluate_all
+from .system import Iterate, hessian_block
 
 
 class InconsistentPoint(ValueError):
@@ -89,6 +89,24 @@ def _classify_block(
     return BlockPartition(eta=tuple(eta), theta=tuple(theta), nu=tuple(nu))
 
 
+def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBundle]:
+    return evaluate_all(problem, zeta.x, zeta.y), evaluate_all(problem, zeta.x, zeta.z)
+
+
+def _partition(
+    zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle, active_tol: float, mult_tol: float
+) -> IndexSetPartition:
+    if active_tol <= 0 or mult_tol <= 0:
+        raise ValueError("tolerances must be positive")
+    flagged: list[tuple[str, int, float, float]] = []
+    upper = _classify_block("G", at_y.G, zeta.u, active_tol, mult_tol, flagged)
+    lower_y = _classify_block("g(x,y)", at_y.g, zeta.v, active_tol, mult_tol, flagged)
+    lower_z = _classify_block("g(x,z)", at_z.g, zeta.w, active_tol, mult_tol, flagged)
+    if flagged:
+        raise InconsistentPoint(flagged)
+    return IndexSetPartition(upper=upper, lower_y=lower_y, lower_z=lower_z)
+
+
 def classify(
     problem: BilevelProblem,
     zeta: Iterate,
@@ -101,26 +119,14 @@ def classify(
     constraint, negative multiplier, or positive multiplier on an inactive
     constraint), which signals that zeta is not approximately stationary.
     """
-    if active_tol <= 0 or mult_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    at_y = evaluate_all(problem, zeta.x, zeta.y)
-    at_z = evaluate_all(problem, zeta.x, zeta.z)
-    flagged: list[tuple[str, int, float, float]] = []
-    upper = _classify_block("G", at_y.G, zeta.u, active_tol, mult_tol, flagged)
-    lower_y = _classify_block("g(x,y)", at_y.g, zeta.v, active_tol, mult_tol, flagged)
-    lower_z = _classify_block("g(x,z)", at_z.g, zeta.w, active_tol, mult_tol, flagged)
-    if flagged:
-        raise InconsistentPoint(flagged)
-    return IndexSetPartition(upper=upper, lower_y=lower_y, lower_z=lower_z)
+    return _partition(zeta, *_bundles(problem, zeta), active_tol, mult_tol)
 
 
 def _licq_families(
-    problem: BilevelProblem, zeta: Iterate, partition: IndexSetPartition
+    m: int, at_y: EvalBundle, at_z: EvalBundle, partition: IndexSetPartition
 ) -> dict[str, np.ndarray]:
     """Active-gradient families as column matrices, one per condition."""
-    n, m = problem.dims.n, problem.dims.m
-    at_y = evaluate_all(problem, zeta.x, zeta.y)
-    at_z = evaluate_all(problem, zeta.x, zeta.z)
+    n = at_y.n
     aU = list(partition.upper.active)
     aY = list(partition.lower_y.active)
     aZ = list(partition.lower_z.active)
@@ -153,7 +159,7 @@ def check_licq(
     derivatives of active g, at (x, y) and at (x, z) respectively.  Empty
     families pass vacuously.
     """
-    fams = _licq_families(problem, zeta, partition)
+    fams = _licq_families(problem.dims.m, *_bundles(problem, zeta), partition)
     return tuple(_independent(fams[k], rank_tol)[0] for k in ("ulicq", "llicq_at_xy", "llicq_at_xz"))
 
 
@@ -173,54 +179,34 @@ def ssosc_matrices(
     Directions d = (d1, d2, d3) in R^{n+2m} satisfy C d = 0, where C stacks
     the (x, y)-gradients of nu-active constraints (upper block and g at
     (x, y)) and the (x, z)-gradients of nu-active g at (x, z).  The
-    symmetric M realizes
-
-        q(d) = (d1,d2)' H_lag (d1,d2) - lam * (d1,d3)' H_ell (d1,d3)
-
-    with H_lag the upper-Lagrangian Hessian w.r.t. (x, y) and H_ell the
-    follower-Lagrangian Hessian w.r.t. (x, z).
+    symmetric M is the Hessian block of W (``system.hessian_block``), so
+    q(d) = d' M d is the curvature of the penalized Lagrangian along d.
     """
-    d = problem.dims
-    n, m = d.n, d.m
-    at_y = evaluate_all(problem, zeta.x, zeta.y)
-    at_z = evaluate_all(problem, zeta.x, zeta.z)
+    return _ssosc_matrices(lam, zeta, *_bundles(problem, zeta), partition)
 
-    rows = []
-    for i in partition.upper.nu:
-        row = np.zeros(n + 2 * m)
-        row[: n + m] = at_y.dG[i]
-        rows.append(row)
-    for j in partition.lower_y.nu:
-        row = np.zeros(n + 2 * m)
-        row[: n + m] = at_y.dg[j]
-        rows.append(row)
-    for j in partition.lower_z.nu:
-        row = np.zeros(n + 2 * m)
-        row[:n] = at_z.dg[j, :n]
-        row[n + m:] = at_z.dg[j, n:]
-        rows.append(row)
+
+def _ssosc_matrices(
+    lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle, partition: IndexSetPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    n, m = zeta.x.size, zeta.y.size
+
+    def row(grad: np.ndarray, follower: slice) -> np.ndarray:
+        r = np.zeros(n + 2 * m)
+        r[:n], r[follower] = grad[:n], grad[n:]
+        return r
+    y, z = slice(n, n + m), slice(n + m, n + 2 * m)
+    rows = [row(at_y.dG[i], y) for i in partition.upper.nu] \
+        + [row(at_y.dg[j], y) for j in partition.lower_y.nu] \
+        + [row(at_z.dg[j], z) for j in partition.lower_z.nu]
     C = np.array(rows) if rows else np.zeros((0, n + 2 * m))
-
-    H_lag = at_y.d2F + np.tensordot(zeta.u, at_y.d2G, axes=1) \
-        + np.tensordot(zeta.v, at_y.d2g, axes=1) + lam * at_y.d2f
-    H_ell = at_z.d2f + np.tensordot(zeta.w, at_z.d2g, axes=1)
-
-    M = np.zeros((n + 2 * m, n + 2 * m))
-    M[:n, :n] = H_lag[:n, :n] - lam * H_ell[:n, :n]
-    M[:n, n:n + m] = H_lag[:n, n:]
-    M[n:n + m, :n] = H_lag[n:, :n]
-    M[n:n + m, n:n + m] = H_lag[n:, n:]
-    M[:n, n + m:] = -lam * H_ell[:n, n:]
-    M[n + m:, :n] = -lam * H_ell[n:, :n]
-    M[n + m:, n + m:] = -lam * H_ell[n:, n:]
-    return C, M
+    return C, hessian_block(lam, zeta, at_y, at_z)
 
 
 _NS_TOL = 1e-10  # rank tolerance for the feasible-direction null space
 
 
-def _reduced_min_eig(C: np.ndarray, M: np.ndarray, eig_tol: float) -> tuple[float, bool, int]:
-    Z = null_space_basis(C, _NS_TOL)
+def _reduced_min_eig(Z: np.ndarray, M: np.ndarray, eig_tol: float) -> tuple[float, bool, int]:
+    """Minimum eigenvalue of M reduced to the span of Z's columns."""
     dim = Z.shape[1]
     if dim == 0:
         return math.inf, True, 0
@@ -241,23 +227,20 @@ def check_ssosc(
     condition then holds vacuously.
     """
     C, M = ssosc_matrices(problem, zeta, lam, partition)
-    min_eig, holds, _ = _reduced_min_eig(C, M, eig_tol)
+    min_eig, holds, _ = _reduced_min_eig(null_space_basis(C, _NS_TOL), M, eig_tol)
     return min_eig, holds
 
 
-def _unperturbed_variant(problem: BilevelProblem, zeta: Iterate, lam: float, M: np.ndarray) -> np.ndarray:
+def _unperturbed_variant(M: np.ndarray, n: int, m: int) -> np.ndarray:
     """Variant form for a follower feasible set with no leader coupling.
 
     The modified follower contribution decouples the (d1, d3) cross terms
     and flips the sign of the d3 curvature block.
     """
-    n, m = problem.dims.n, problem.dims.m
-    at_z = evaluate_all(problem, zeta.x, zeta.z)
-    H_ell = at_z.d2f + np.tensordot(zeta.w, at_z.d2g, axes=1)
     M_star = M.copy()
     M_star[:n, n + m:] = 0.0
     M_star[n + m:, :n] = 0.0
-    M_star[n + m:, n + m:] = lam * H_ell[n:, n:]
+    M_star[n + m:, n + m:] = -M[n + m:, n + m:]
     return M_star
 
 
@@ -271,17 +254,19 @@ def diagnose(
     eig_tol: float = 1e-8,
 ) -> RegularityReport:
     """Full regularity report at a candidate point for a fixed penalty."""
-    partition = classify(problem, zeta, active_tol, mult_tol)
+    at_y, at_z = _bundles(problem, zeta)
+    partition = _partition(zeta, at_y, at_z, active_tol, mult_tol)
 
-    fams = _licq_families(problem, zeta, partition)
+    fams = _licq_families(problem.dims.m, at_y, at_z, partition)
     ulicq, m_u = _independent(fams["ulicq"], rank_tol)
     llicq_xy, m_y = _independent(fams["llicq_at_xy"], rank_tol)
     llicq_xz, m_z = _independent(fams["llicq_at_xz"], rank_tol)
 
-    C, M = ssosc_matrices(problem, zeta, lam, partition)
-    min_eig, holds, dim = _reduced_min_eig(C, M, eig_tol)
+    C, M = _ssosc_matrices(lam, zeta, at_y, at_z, partition)
+    Z = null_space_basis(C, _NS_TOL)
+    min_eig, holds, dim = _reduced_min_eig(Z, M, eig_tol)
 
-    star_eig, _, _ = _reduced_min_eig(C, _unperturbed_variant(problem, zeta, lam, M), eig_tol)
+    star_eig, _, _ = _reduced_min_eig(Z, _unperturbed_variant(M, problem.dims.n, problem.dims.m), eig_tol)
 
     # Follower kink indices augment the form with -lam per index (the
     # symmetric kink element has -b/a = 1), so any kink forces failure.
@@ -290,7 +275,6 @@ def diagnose(
     if n_kink == 0:
         aug_eig = min_eig
     else:
-        Z = null_space_basis(C, _NS_TOL)
         aug = np.zeros((dim + n_kink, dim + n_kink))
         aug[:dim, :dim] = Z.T @ M @ Z
         aug[dim:, dim:] = -lam * np.eye(n_kink)

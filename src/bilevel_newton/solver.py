@@ -153,9 +153,8 @@ def step(
 ) -> tuple[np.ndarray, str]:
     """Search direction at zeta: Newton when usable, else -grad_Psi."""
     r = residual if residual is not None else assemble_residual(problem, config.lam, zeta)
-    W = assemble_jacobian(problem, config.lam, zeta, config.kink_tol)
-    grad = W.mat.T @ r.vec
-    return _direction(config, W.mat, r.vec, grad)
+    W = assemble_jacobian(r, config.kink_tol).mat
+    return _direction(config, W, r.vec, W.T @ r.vec)
 
 
 def _backtrack(
@@ -184,8 +183,7 @@ def line_search(
 ) -> LineSearchResult | None:
     """Smallest-power Armijo backtracking along d; None signals a stall."""
     r = assemble_residual(problem, config.lam, zeta)
-    W = assemble_jacobian(problem, config.lam, zeta, config.kink_tol)
-    slope = float((W.mat.T @ r.vec) @ d)
+    slope = float((assemble_jacobian(r, config.kink_tol).mat.T @ r.vec) @ d)
     return _backtrack(problem, config, zeta, d, 0.5 * r.norm() ** 2, slope)
 
 
@@ -215,12 +213,14 @@ def run(
             if k >= config.max_iter:
                 status = MAX_ITER
                 break
-            W = assemble_jacobian(problem, config.lam, zeta, config.kink_tol)
-            grad = W.mat.T @ resid.vec
+            W = assemble_jacobian(resid, config.kink_tol).mat
+            phi = resid.vec
+            resid = ls = None  # this point's evaluations are not needed past W
+            grad = W.T @ phi
             if float(np.linalg.norm(grad)) <= config.grad_stall_tol:
                 status = MERIT_STATIONARY
                 break
-            d, dtype = _direction(config, W.mat, resid.vec, grad)
+            d, dtype = _direction(config, W, phi, grad)
             slope = float(grad @ d)
             merit0 = 0.5 * norms[-1] ** 2
             ls = _backtrack(problem, config, zeta, d, merit0, slope)
@@ -232,8 +232,7 @@ def run(
                     k=k, zeta=zeta, direction=d, direction_type=dtype, slope=slope,
                     merit_before=merit0, alpha=ls.alpha, backtracks=ls.backtracks,
                 ))
-            zeta = ls.zeta_next
-            resid = ls.residual_next
+            zeta, resid = ls.zeta_next, ls.residual_next
             norms.append(resid.norm())
             alphas.append(ls.alpha)
             dtypes.append(dtype)
@@ -241,6 +240,7 @@ def run(
     except EvaluationError as exc:
         status = EVALUATION_FAILED
         error = str(exc)
+    resid = ls = None  # release the last point's evaluations before the final one
 
     if norms:
         final_norm = norms[-1]

@@ -10,18 +10,17 @@ known objective values where available.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import BilevelProblem, evaluate_all
-from .solver import SOLVED, SolveReport, SolverConfig, eoc, run
+from .solver import SOLVED, SolveReport, SolverConfig, run
 from .system import Iterate
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID", "SweepConfig", "SweepReport", "DeltaMetrics",
-    "default_start", "delta_metrics", "resolve_start", "sweep", "eoc",
+    "default_start", "delta_metrics", "resolve_start", "sweep",
 ]
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(float(2.0**k) for k in range(-1, 8))
@@ -35,7 +34,6 @@ class SweepConfig:
 
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     base: SolverConfig = SolverConfig(lam=1.0)
-    parallel: bool = False
 
     def __post_init__(self):
         if len(self.lambda_grid) == 0:
@@ -127,20 +125,11 @@ def sweep(
     The best run is the converged one with smallest upper-level objective;
     when no run converges, the one with smallest final residual norm is
     reported and the sweep is flagged as not converged.  Results are keyed
-    to the grid order, so the parallel path is observably identical to the
-    serial one.
+    to the grid order.
     """
     config = config if config is not None else SweepConfig()
     zeta0 = start if start is not None else resolve_start(problem)
-
-    def run_one(lam: float) -> SolveReport:
-        return run(problem, dataclasses.replace(config.base, lam=lam), zeta0)
-
-    if config.parallel and len(config.lambda_grid) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(config.lambda_grid))) as pool:
-            runs = list(pool.map(run_one, config.lambda_grid))
-    else:
-        runs = [run_one(lam) for lam in config.lambda_grid]
+    runs = [run(problem, dataclasses.replace(config.base, lam=lam), zeta0) for lam in config.lambda_grid]
 
     deltas = [
         delta_metrics(r.F, r.f, problem.known_F, problem.known_f, status_known)

@@ -21,6 +21,11 @@ generalized-Jacobian element W keeps the 6x6 block structure of the system:
 the top-left 3x3 super-block is the (symmetric) Hessian of L w.r.t.
 (x, y, z); complementarity rows carry a_coef times the constraint gradient
 plus b_coef on the matching multiplier diagonal.
+
+Each point is evaluated once: the residual carries its evaluations at
+(x, y) and (x, z), and W is built from them.  ``hessian_block`` builds the
+Hessian super-block; W and the second-order form of the regularity
+diagnostics share it.
 """
 from __future__ import annotations
 
@@ -75,10 +80,15 @@ class Iterate:
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Dense residual of length N with named slices in fixed row order."""
+    """Dense residual of length N with named slices in fixed row order,
+    with the penalty, point and evaluations it was assembled from."""
 
     vec: np.ndarray
     dims: ProblemDims
+    lam: float
+    zeta: Iterate
+    at_y: EvalBundle
+    at_z: EvalBundle
 
     def _slice(self, name: str) -> np.ndarray:
         return self.vec[block_slices(self.dims)[name]]
@@ -139,13 +149,22 @@ def _split(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_residual(problem: BilevelProblem, lam: float, zeta: Iterate) -> ResidualVector:
-    """Stationarity residual Phi at zeta for penalty lam."""
+    """Stationarity residual Phi at zeta for penalty lam, with the two
+    evaluations it was built from."""
     lam = _require_lambda(lam)
     d = problem.dims
     at_y = evaluate_all(problem, zeta.x, zeta.y)
     at_z = evaluate_all(problem, zeta.x, zeta.z)
     vec = _residual_from_bundles(d, lam, zeta, at_y, at_z)
-    return ResidualVector(vec=vec, dims=d)
+    return ResidualVector(vec=vec, dims=d, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
+
+
+def _comp_blocks(zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle):
+    """The three complementarity blocks in row order: constraint values,
+    multipliers, constraint gradients, follower block, multiplier block."""
+    return ((at_y.G, zeta.u, at_y.dG, "y", "u"),
+            (at_y.g, zeta.v, at_y.dg, "y", "v"),
+            (at_z.g, zeta.w, at_z.dg, "z", "w"))
 
 
 def _residual_from_bundles(
@@ -159,48 +178,58 @@ def _residual_from_bundles(
     lag_grad = at_y.dF + at_y.dG.T @ zeta.u + at_y.dg.T @ zeta.v + lam * at_y.df
     lag_x, lag_y = _split(lag_grad, n)
 
-    comp_G = np.array([fb(-at_y.G[i], zeta.u[i]) for i in range(d.p)])
-    comp_gv = np.array([fb(-at_y.g[j], zeta.v[j]) for j in range(d.q)])
-    comp_gw = np.array([fb(-at_z.g[j], zeta.w[j]) for j in range(d.q)])
+    comp = [np.array([fb(-c, mu) for c, mu in zip(cons, mults)])
+            for cons, mults, *_ in _comp_blocks(zeta, at_y, at_z)]
 
-    return np.concatenate([lag_x - lam * ell_x, lag_y, -lam * ell_z, comp_G, comp_gv, comp_gw])
+    return np.concatenate([lag_x - lam * ell_x, lag_y, -lam * ell_z, *comp])
 
 
-def assemble_jacobian(
-    problem: BilevelProblem,
-    lam: float,
-    zeta: Iterate,
-    kink_tol: float = 1e-12,
-    kink_coeffs: tuple[float, float] | None = None,
-) -> JacobianMatrix:
-    """One element W of the generalized Jacobian of Phi at zeta.
+def hessian_block(lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle) -> np.ndarray:
+    """Hessian of L w.r.t. (x, y, z): the (n+2m)x(n+2m) top-left block of W.
 
-    ``kink_coeffs`` overrides the disc element used for exactly-kinked
-    complementarity pairs; any admissible choice yields a valid element.
+    With H_lag the upper-Lagrangian Hessian w.r.t. (x, y) and H_ell the
+    follower-Lagrangian Hessian w.r.t. (x, z), it is
+
+        [ H_lag_xx - lam H_ell_xx   H_lag_xy   -lam H_ell_xz ]
+        [ H_lag_yx                  H_lag_yy    0            ]
+        [ -lam H_ell_zx             0          -lam H_ell_zz ]
     """
-    lam = _require_lambda(lam)
-    d = problem.dims
-    n, m, p, q = d.n, d.m, d.p, d.q
-    at_y = evaluate_all(problem, zeta.x, zeta.y)
-    at_z = evaluate_all(problem, zeta.x, zeta.z)
-    s = block_slices(d)
-
-    # Hessian of the upper Lagrangian w.r.t. (x, y) and of the follower
-    # Lagrangian w.r.t. (x, z).
+    n, m = zeta.x.size, zeta.y.size
+    x, y, z = slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m)
     H_lag = at_y.d2F + np.tensordot(zeta.u, at_y.d2G, axes=1) \
         + np.tensordot(zeta.v, at_y.d2g, axes=1) + lam * at_y.d2f
     H_ell = at_z.d2f + np.tensordot(zeta.w, at_z.d2g, axes=1)
 
-    W = np.zeros((d.N, d.N))
+    K = np.zeros((n + 2 * m, n + 2 * m))
+    K[x, x] = H_lag[:n, :n] - lam * H_ell[:n, :n]
+    K[x, y] = H_lag[:n, n:]
+    K[y, x] = H_lag[n:, :n]
+    K[y, y] = H_lag[n:, n:]
+    K[x, z] = -lam * H_ell[:n, n:]
+    K[z, x] = -lam * H_ell[n:, :n]
+    K[z, z] = -lam * H_ell[n:, n:]
+    return K
 
-    # top-left 3x3 super-block: Hessian of L w.r.t. (x, y, z)
-    W[s["x"], s["x"]] = H_lag[:n, :n] - lam * H_ell[:n, :n]
-    W[s["x"], s["y"]] = H_lag[:n, n:]
-    W[s["y"], s["x"]] = H_lag[n:, :n]
-    W[s["y"], s["y"]] = H_lag[n:, n:]
-    W[s["x"], s["z"]] = -lam * H_ell[:n, n:]
-    W[s["z"], s["x"]] = -lam * H_ell[n:, :n]
-    W[s["z"], s["z"]] = -lam * H_ell[n:, n:]
+
+def assemble_jacobian(
+    residual: ResidualVector,
+    kink_tol: float = 1e-12,
+    kink_coeffs: tuple[float, float] | None = None,
+) -> JacobianMatrix:
+    """One element W of the generalized Jacobian of Phi at the residual's point.
+
+    W is built from the evaluations the residual carries; nothing is
+    evaluated again.  ``kink_coeffs`` overrides the disc element used for
+    exactly-kinked complementarity pairs; any admissible choice yields a
+    valid element.
+    """
+    d, lam, zeta = residual.dims, residual.lam, residual.zeta
+    at_y, at_z = residual.at_y, residual.at_z
+    n, k = d.n, d.n + 2 * d.m
+    s = block_slices(d)
+
+    W = np.zeros((d.N, d.N))
+    W[:k, :k] = hessian_block(lam, zeta, at_y, at_z)
 
     # multiplier columns of the gradient rows
     W[s["x"], s["u"]] = at_y.dG[:, :n].T
@@ -212,22 +241,13 @@ def assemble_jacobian(
 
     # complementarity rows: a*grad(constraint) on the point columns, b on
     # the own-multiplier diagonal
-    u0, v0, w0 = s["u"].start, s["v"].start, s["w"].start
-    for i in range(p):
-        cf = pair_coeffs(at_y.G[i], zeta.u[i], kink_tol, kink_coeffs)
-        W[u0 + i, s["x"]] = cf.a_coef * at_y.dG[i, :n]
-        W[u0 + i, s["y"]] = cf.a_coef * at_y.dG[i, n:]
-        W[u0 + i, u0 + i] = cf.b_coef
-    for j in range(q):
-        cf = pair_coeffs(at_y.g[j], zeta.v[j], kink_tol, kink_coeffs)
-        W[v0 + j, s["x"]] = cf.a_coef * at_y.dg[j, :n]
-        W[v0 + j, s["y"]] = cf.a_coef * at_y.dg[j, n:]
-        W[v0 + j, v0 + j] = cf.b_coef
-    for j in range(q):
-        cf = pair_coeffs(at_z.g[j], zeta.w[j], kink_tol, kink_coeffs)
-        W[w0 + j, s["x"]] = cf.a_coef * at_z.dg[j, :n]
-        W[w0 + j, s["z"]] = cf.a_coef * at_z.dg[j, n:]
-        W[w0 + j, w0 + j] = cf.b_coef
+    for cons, mults, grads, col, blk in _comp_blocks(zeta, at_y, at_z):
+        r0 = s[blk].start
+        for i in range(len(cons)):
+            cf = pair_coeffs(cons[i], mults[i], kink_tol, kink_coeffs)
+            W[r0 + i, s["x"]] = cf.a_coef * grads[i, :n]
+            W[r0 + i, s[col]] = cf.a_coef * grads[i, n:]
+            W[r0 + i, r0 + i] = cf.b_coef
 
     return JacobianMatrix(mat=W, dims=d)
 
@@ -252,5 +272,4 @@ def merit_grad(
     kinked pairs are zero.
     """
     r = assemble_residual(problem, lam, zeta)
-    W = assemble_jacobian(problem, lam, zeta, kink_tol, kink_coeffs)
-    return W.mat.T @ r.vec
+    return assemble_jacobian(r, kink_tol, kink_coeffs).mat.T @ r.vec

@@ -1,6 +1,8 @@
 """Shared finite-difference oracles and samplers for the test suite."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def sample_kink_free(problem, rng, margin=1e-3, box=2.0):
         zeta = bn.Iterate.from_vector(rng.uniform(-box, box, problem.dims.N), problem.dims)
         if all(np.hypot(c, mu) > margin for c, mu in pair_values(problem, zeta)):
             return zeta
+
+
+def counting_F(problem):
+    """The problem with F wrapped to record its calls, and the record."""
+    calls = []
+
+    def F(x, y):
+        calls.append((x, y))
+        return problem.F(x, y)
+    return dataclasses.replace(problem, F=F), calls
 
 
 def max_rel_err(approx, exact):

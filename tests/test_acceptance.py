@@ -73,7 +73,7 @@ def test_criterion_4_jacobian_vs_finite_differences(problems):
         for _ in range(20):
             zeta = sample_kink_free(p, rng)
             lam = float(rng.uniform(0.5, 8))
-            W = bn.assemble_jacobian(p, lam, zeta).mat
+            W = bn.assemble_jacobian(bn.assemble_residual(p, lam, zeta)).mat
             worst = max(worst, max_rel_err(fd_jacobian(p, lam, zeta), W))
     _verdict(4, worst <= 1e-5, f"max FD relative error {worst:.2e} (<= 1e-5), 20 points x 3 problems")
 

@@ -149,10 +149,3 @@ def test_stdout_emission(capsys):
     tree = json.loads(capsys.readouterr().out)
     assert tree["problem"] == "xy-linear"
 
-
-def test_parallel_sweep_matches_serial_csv(tmp_path):
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    base = ["sweep", "--problem", "xy-linear", "--format", "csv", "--lambda-grid", "0.5,2,8"]
-    assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--parallel", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()

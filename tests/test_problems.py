@@ -1,4 +1,6 @@
 """Problem-contract tests: evaluation bundles, derivative checks, registry."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,46 @@ def test_check_derivatives_detects_corrupted_gradient():
     p = bn.BilevelProblem(name="corrupt", dims=dims, F=F, f=f, g=g)
     report = bn.check_derivatives(p, [(np.array([1.0]), np.array([1.0]))])
     assert not report.passed
+
+
+def _quadratic_problem(rng, n):
+    """n = m = q: quadratic F and f, q quadratic follower constraints."""
+    k = 2 * n
+    A = rng.standard_normal((k, k))
+    P = A @ A.T / k + np.eye(k)
+    J = rng.standard_normal((n, k))
+    Hg = rng.standard_normal((n, k, k))
+    Hg = Hg + Hg.transpose(0, 2, 1)
+
+    def F(x, y):
+        s = np.concatenate([x, y])
+        return 0.5 * s @ P @ s, P @ s, P
+
+    def f(x, y):
+        s = np.concatenate([x, y])
+        return s @ s, 2 * s, 2 * np.eye(k)
+
+    def g(x, y):
+        s = np.concatenate([x, y])
+        return J @ s + 0.5 * (Hg @ s) @ s, J + Hg @ s, Hg
+
+    return bn.BilevelProblem(name="quad", dims=bn.ProblemDims(n=n, m=n, p=0, q=n), F=F, f=f, g=g)
+
+
+def test_check_derivatives_memory_is_per_coordinate():
+    # 2(n+m) perturbed bundles of q(n+m)^2 Hessian entries would be about
+    # 20 MB here; one coordinate's pair is well under 1 MB
+    rng = np.random.default_rng(5)
+    p = _quadratic_problem(rng, 20)
+    points = [(rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20))]
+    tracemalloc.start()
+    try:
+        report = bn.check_derivatives(p, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 5 * 2**20
 
 
 def test_check_derivatives_rejects_bad_step(problems):

@@ -7,6 +7,9 @@ import pytest
 import bilevel_newton as bn
 from bilevel_newton.linalg import null_space_basis, sym_eig_min
 from bilevel_newton.regularity import ssosc_matrices
+from bilevel_newton.system import hessian_block
+
+from conftest import counting_F
 
 
 def test_classify_quadratic_projection_certified(entries):
@@ -178,3 +181,23 @@ def test_diagnose_augmented_variant_penalizes_kinks(problems):
     assert not report.lscc_holds
     # kink index contributes -lam to the augmented diagonal
     assert report.ssosc_augmented_min_eig <= -2.0 + 1e-12
+
+
+def test_diagnose_evaluates_the_point_once(entries):
+    entry = entries["dempe-parabola"]
+    zeta = entry.certified_points[0].build(4.0)
+    p, calls = counting_F(entry.problem)
+    bn.diagnose(p, zeta, 4.0)
+    assert len(calls) == 2
+
+
+def test_ssosc_form_is_the_jacobian_hessian_block(entries):
+    entry = entries["quadratic-projection"]
+    n, m = entry.problem.dims.n, entry.problem.dims.m
+    zeta = entry.certified_points[0].build(2.0)
+    part = bn.classify(entry.problem, zeta)
+    _, M = ssosc_matrices(entry.problem, zeta, 2.0, part)
+    r = bn.assemble_residual(entry.problem, 2.0, zeta)
+    W = bn.assemble_jacobian(r).mat
+    assert np.array_equal(M, W[: n + 2 * m, : n + 2 * m])
+    assert np.array_equal(M, hessian_block(2.0, zeta, r.at_y, r.at_z))

@@ -1,9 +1,13 @@
 """Newton iteration tests: directions, line search, full runs."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import bilevel_newton as bn
 from bilevel_newton.solver import GRADIENT, NEWTON, StepRecord
+
+from conftest import counting_F
 
 
 def make_duplicated_constraint_problem():
@@ -221,6 +225,55 @@ def test_run_reports_evaluation_failure():
     report = bn.run(p, bn.SolverConfig(lam=1.0), zeta0)
     assert report.status == "EvaluationFailed"
     assert report.error is not None
+
+
+@pytest.mark.parametrize("malform", [
+    lambda val, grad, hess: (val, grad[:2], hess),   # gradient of length 2 for n + m = 3
+    lambda val, grad, hess: (val, grad),             # missing Hessian
+    lambda val, grad, hess: (grad, grad, hess),      # vector where a scalar belongs
+])
+def test_run_reports_malformed_evaluator_output(problems, malform):
+    base = problems["quadratic-projection"]
+    p = dataclasses.replace(base, F=lambda x, y: malform(*base.F(x, y)))
+    zeta0 = bn.resolve_start(base)
+    report = bn.run(p, bn.SolverConfig(lam=1.0), zeta0)
+    assert report.status == bn.EVALUATION_FAILED
+    assert "malformed value" in report.error and "while evaluating F" in report.error
+    swept = bn.sweep(p, bn.SweepConfig(lambda_grid=(1.0, 2.0)), start=zeta0)
+    assert [r.status for r in swept.runs] == [bn.EVALUATION_FAILED] * 2
+    assert not swept.converged
+
+
+def _counted_start(entry):
+    p, calls = counting_F(entry.problem)
+    zeta = bn.resolve_start(entry.problem)
+    return p, calls, zeta
+
+
+def test_step_evaluates_the_point_once(entries):
+    p, calls, zeta = _counted_start(entries["xy-linear"])
+    bn.step(p, bn.SolverConfig(lam=2.0), zeta)
+    assert len(calls) == 2
+
+
+def test_line_search_evaluates_the_start_once(entries):
+    # two evaluations at the start, two per trial point
+    entry = entries["xy-linear"]
+    cfg = bn.SolverConfig(lam=2.0)
+    d, _ = bn.step(entry.problem, cfg, bn.resolve_start(entry.problem))
+    p, calls, zeta = _counted_start(entry)
+    result = bn.line_search(p, cfg, zeta, d)
+    assert len(calls) == 2 + 2 * (result.backtracks + 1)
+
+
+@pytest.mark.parametrize("name,lam", [("quadratic-projection", 1.0), ("dempe-parabola", 4.0)])
+def test_run_evaluates_each_point_once(entries, name, lam):
+    # the start, every line-search trial, and the final F/f report
+    p, calls, zeta = _counted_start(entries[name])
+    records: list[StepRecord] = []
+    report = bn.run(p, bn.SolverConfig(lam=lam), zeta, callback=records.append)
+    assert report.status == bn.SOLVED and records
+    assert len(calls) == 2 + 2 * sum(rec.backtracks + 1 for rec in records) + 1
 
 
 def test_eoc_formula_examples():

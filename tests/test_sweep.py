@@ -110,23 +110,6 @@ def test_sweep_dempe_parabola_regression(entries):
     assert report.delta_star is None  # no known values registered
 
 
-def test_sweep_parallel_matches_serial(entries):
-    entry = entries["xy-linear"]
-    grid = (0.5, 1.0, 4.0, 32.0)
-    serial = bn.sweep(entry.problem, bn.SweepConfig(lambda_grid=grid, parallel=False),
-                      status_known=entry.status)
-    parallel = bn.sweep(entry.problem, bn.SweepConfig(lambda_grid=grid, parallel=True),
-                        status_known=entry.status)
-    for rs, rp in zip(serial.runs, parallel.runs):
-        assert rs.lam == rp.lam
-        assert rs.status == rp.status
-        assert rs.residual_norms == rp.residual_norms
-        assert rs.step_sizes == rp.step_sizes
-        assert np.array_equal(rs.final.to_vector(), rp.final.to_vector())
-    assert serial.best_lambda == parallel.best_lambda
-    assert serial.delta_star == parallel.delta_star
-
-
 def test_delta_star_monotone_in_grid(entries):
     entry = entries["quadratic-projection"]
     small = bn.sweep(entry.problem, bn.SweepConfig(lambda_grid=(1.0, 4.0)), status_known=entry.status)

@@ -6,7 +6,7 @@ import bilevel_newton as bn
 from bilevel_newton.complementarity import KINK_A, KINK_B
 from bilevel_newton.system import block_slices
 
-from conftest import fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
+from conftest import counting_F, fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
 
 
 def test_iterate_round_trip(problems):
@@ -74,7 +74,7 @@ def test_jacobian_matches_finite_differences(problems):
         for _ in range(10):
             zeta = sample_kink_free(p, rng)
             lam = float(rng.uniform(0.5, 8))
-            W = bn.assemble_jacobian(p, lam, zeta).mat
+            W = bn.assemble_jacobian(bn.assemble_residual(p, lam, zeta)).mat
             assert max_rel_err(fd_jacobian(p, lam, zeta), W) <= 1e-5
 
 
@@ -83,7 +83,7 @@ def test_jacobian_top_left_symmetric(problems):
     for p in problems.values():
         n, m = p.dims.n, p.dims.m
         zeta = bn.Iterate.from_vector(rng.uniform(-2, 2, p.dims.N), p.dims)
-        W = bn.assemble_jacobian(p, 3.0, zeta).mat
+        W = bn.assemble_jacobian(bn.assemble_residual(p, 3.0, zeta)).mat
         k = n + 2 * m
         np.testing.assert_allclose(W[:k, :k], W[:k, :k].T, atol=1e-12)
 
@@ -94,7 +94,7 @@ def test_jacobian_zero_pattern(problems):
     for p in problems.values():
         s = block_slices(p.dims)
         zeta = bn.Iterate.from_vector(rng.uniform(-2, 2, p.dims.N), p.dims)
-        W = bn.assemble_jacobian(p, 2.0, zeta).mat
+        W = bn.assemble_jacobian(bn.assemble_residual(p, 2.0, zeta)).mat
         zero_blocks = [
             ("y", "z"), ("y", "w"), ("z", "y"), ("z", "u"), ("z", "v"),
             ("u", "z"), ("u", "v"), ("u", "w"),
@@ -112,7 +112,7 @@ def test_jacobian_zero_pattern(problems):
 def test_jacobian_kink_rows_use_kink_element(problems):
     p = problems["xy-linear"]
     zeta = bn.Iterate.of(p.dims, x=[1.0], y=[1.0], z=[1.0], u=[0.0], v=[0.0], w=[0.0])
-    W = bn.assemble_jacobian(p, 1.0, zeta)
+    W = bn.assemble_jacobian(bn.assemble_residual(p, 1.0, zeta))
     s = block_slices(p.dims)
     # all three pairs are exact kinks at this point; G row: grad (1, 1)
     np.testing.assert_allclose(W.mat[s["u"], s["x"]], [[KINK_A]], atol=1e-15)
@@ -180,6 +180,14 @@ def test_merit_grad_independent_of_kink_element(problems):
     for alt in [(1.0, 0.0), (0.0, -1.0), (1.0, -1.0)]:
         g_alt = bn.merit_grad(p, 1.5, zeta, kink_coeffs=alt)
         assert np.max(np.abs(g_default - g_alt)) <= 1e-14
+
+
+def test_merit_grad_evaluates_the_point_once(problems):
+    # one evaluation at (x, y) and one at (x, z); W reuses them
+    p, calls = counting_F(problems["quadratic-projection"])
+    zeta = bn.Iterate.from_vector(np.linspace(-1, 1, p.dims.N), p.dims)
+    bn.merit_grad(p, 2.0, zeta)
+    assert len(calls) == 2
 
 
 def test_merit_grad_zero_at_solution(entries):
