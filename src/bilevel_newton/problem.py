@@ -14,6 +14,7 @@ are symmetrized on ingestion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -106,21 +107,21 @@ def _sym(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _check_scalar(name: str, point: np.ndarray, out, nm: int):
+def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):
     try:
         val, grad, hess = out
         val = float(val)
         grad = np.asarray(grad, dtype=float).reshape(nm)
         hess = np.asarray(hess, dtype=float).reshape(nm, nm)
     except (TypeError, ValueError) as exc:
-        raise EvaluationError(name, point, f"malformed value: {exc}") from exc
+        raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
     hess = _sym(hess)
-    if not (np.isfinite(val) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        raise EvaluationError(name, point)
+    if not (math.isfinite(val) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        raise EvaluationError(name, np.concatenate(xy))
     return val, grad, hess
 
 
-def _check_vector(name: str, point: np.ndarray, out, k: int, nm: int):
+def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm: int):
     if k == 0:
         return (np.zeros(0), np.zeros((0, nm)), np.zeros((0, nm, nm)))
     try:
@@ -129,10 +130,10 @@ def _check_vector(name: str, point: np.ndarray, out, k: int, nm: int):
         jac = np.asarray(jac, dtype=float).reshape(k, nm)
         hessians = np.asarray(hessians, dtype=float).reshape(k, nm, nm)
     except (TypeError, ValueError) as exc:
-        raise EvaluationError(name, point, f"malformed value: {exc}") from exc
+        raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
     hessians = 0.5 * (hessians + np.transpose(hessians, (0, 2, 1)))
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(jac)) and np.all(np.isfinite(hessians))):
-        raise EvaluationError(name, point)
+    if not (np.isfinite(vals).all() and np.isfinite(jac).all() and np.isfinite(hessians).all()):
+        raise EvaluationError(name, np.concatenate(xy))
     return vals, jac, hessians
 
 
@@ -146,14 +147,15 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray) -> EvalB
     d = problem.dims
     x = np.asarray(x, dtype=float).reshape(d.n)
     y = np.asarray(y, dtype=float).reshape(d.m)
-    point = np.concatenate([x, y])
+    xy = (x, y)  # concatenated only for an error report
     nm = d.n + d.m
 
-    Fv, dF, d2F = _check_scalar("F", point, problem.F(x, y), nm)
-    fv, df, d2f = _check_scalar("f", point, problem.f(x, y), nm)
+    # each evaluator's output is checked before the next one is called
+    Fv, dF, d2F = _check_scalar("F", xy, problem.F(x, y), nm)
+    fv, df, d2f = _check_scalar("f", xy, problem.f(x, y), nm)
     Gout = problem.G(x, y) if problem.G is not None else None
-    Gv, dG, d2G = _check_vector("G", point, Gout, d.p, nm)
-    gv, dg, d2g = _check_vector("g", point, problem.g(x, y), d.q, nm)
+    Gv, dG, d2G = _check_vector("G", xy, Gout, d.p, nm)
+    gv, dg, d2g = _check_vector("g", xy, problem.g(x, y), d.q, nm)
 
     return EvalBundle(
         n=d.n,

@@ -112,8 +112,6 @@ def _cell(value: Any) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "exact"
         return repr(value)
     if isinstance(value, (np.floating,)):
         return repr(float(value))
@@ -130,7 +128,7 @@ def _csv_row(report: SolveReport, deltas: DeltaMetrics | None) -> list[str]:
         _cell(report.final_residual_norm),
         _cell(report.F),
         _cell(report.f),
-        _cell(report.eoc),
+        _cell(_eoc_value(report.eoc)),
         _cell(deltas.delta_F),
         _cell(deltas.delta_f),
         _cell(deltas.delta),

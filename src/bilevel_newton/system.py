@@ -29,7 +29,10 @@ diagnostics share it.
 """
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,11 +43,18 @@ RESIDUAL_BLOCKS = ("grad_x", "grad_y", "grad_z", "comp_G", "comp_g_upper", "comp
 VARIABLE_BLOCKS = ("x", "y", "z", "u", "v", "w")
 
 
-def block_slices(dims: ProblemDims) -> dict[str, slice]:
-    """Offsets of the six variable blocks inside a stacked N-vector."""
-    n, m, p, q = dims.n, dims.m, dims.p, dims.q
-    edges = np.cumsum([0, n, m, m, p, q, q])
-    return {name: slice(int(a), int(b)) for name, a, b in zip(VARIABLE_BLOCKS, edges[:-1], edges[1:])}
+@functools.cache
+def block_slices(dims: ProblemDims) -> Mapping[str, slice]:
+    """Offsets of the six variable blocks inside a stacked N-vector.
+
+    Computed once per dimension set (a process sees only a few) and
+    shared by every caller, hence read-only.
+    """
+    slices, start = {}, 0
+    for name, size in zip(VARIABLE_BLOCKS, (dims.n, dims.m, dims.m, dims.p, dims.q, dims.q)):
+        slices[name] = slice(start, start + size)
+        start += size
+    return MappingProxyType(slices)
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,7 @@ class JacobianMatrix:
     dims: ProblemDims
 
     @property
-    def offsets(self) -> dict[str, slice]:
+    def offsets(self) -> Mapping[str, slice]:
         return block_slices(self.dims)
 
     def block(self, row: str, col: str) -> np.ndarray:
@@ -184,6 +194,17 @@ def _residual_from_bundles(
     return np.concatenate([lag_x - lam * ell_x, lag_y, -lam * ell_z, *comp])
 
 
+def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i mult[i] * stack[i] over a (k, nm, nm) stack.
+
+    This is the single dot that ``np.tensordot(mult, stack, axes=1)``
+    makes, so the result is bitwise the same, without tensordot's
+    axis bookkeeping.
+    """
+    k, nm = stack.shape[0], stack.shape[1]
+    return np.dot(mult.reshape(1, k), stack.reshape(k, nm * nm)).reshape(nm, nm)
+
+
 def hessian_block(lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle) -> np.ndarray:
     """Hessian of L w.r.t. (x, y, z): the (n+2m)x(n+2m) top-left block of W.
 
@@ -196,9 +217,8 @@ def hessian_block(lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle)
     """
     n, m = zeta.x.size, zeta.y.size
     x, y, z = slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m)
-    H_lag = at_y.d2F + np.tensordot(zeta.u, at_y.d2G, axes=1) \
-        + np.tensordot(zeta.v, at_y.d2g, axes=1) + lam * at_y.d2f
-    H_ell = at_z.d2f + np.tensordot(zeta.w, at_z.d2g, axes=1)
+    H_lag = at_y.d2F + _contract(zeta.u, at_y.d2G) + _contract(zeta.v, at_y.d2g) + lam * at_y.d2f
+    H_ell = at_z.d2f + _contract(zeta.w, at_z.d2g)
 
     K = np.zeros((n + 2 * m, n + 2 * m))
     K[x, x] = H_lag[:n, :n] - lam * H_ell[:n, :n]

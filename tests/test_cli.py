@@ -1,7 +1,9 @@
 """CLI behavior: modes, exit codes, report files, determinism."""
 import csv
 import json
+import math
 
+import pytest
 
 import bilevel_newton as bn
 from bilevel_newton import reporting
@@ -93,6 +95,18 @@ def test_csv_and_json_numbers_agree(tmp_path):
     assert row["final_resid"] == repr(tree["final_residual_norm"])
     assert float(row["lambda"]) == tree["lambda"]
     assert int(row["iters"]) == tree["iterations"]
+
+
+@pytest.mark.parametrize("eoc,eoc_cell", [(math.inf, "exact"), (None, ""), (1.5, "1.5")])
+def test_csv_infinities_are_exact_only_for_eoc(entries, eoc, eoc_cell):
+    p = entries["xy-linear"].problem
+    report = bn.SolveReport(
+        problem="xy-linear", lam=1.0, status=bn.MAX_ITER, iterations=3,
+        residual_norms=[], step_sizes=[], direction_types=[],
+        final=bn.resolve_start(p), final_residual_norm=math.inf, F=-math.inf, f=1.0,
+        eoc=eoc, wall_time=0.0)
+    assert reporting.solve_report_to_csv(report).splitlines()[1] == \
+        f"xy-linear,1.0,MaxIter,3,inf,-inf,1.0,{eoc_cell},,,"
 
 
 def test_json_round_trip_equals_in_memory(entries):

@@ -1,6 +1,9 @@
 """Dense kernel tests: LU solve, symmetric eigenvalues, null spaces."""
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bilevel_newton import (SingularMatrixError, lu_factor, lu_solve,
                             null_space_basis, sym_eig_min)
@@ -53,6 +56,53 @@ def test_lu_solve_flags_duplicate_rows():
     A = np.array([[1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(SingularMatrixError):
         lu_solve(A, np.array([1.0, 1.0]))
+
+
+def _well_conditioned(n, order, integer):
+    rng = np.random.default_rng(n)
+    if integer:
+        return np.asarray(rng.integers(-9, 10, size=(n, n)) + 10 * n * np.eye(n, dtype=int), order=order)
+    return np.asarray(rng.normal(size=(n, n)) + n * np.eye(n), order=order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 50, 250])
+@pytest.mark.parametrize("order,integer", [("C", False), ("F", False), ("C", True)])
+def test_lu_matches_scipy_bitwise(n, order, integer):
+    A = _well_conditioned(n, order, integer)
+    b = np.random.default_rng(n + 1).normal(size=n)
+    lu_ref, piv_ref = scipy.linalg.lu_factor(A)
+    fac = lu_factor(A)
+    assert np.array_equal(fac.lu, lu_ref) and np.array_equal(fac.piv, piv_ref)
+    assert not fac.singular
+    assert np.array_equal(lu_solve(A, b), scipy.linalg.lu_solve((lu_ref, piv_ref), b))
+
+
+@pytest.mark.parametrize("n", [13, 15, 17])
+def test_lu_solve_residual_test_on_hilbert_matrices(n):
+    # with the pivot test off, these ill-conditioned systems fail the
+    # backward-residual test; the residual is the one np.linalg.norm gives
+    H, b = scipy.linalg.hilbert(n), np.ones(n)
+    d = scipy.linalg.lu_solve(scipy.linalg.lu_factor(H), b)
+    expected = f"solve residual {np.linalg.norm(H @ d - b):.3e} too large"
+    with pytest.raises(SingularMatrixError) as exc:
+        lu_solve(H, b, pivot_tol=0.0)
+    assert str(exc.value) == expected
+
+
+def test_lu_exactly_singular_is_flagged_without_warning():
+    A = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fac = lu_factor(A)
+        assert fac.singular and fac.min_pivot == 0.0
+        with pytest.raises(SingularMatrixError, match="below threshold"):
+            lu_solve(A, np.ones(2))
+
+
+def test_lu_factor_empty_matrix_is_singular_and_silent(capfd):
+    fac = lu_factor(np.zeros((0, 0)))
+    assert fac.singular and fac.lu.shape == (0, 0) and fac.piv.size == 0
+    assert capfd.readouterr() == ("", "")
 
 
 def test_sym_eig_min_diagonal():

@@ -67,22 +67,74 @@ def test_evaluate_all_deterministic(problems):
     assert np.array_equal(b1.dg, b2.dg)
 
 
+def _logged_problem(calls, **replaced):
+    """A problem with n = m = p = q = 1 whose evaluators append their name
+    to ``calls``; ``replaced`` gives the output of an evaluator by name."""
+    outputs = {
+        "F": (1.0, np.ones(2), np.eye(2)),
+        "f": (2.0, np.ones(2), np.eye(2)),
+        "G": (np.array([-1.0]), np.ones((1, 2)), np.zeros((1, 2, 2))),
+        "g": (np.array([-2.0]), np.ones((1, 2)), np.zeros((1, 2, 2))),
+    }
+    outputs.update(replaced)
+
+    def evaluator(name):
+        def call(x, y):
+            calls.append(name)
+            return outputs[name]
+        return call
+    return bn.BilevelProblem(name="logged", dims=bn.ProblemDims(n=1, m=1, p=1, q=1),
+                             **{name: evaluator(name) for name in outputs})
+
+
+def _nan_hessian_stack():
+    stack = np.zeros((1, 2, 2))
+    stack[0, 1, 0] = np.nan
+    return stack
+
+
 def test_evaluate_all_flags_nonfinite():
-    dims = bn.ProblemDims(n=1, m=1, p=0, q=1)
-
-    def bad_F(x, y):
-        return np.nan, np.zeros(2), np.zeros((2, 2))
-
-    def ok_f(x, y):
-        return y[0], np.array([0.0, 1.0]), np.zeros((2, 2))
-
-    def ok_g(x, y):
-        return np.array([x[0]]), np.array([[1.0, 0.0]]), np.zeros((1, 2, 2))
-
-    p = bn.BilevelProblem(name="nan-problem", dims=dims, F=bad_F, f=ok_f, g=ok_g)
+    calls = []
+    p = _logged_problem(calls, F=(np.nan, np.zeros(2), np.zeros((2, 2))))
     with pytest.raises(bn.EvaluationError) as exc:
-        bn.evaluate_all(p, np.array([1.0]), np.array([1.0]))
+        bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]))
     assert exc.value.function == "F"
+    assert calls == ["F"]  # f, G and g are never called after F fails
+    assert np.array_equal(exc.value.point, [0.5, -1.5])
+    assert str(exc.value) == "non-finite value while evaluating F at [0.5, -1.5]"
+
+
+@pytest.mark.parametrize("name,output,called", [
+    ("G", (np.array([np.inf]), np.ones((1, 2)), np.zeros((1, 2, 2))), ["F", "f", "G"]),
+    ("g", (np.array([-2.0]), np.ones((1, 2)), _nan_hessian_stack()), ["F", "f", "G", "g"]),
+    ("f", (2.0, np.array([1.0, -np.inf]), np.eye(2)), ["F", "f"]),
+])
+def test_evaluate_all_names_the_nonfinite_evaluator(name, output, called):
+    calls = []
+    p = _logged_problem(calls, **{name: output})
+    with pytest.raises(bn.EvaluationError) as exc:
+        bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]))
+    assert exc.value.function == name
+    assert calls == called
+    assert np.array_equal(exc.value.point, [0.5, -1.5])
+
+
+@pytest.mark.parametrize("name,output,message", [
+    ("F", (1.0, np.ones(2)),
+     "malformed value: not enough values to unpack (expected 3, got 2) while evaluating F at [0.5, -1.5]"),
+    ("f", (2.0, np.ones(3), np.eye(2)),
+     "malformed value: cannot reshape array of size 3 into shape (2,) while evaluating f at [0.5, -1.5]"),
+    ("G", (np.array([-1.0]), np.ones((1, 2)), np.zeros((2, 2, 2))),
+     "malformed value: cannot reshape array of size 8 into shape (1,2,2) while evaluating G at [0.5, -1.5]"),
+    ("g", None,
+     "malformed value: cannot unpack non-iterable NoneType object while evaluating g at [0.5, -1.5]"),
+])
+def test_evaluate_all_malformed_output_messages(name, output, message):
+    p = _logged_problem([], **{name: output})
+    with pytest.raises(bn.EvaluationError) as exc:
+        bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]))
+    assert exc.value.function == name
+    assert str(exc.value) == message
 
 
 def test_check_derivatives_all_bundled_problems(problems):

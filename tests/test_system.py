@@ -4,7 +4,8 @@ import pytest
 
 import bilevel_newton as bn
 from bilevel_newton.complementarity import KINK_A, KINK_B
-from bilevel_newton.system import block_slices
+from bilevel_newton.problem import EvalBundle
+from bilevel_newton.system import block_slices, hessian_block
 
 from conftest import counting_F, fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
 
@@ -21,6 +22,45 @@ def test_iterate_of_validates_lengths(problems):
     p = problems["xy-linear"]
     with pytest.raises(ValueError):
         bn.Iterate.of(p.dims, x=[1.0, 2.0], y=[0.0], z=[0.0], u=[0.0], v=[0.0], w=[0.0])
+
+
+def test_block_slices_shared_and_read_only(problems):
+    dims = problems["quadratic-projection"].dims
+    s = block_slices(dims)
+    assert block_slices(dims) is s
+    assert [s[name] for name in ("x", "y", "z", "u", "v", "w")] == [
+        slice(0, 1), slice(1, 3), slice(3, 5), slice(5, 5), slice(5, 7), slice(7, 9)]
+    with pytest.raises(TypeError):
+        s["x"] = slice(0, 2)
+
+
+def _random_bundle(rng, n, nm, k):
+    return EvalBundle(
+        n=n,
+        F=1.0, dF=rng.normal(size=nm), d2F=rng.normal(size=(nm, nm)),
+        f=2.0, df=rng.normal(size=nm), d2f=rng.normal(size=(nm, nm)),
+        G=rng.normal(size=k), dG=rng.normal(size=(k, nm)), d2G=rng.normal(size=(k, nm, nm)),
+        g=rng.normal(size=k), dg=rng.normal(size=(k, nm)), d2g=rng.normal(size=(k, nm, nm)),
+    )
+
+
+@pytest.mark.parametrize("k", [0, 1, 50])
+def test_hessian_block_matches_tensordot_reference(k):
+    # k = 0 is p = q = 0: every multiplier contraction is empty
+    rng = np.random.default_rng(k)
+    n, m, lam = 3, 2, 2.5
+    at_y, at_z = _random_bundle(rng, n, n + m, k), _random_bundle(rng, n, n + m, k)
+    zeta = bn.Iterate(*(rng.normal(size=size) for size in (n, m, m, k, k, k)))
+    H_lag = at_y.d2F + np.tensordot(zeta.u, at_y.d2G, axes=1) \
+        + np.tensordot(zeta.v, at_y.d2g, axes=1) + lam * at_y.d2f
+    H_ell = at_z.d2f + np.tensordot(zeta.w, at_z.d2g, axes=1)
+    zero = np.zeros((m, m))
+    reference = np.block([
+        [H_lag[:n, :n] - lam * H_ell[:n, :n], H_lag[:n, n:], -lam * H_ell[:n, n:]],
+        [H_lag[n:, :n], H_lag[n:, n:], zero],
+        [-lam * H_ell[n:, :n], zero, -lam * H_ell[n:, n:]],
+    ])
+    assert np.array_equal(hessian_block(lam, zeta, at_y, at_z), reference)
 
 
 def test_residual_rejects_nonpositive_lambda(problems):
