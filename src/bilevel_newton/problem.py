@@ -9,8 +9,9 @@ the leader variable x (dim n) and a follower variable (dim m):
     g : lower-level constraints <= 0  (q components, q >= 0)
 
 Each evaluator returns values together with exact first and second
-derivatives with respect to the stacked point (x, y) in R^{n+m}.  Hessians
-are symmetrized on ingestion.
+derivatives with respect to the stacked point (x, y) in R^{n+m}.  A
+Hessian that is exactly symmetric (bit for bit) is used as returned, without
+a copy; any other Hessian is symmetrized on ingestion as (H + H^T) / 2.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 ScalarEval = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray, np.ndarray]]
 VectorEval = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -61,7 +63,9 @@ class BilevelProblem:
     R^{n+m} and hess (n+m)x(n+m).  Vector evaluators map (x, y) ->
     (values, jacobian, hessians) shaped (k,), (k, n+m), (k, n+m, n+m).
     ``G`` may be None when p == 0.  Evaluators must be pure: no hidden
-    state.
+    state, and no later write into an array they have returned, because
+    bundles hold returned values, Jacobians and exactly symmetric Hessians
+    without copying them.
     """
 
     name: str
@@ -104,7 +108,26 @@ class EvalBundle:
 
 
 def _sym(h: np.ndarray) -> np.ndarray:
-    return 0.5 * (h + h.T)
+    return 0.5 * (h + h.swapaxes(-1, -2))
+
+
+def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The symmetrized Hessian (or stack of them), and whether it is known finite.
+
+    When the sum of squares is finite, every entry is finite and below
+    sqrt(DBL_MAX), so h + h cannot overflow; when h also equals its
+    transpose bit for bit, 0.5 * (h + h^T) = 0.5 * (2 h) is exactly h, and
+    h is returned as it is.  The bits are compared as integers so that a
+    -0.0/+0.0 pair, which symmetrization turns into +0.0, is not taken
+    as symmetric.  BLAS ddot, unlike ndarray.dot, does not warn on
+    overflow; an overflowing sum only sends h to the symmetrizing path.
+    """
+    flat = h.ravel(order="K")
+    if math.isfinite(ddot(flat, flat)):
+        bits = h.view(np.int64)
+        if (bits == bits.swapaxes(-1, -2)).all():
+            return h, True
+    return _sym(h), False
 
 
 def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):
@@ -115,8 +138,8 @@ def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):
         hess = np.asarray(hess, dtype=float).reshape(nm, nm)
     except (TypeError, ValueError) as exc:
         raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
-    hess = _sym(hess)
-    if not (math.isfinite(val) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+    hess, finite = _ingest_hessian(hess)
+    if not (math.isfinite(val) and np.isfinite(grad).all() and (finite or np.isfinite(hess).all())):
         raise EvaluationError(name, np.concatenate(xy))
     return val, grad, hess
 
@@ -131,8 +154,8 @@ def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm:
         hessians = np.asarray(hessians, dtype=float).reshape(k, nm, nm)
     except (TypeError, ValueError) as exc:
         raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
-    hessians = 0.5 * (hessians + np.transpose(hessians, (0, 2, 1)))
-    if not (np.isfinite(vals).all() and np.isfinite(jac).all() and np.isfinite(hessians).all()):
+    hessians, finite = _ingest_hessian(hessians)
+    if not (np.isfinite(vals).all() and np.isfinite(jac).all() and (finite or np.isfinite(hessians).all())):
         raise EvaluationError(name, np.concatenate(xy))
     return vals, jac, hessians
 

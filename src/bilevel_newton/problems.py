@@ -3,7 +3,9 @@
 Each entry carries hand-coded gradients and Hessians, the best known
 objective values where available, and analytically certified stationary
 points of the penalized system (with their penalty admissibility range),
-used as regression anchors.
+used as regression anchors.  Constant derivatives are built once per entry
+as read-only arrays and returned by every call, so evaluation copies and
+allocates nothing for them.
 """
 from __future__ import annotations
 
@@ -32,6 +34,13 @@ class BenchmarkEntry:
     certified_points: tuple[CertifiedPoint, ...]
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float array, shared by every call that returns it."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def _quadratic_projection() -> BenchmarkEntry:
     """Leader minimizes x^2 + y1^2 + y2^2; follower projects (x, -1) onto
     the cone {y1 <= y2, -y1 <= y2}.
@@ -40,23 +49,24 @@ def _quadratic_projection() -> BenchmarkEntry:
     v = (lam, lam), w = (1, 1) for every positive penalty.
     """
     dims = ProblemDims(n=1, m=2, p=0, q=2)
+    d2F = _frozen(2.0 * np.eye(3))
+    d2f = _frozen([[2.0, -2.0, 0.0], [-2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    dg = _frozen([[0.0, 1.0, -1.0], [0.0, -1.0, -1.0]])
+    d2g = _frozen(np.zeros((2, 3, 3)))
 
     def F(x, y):
         val = x[0] ** 2 + y[0] ** 2 + y[1] ** 2
         grad = np.array([2 * x[0], 2 * y[0], 2 * y[1]])
-        return val, grad, 2.0 * np.eye(3)
+        return val, grad, d2F
 
     def f(x, y):
         r1, r2 = y[0] - x[0], y[1] + 1.0
         val = r1 ** 2 + r2 ** 2
         grad = np.array([-2 * r1, 2 * r1, 2 * r2])
-        hess = np.array([[2.0, -2.0, 0.0], [-2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-        return val, grad, hess
+        return val, grad, d2f
 
     def g(x, y):
-        vals = np.array([y[0] - y[1], -y[0] - y[1]])
-        jac = np.array([[0.0, 1.0, -1.0], [0.0, -1.0, -1.0]])
-        return vals, jac, np.zeros((2, 3, 3))
+        return np.array([y[0] - y[1], -y[0] - y[1]]), dg, d2g
 
     problem = BilevelProblem(
         name="quadratic-projection",
@@ -80,18 +90,24 @@ def _xy_linear() -> BenchmarkEntry:
     Optimal at (0, 0) with u = 0, v = lam, w = 1 for every positive penalty.
     """
     dims = ProblemDims(n=1, m=1, p=1, q=1)
+    d2F = _frozen([[0.0, 1.0], [1.0, 0.0]])
+    dG = _frozen([[1.0, 1.0]])
+    df = _frozen([0.0, 1.0])
+    d2f = _frozen(np.zeros((2, 2)))
+    dg = _frozen([[1.0, -1.0]])
+    zero_stack = _frozen(np.zeros((1, 2, 2)))  # the Hessians of G and g
 
     def F(x, y):
-        return x[0] * y[0], np.array([y[0], x[0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        return x[0] * y[0], np.array([y[0], x[0]]), d2F
 
     def G(x, y):
-        return np.array([x[0] + y[0] - 2.0]), np.array([[1.0, 1.0]]), np.zeros((1, 2, 2))
+        return np.array([x[0] + y[0] - 2.0]), dG, zero_stack
 
     def f(x, y):
-        return y[0], np.array([0.0, 1.0]), np.zeros((2, 2))
+        return y[0], df, d2f
 
     def g(x, y):
-        return np.array([x[0] - y[0]]), np.array([[1.0, -1.0]]), np.zeros((1, 2, 2))
+        return np.array([x[0] - y[0]]), dg, zero_stack
 
     problem = BilevelProblem(
         name="xy-linear",
@@ -117,19 +133,19 @@ def _dempe_parabola() -> BenchmarkEntry:
     optimality) is certified and no best known values are asserted.
     """
     dims = ProblemDims(n=1, m=1, p=0, q=1)
+    d2F = _frozen(2.0 * np.eye(2))
+    d2f = _frozen([[0.0, 0.0], [0.0, 2.0]])
+    d2g = _frozen([[[0.0, 0.0], [0.0, 2.0]]])
 
     def F(x, y):
         val = (x[0] - 3.5) ** 2 + (y[0] + 4.0) ** 2
-        return val, np.array([2 * (x[0] - 3.5), 2 * (y[0] + 4.0)]), 2.0 * np.eye(2)
+        return val, np.array([2 * (x[0] - 3.5), 2 * (y[0] + 4.0)]), d2F
 
     def f(x, y):
-        return (y[0] - 3.0) ** 2, np.array([0.0, 2 * (y[0] - 3.0)]), np.array([[0.0, 0.0], [0.0, 2.0]])
+        return (y[0] - 3.0) ** 2, np.array([0.0, 2 * (y[0] - 3.0)]), d2f
 
     def g(x, y):
-        vals = np.array([-x[0] + y[0] ** 2])
-        jac = np.array([[-1.0, 2 * y[0]]])
-        hess = np.array([[[0.0, 0.0], [0.0, 2.0]]])
-        return vals, jac, hess
+        return np.array([-x[0] + y[0] ** 2]), np.array([[-1.0, 2 * y[0]]]), d2g
 
     problem = BilevelProblem(
         name="dempe-parabola",

@@ -111,9 +111,8 @@ def regularity_report_to_dict(report: RegularityReport) -> dict[str, Any]:
 def _cell(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
+        # np.float64 subclasses float, but its repr is "np.float64(1.5)"
         return repr(float(value))
     return str(value)
 

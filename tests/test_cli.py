@@ -3,6 +3,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import bilevel_newton as bn
@@ -107,6 +108,18 @@ def test_csv_infinities_are_exact_only_for_eoc(entries, eoc, eoc_cell):
         eoc=eoc, wall_time=0.0)
     assert reporting.solve_report_to_csv(report).splitlines()[1] == \
         f"xy-linear,1.0,MaxIter,3,inf,-inf,1.0,{eoc_cell},,,"
+
+
+def test_csv_numpy_floats_print_as_python_floats(entries):
+    p = entries["xy-linear"].problem
+    report = bn.SolveReport(
+        problem="xy-linear", lam=np.float64(1.5), status=bn.SOLVED, iterations=3,
+        residual_norms=[], step_sizes=[], direction_types=[],
+        final=bn.resolve_start(p), final_residual_norm=np.float64(1e-9),
+        F=np.float32(0.25), f=np.float64(-np.inf), eoc=np.float64(2.0), wall_time=0.0)
+    deltas = bn.DeltaMetrics(np.float64(0.1), None, np.float64(0.0))
+    assert reporting.solve_report_to_csv(report, deltas).splitlines()[1] == \
+        "xy-linear,1.5,Solved,3,1e-09,0.25,-inf,2.0,0.1,,0.0"
 
 
 def test_json_round_trip_equals_in_memory(entries):
