@@ -108,26 +108,30 @@ class EvalBundle:
 
 
 def _sym(h: np.ndarray) -> np.ndarray:
-    return 0.5 * (h + h.swapaxes(-1, -2))
+    s = h + h.swapaxes(-1, -2)
+    s *= 0.5  # in place: the same bits as 0.5 * (h + h^T), one temporary fewer
+    return s
 
 
 def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
     """The symmetrized Hessian (or stack of them), and whether it is known finite.
 
     When the sum of squares is finite, every entry is finite and below
-    sqrt(DBL_MAX), so h + h cannot overflow; when h also equals its
-    transpose bit for bit, 0.5 * (h + h^T) = 0.5 * (2 h) is exactly h, and
-    h is returned as it is.  The bits are compared as integers so that a
+    sqrt(DBL_MAX), so h + h^T cannot overflow and the result is known
+    finite without a scan; when h also equals its transpose bit for bit,
+    0.5 * (h + h^T) = 0.5 * (2 h) is exactly h, and h is returned as it
+    is.  The bits are compared as integers so that a
     -0.0/+0.0 pair, which symmetrization turns into +0.0, is not taken
     as symmetric.  BLAS ddot, unlike ndarray.dot, does not warn on
     overflow; an overflowing sum only sends h to the symmetrizing path.
     """
     flat = h.ravel(order="K")
-    if math.isfinite(ddot(flat, flat)):
-        bits = h.view(np.int64)
-        if (bits == bits.swapaxes(-1, -2)).all():
-            return h, True
-    return _sym(h), False
+    if not math.isfinite(ddot(flat, flat)):
+        return _sym(h), False
+    bits = h.view(np.int64)
+    if (bits == bits.swapaxes(-1, -2)).all():
+        return h, True
+    return _sym(h), True
 
 
 def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):

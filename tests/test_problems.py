@@ -375,6 +375,9 @@ def _with(h, entries):
     ("-inf pair", dict(d2g=_with(_stack(2), {(0, 1, 2): -np.inf, (0, 2, 1): -np.inf})), "g"),
     ("inf/-inf pair", dict(d2f=_with(np.eye(3), {(0, 1): np.inf, (1, 0): -np.inf})), "f"),
     ("subnormal pair", dict(d2F=_with(np.eye(3), {(0, 1): 5e-324, (1, 0): 5e-324})), None),
+    ("large asymmetric pair", dict(d2f=_with(np.eye(3), {(0, 1): 1e153, (1, 0): -1e153})), None),
+    ("asymmetric pair whose squares overflow",
+     dict(d2g=_with(_stack(2), {(1, 0, 1): 1e155, (1, 1, 0): -1e155})), None),
 ])
 def test_hessian_ingestion_matches_symmetrizing_reference(case, hessians, raises):
     args = dict(d2F=np.eye(3), d2f=np.eye(3), d2G=_stack(1), d2g=_stack(2))
