@@ -12,10 +12,21 @@ Each evaluator returns values together with exact first and second
 derivatives with respect to the stacked point (x, y) in R^{n+m}.  A
 Hessian that is exactly symmetric (bit for bit) is used as returned, without
 a copy; any other Hessian is symmetrized on ingestion as (H + H^T) / 2.
+A large Hessian that an evaluator returns again from the same memory (as a
+quadratic objective or linear constraints often do) is checked once, not at
+every point: evaluators must not write into an array they have returned,
+so its bits cannot have changed.  One that is exactly zero is recognised
+then, and the Hessian contraction of the system skips it.
+
+The leader functions F and G are evaluated only at the leader point (x, y).
+At the follower copy (x, z) the system reads f and g alone, so a follower
+bundle (``evaluate_all(..., upper=False)``) calls neither F nor G and holds
+None in their fields.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -89,19 +100,21 @@ class EvalBundle:
 
     Gradients are stored over the stacked (x, y) coordinates; the leading
     n entries are the derivatives w.r.t. the upper-level variable and the
-    trailing m entries w.r.t. the lower-level one.
+    trailing m entries w.r.t. the lower-level one.  A follower bundle, at
+    a point (x, z), holds None in the six F and G fields: F and G are
+    never evaluated there.
     """
 
     n: int
-    F: float
-    dF: np.ndarray
-    d2F: np.ndarray
+    F: float | None
+    dF: np.ndarray | None
+    d2F: np.ndarray | None
     f: float
     df: np.ndarray
     d2f: np.ndarray
-    G: np.ndarray
-    dG: np.ndarray
-    d2G: np.ndarray
+    G: np.ndarray | None
+    dG: np.ndarray | None
+    d2G: np.ndarray | None
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
@@ -111,6 +124,46 @@ def _sym(h: np.ndarray) -> np.ndarray:
     s = h + h.swapaxes(-1, -2)
     s *= 0.5  # in place: the same bits as 0.5 * (h + h^T), one temporary fewer
     return s
+
+
+# Large Hessians found finite and exactly symmetric, by the memory they were
+# read from: (id of the array owning it, first byte, shape, strides) ->
+# (weak reference to that owner, whether every entry is +0.0).  Evaluators
+# do not write into arrays they have returned, so such a region need not be
+# read again.  The references are weak: this keeps no array alive.
+_CHECKED: dict[tuple, tuple[weakref.ref, bool]] = {}
+# Smaller Hessians are checked again at every call: the check then costs
+# little more than the bookkeeping, and such arrays stay in cache.
+_CHECKED_MIN_BYTES = 1 << 16
+
+
+def _region(h: np.ndarray):
+    """The array owning h's memory and the key of the region h reads, or
+    None when h is too small to be recorded or its memory is not an array's."""
+    if h.nbytes < _CHECKED_MIN_BYTES:
+        return None
+    owner = h if h.base is None else h.base
+    if type(owner) is not np.ndarray:
+        return None
+    return owner, (id(owner), h.ctypes.data, h.shape, h.strides)
+
+
+def _checked(h: np.ndarray):
+    """h's region as ``_region`` gives it, and its ``_CHECKED`` entry, or
+    None for either."""
+    region = _region(h)
+    if region is None:
+        return None, None
+    owner, key = region
+    entry = _CHECKED.get(key)
+    return region, (entry if entry is not None and entry[0]() is owner else None)
+
+
+def is_zero_hessian(h: np.ndarray) -> bool:
+    """Whether h, as ingested by ``evaluate_all``, is a large Hessian (stack)
+    found to hold only +0.0, as linear functions give."""
+    _, entry = _checked(h)
+    return entry is not None and entry[1]
 
 
 def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -124,12 +177,22 @@ def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
     -0.0/+0.0 pair, which symmetrization turns into +0.0, is not taken
     as symmetric.  BLAS ddot, unlike ndarray.dot, does not warn on
     overflow; an overflowing sum only sends h to the symmetrizing path.
+
+    A large h read from memory that passed both checks before is returned
+    without reading it again (``_CHECKED``).
     """
+    region, entry = _checked(h)
+    if entry is not None:
+        return h, True
     flat = h.ravel(order="K")
     if not math.isfinite(ddot(flat, flat)):
         return _sym(h), False
     bits = h.view(np.int64)
     if (bits == bits.swapaxes(-1, -2)).all():
+        if region is not None:
+            owner, key = region
+            _CHECKED[key] = (weakref.ref(owner, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)),
+                             not bits.any())
         return h, True
     return _sym(h), True
 
@@ -164,10 +227,12 @@ def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm:
     return vals, jac, hessians
 
 
-def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray) -> EvalBundle:
+def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, upper: bool = True) -> EvalBundle:
     """Evaluate F, G, f, g with derivatives at one point (x, y).
 
-    Raises EvaluationError (carrying the function name and point) when an
+    With ``upper=False`` the point is a follower point (x, z): only f and g
+    are called, and the bundle's F and G fields are None.  Raises
+    EvaluationError (carrying the function name and point) when an
     evaluator returns a non-finite entry.  Deterministic: repeated calls at
     the same point return bitwise-equal arrays.
     """
@@ -178,10 +243,13 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray) -> EvalB
     nm = d.n + d.m
 
     # each evaluator's output is checked before the next one is called
-    Fv, dF, d2F = _check_scalar("F", xy, problem.F(x, y), nm)
+    Fv = dF = d2F = Gv = dG = d2G = None
+    if upper:
+        Fv, dF, d2F = _check_scalar("F", xy, problem.F(x, y), nm)
     fv, df, d2f = _check_scalar("f", xy, problem.f(x, y), nm)
-    Gout = problem.G(x, y) if problem.G is not None else None
-    Gv, dG, d2G = _check_vector("G", xy, Gout, d.p, nm)
+    if upper:
+        Gout = problem.G(x, y) if problem.G is not None else None
+        Gv, dG, d2G = _check_vector("G", xy, Gout, d.p, nm)
     gv, dg, d2g = _check_vector("g", xy, problem.g(x, y), d.q, nm)
 
     return EvalBundle(

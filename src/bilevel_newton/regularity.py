@@ -90,7 +90,8 @@ def _classify_block(
 
 
 def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBundle]:
-    return evaluate_all(problem, zeta.x, zeta.y), evaluate_all(problem, zeta.x, zeta.z)
+    """The leader bundle at (x, y) and the follower bundle (f and g only) at (x, z)."""
+    return evaluate_all(problem, zeta.x, zeta.y), evaluate_all(problem, zeta.x, zeta.z, upper=False)
 
 
 def _partition(

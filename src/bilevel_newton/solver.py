@@ -12,6 +12,14 @@ One run keeps the penalty parameter fixed and iterates
 
 until ||Phi|| <= eps, the iteration cap, a merit-stationary point, or a
 stalled line search.
+
+A line-search trial is staged.  It evaluates the follower point (x, z)
+first, with f and g only; when the follower rows of Phi alone already put
+Psi above the Armijo threshold merit0 + sigma*alpha*slope (with a proven
+rounding margin), the trial is rejected without evaluating the leader
+point (x, y).  Every other trial is assembled in full and tested exactly as
+before, so iterates and step sizes do not depend on the staging.  A run's
+final F and f come from the last leader evaluation.
 """
 from __future__ import annotations
 
@@ -171,9 +179,9 @@ def _backtrack(
     for s in range(config.max_backtracks + 1):
         alpha = config.rho**s
         trial = Iterate.from_vector(zeta_vec + alpha * d, problem.dims)
-        r_trial = assemble_residual(problem, config.lam, trial)
-        psi = 0.5 * r_trial.norm() ** 2
-        if psi <= merit0 + config.sigma * alpha * slope:
+        threshold = merit0 + config.sigma * alpha * slope
+        r_trial = assemble_residual(problem, config.lam, trial, merit_bound=threshold)
+        if r_trial is not None and 0.5 * r_trial.norm() ** 2 <= threshold:
             return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
     return None
 
@@ -201,9 +209,11 @@ def run(
     zeta = zeta0
     status = None
     error = None
+    F_val = f_val = None  # at zeta's leader point, once evaluated
 
     try:
         resid = assemble_residual(problem, config.lam, zeta)
+        F_val, f_val = resid.at_y.F, resid.at_y.f
         norms.append(resid.norm())
         k = 0
         while True:
@@ -233,6 +243,7 @@ def run(
                     merit_before=merit0, alpha=ls.alpha, backtracks=ls.backtracks,
                 ))
             zeta, resid = ls.zeta_next, ls.residual_next
+            F_val, f_val = resid.at_y.F, resid.at_y.f
             norms.append(resid.norm())
             alphas.append(ls.alpha)
             dtypes.append(dtype)
@@ -240,17 +251,17 @@ def run(
     except EvaluationError as exc:
         status = EVALUATION_FAILED
         error = str(exc)
-    resid = ls = None  # release the last point's evaluations before the final one
 
     if norms:
         final_norm = norms[-1]
     else:
         final_norm = math.nan
-    try:
-        bundle = evaluate_all(problem, zeta.x, zeta.y)
-        F_val, f_val = bundle.F, bundle.f
-    except EvaluationError:
-        F_val = f_val = math.nan
+    if F_val is None:  # the start failed before its leader point was evaluated
+        try:
+            bundle = evaluate_all(problem, zeta.x, zeta.y)
+            F_val, f_val = bundle.F, bundle.f
+        except EvaluationError:
+            F_val = f_val = math.nan
 
     return SolveReport(
         problem=problem.name,

@@ -26,10 +26,16 @@ Each point is evaluated once: the residual carries its evaluations at
 (x, y) and (x, z), and W is built from them.  ``hessian_block`` builds the
 Hessian super-block; W and the second-order form of the regularity
 diagnostics share it.
+
+The rows z and w read only f and g at the follower point (x, z), which is
+evaluated first.  Given a merit bound, ``assemble_residual`` stops there
+when those rows alone prove 0.5 * ||Phi||^2 above the bound, so a rejected
+line-search trial need not evaluate (x, y) at all.
 """
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -37,7 +43,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .complementarity import fb, pair_coeffs
-from .problem import BilevelProblem, EvalBundle, ProblemDims, evaluate_all
+from .problem import BilevelProblem, EvalBundle, ProblemDims, evaluate_all, is_zero_hessian
 
 RESIDUAL_BLOCKS = ("grad_x", "grad_y", "grad_z", "comp_G", "comp_g_upper", "comp_g_lower")
 VARIABLE_BLOCKS = ("x", "y", "z", "u", "v", "w")
@@ -158,15 +164,87 @@ def _split(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return vec[:n], vec[n:]
 
 
-def assemble_residual(problem: BilevelProblem, lam: float, zeta: Iterate) -> ResidualVector:
+def assemble_residual(
+    problem: BilevelProblem, lam: float, zeta: Iterate, *, merit_bound: float | None = None
+) -> ResidualVector | None:
     """Stationarity residual Phi at zeta for penalty lam, with the two
-    evaluations it was built from."""
+    evaluations it was built from.
+
+    The follower point (x, z) is evaluated first, with f and g only.  When
+    ``merit_bound`` is given and the follower rows alone prove that
+    ``0.5 * norm(Phi) ** 2 <= merit_bound`` fails (see ``_follower_rejects``),
+    None is returned and (x, y) is not evaluated.  Any returned residual
+    is bitwise the same with or without the bound.
+    """
     lam = _require_lambda(lam)
     d = problem.dims
+    s = block_slices(d)
+    vec = np.empty(d.N)
+
+    at_z = evaluate_all(problem, zeta.x, zeta.z, upper=False)
+    # follower-Lagrangian gradient pieces at (x, z)
+    ell_grad = at_z.df + at_z.dg.T @ zeta.w  # over (x, z) coordinates
+    ell_x, ell_z = _split(ell_grad, d.n)
+    vec[s["z"]] = -lam * ell_z
+    vec[s["w"]] = _fb_rows(at_z.g, zeta.w)
+    if merit_bound is not None and _follower_rejects(vec[s["z"]], vec[s["w"]], d.N, merit_bound):
+        return None
+
     at_y = evaluate_all(problem, zeta.x, zeta.y)
-    at_z = evaluate_all(problem, zeta.x, zeta.z)
-    vec = _residual_from_bundles(d, lam, zeta, at_y, at_z)
+    lag_grad = at_y.dF + at_y.dG.T @ zeta.u + at_y.dg.T @ zeta.v + lam * at_y.df
+    lag_x, lag_y = _split(lag_grad, d.n)
+    vec[s["x"]] = lag_x - lam * ell_x
+    vec[s["y"]] = lag_y
+    vec[s["u"]] = _fb_rows(at_y.G, zeta.u)
+    vec[s["v"]] = _fb_rows(at_y.g, zeta.v)
     return ResidualVector(vec=vec, dims=d, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
+
+
+_U = 2.0**-53      # unit roundoff
+_ETA = 2.0**-1074  # smallest subnormal
+
+
+def _follower_rejects(rows_z: np.ndarray, rows_w: np.ndarray, N: int, bound: float) -> bool:
+    """Whether rows z and w of Phi alone prove that the full Armijo test
+    ``0.5 * norm(vec) ** 2 <= bound`` on the N-vector ``vec`` fails.
+
+    Derivation.  Let S be the exact sum of squares of vec (whose entries
+    are floats), S_f <= S that of the follower rows, u = 2^-53 and
+    eta = 2^-1074.  A floating-point sum of k <= N squares, in any order
+    and with or without FMA, is within gamma S' + N eta of its exact value
+    S', where gamma = N u / (1 - N u) <= 2 N u; the eta term covers squares
+    that round in the subnormal range (a subnormal sum is exact).  s_f,
+    two dot products added, is such a sum, and so is D = fl(vec . vec):
+
+        s_f <= (1 + gamma) S_f + N eta,    D >= (1 - gamma) S - N eta.
+
+    ``norm`` is fl(sqrt(D)) >= sqrt(D) (1 - u); ``** 2`` (libm pow, within
+    one ulp) and the product with 0.5 lose at most a factor (1 - 2 u) and
+    eta in all.  With S >= S_f the full test therefore computes
+
+        psi >= 0.5 c D - eta,           c = (1 - u)^2 (1 - 2 u) >= 1 - 4 u,
+            >= 0.5 K (s_f - N eta) - 0.5 N eta - eta,
+                                        K = c (1 - gamma) / (1 + gamma)
+                                          >= (1 - 4 u)(1 - 4 N u) >= 1 - 4 (N + 1) u,
+            >= 0.5 K s_f - (N + 1) eta  when s_f >= N eta.
+
+    The test computes e = fl(fl(fl(0.5 s_f) k) - E) with the exact
+    constants k = 1 - 8 (N + 4) u and E = (N + 4) eta.  Its own roundings
+    give e <= 0.5 s_f k (1 + u)^2 + (1.01 - N - 4) eta when e > 0, and
+    k (1 + u)^2 <= 1 - 4 (N + 1) u <= K.  So for a bound >= 0, e > bound
+    forces s_f >= N eta and psi >= 0.5 K s_f - (N + 1) eta > e' >= bound,
+    with e' the right-hand side above: the full test fails.  A negative
+    bound fails the full test outright (psi >= 0).  A non-finite s_f
+    decides nothing; the full test then runs.
+    """
+    if bound < 0:
+        return True
+    s_f = float(rows_z.dot(rows_z)) + float(rows_w.dot(rows_w))
+    return math.isfinite(s_f) and 0.5 * s_f * (1.0 - 8 * (N + 4) * _U) - (N + 4) * _ETA > bound
+
+
+def _fb_rows(cons: np.ndarray, mults: np.ndarray) -> list[float]:
+    return [fb(-c, mu) for c, mu in zip(cons, mults)]
 
 
 def _comp_blocks(zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle):
@@ -177,30 +255,18 @@ def _comp_blocks(zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle):
             (at_z.g, zeta.w, at_z.dg, "z", "w"))
 
 
-def _residual_from_bundles(
-    d: ProblemDims, lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle
-) -> np.ndarray:
-    n = d.n
-    # follower-Lagrangian gradient pieces at (x, z)
-    ell_grad = at_z.df + at_z.dg.T @ zeta.w  # over (x, z) coordinates
-    ell_x, ell_z = _split(ell_grad, n)
-
-    lag_grad = at_y.dF + at_y.dG.T @ zeta.u + at_y.dg.T @ zeta.v + lam * at_y.df
-    lag_x, lag_y = _split(lag_grad, n)
-
-    comp = [np.array([fb(-c, mu) for c, mu in zip(cons, mults)])
-            for cons, mults, *_ in _comp_blocks(zeta, at_y, at_z)]
-
-    return np.concatenate([lag_x - lam * ell_x, lag_y, -lam * ell_z, *comp])
-
-
-def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray:
+def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray | float:
     """sum_i mult[i] * stack[i] over a (k, nm, nm) stack.
 
     This is the single dot that ``np.tensordot(mult, stack, axes=1)``
     makes, so the result is bitwise the same, without tensordot's
-    axis bookkeeping.
+    axis bookkeeping.  A stack that ingestion found to be all +0.0 (the
+    constraints are linear) is not read: with finite multipliers the sum
+    is zero, and 0.0 is returned.  Added to a matrix, it gives the same
+    bits as the dot's +0.0 entries.
     """
+    if is_zero_hessian(stack) and np.isfinite(mult).all():
+        return 0.0
     k, nm = stack.shape[0], stack.shape[1]
     return np.dot(mult.reshape(1, k), stack.reshape(k, nm * nm)).reshape(nm, nm)
 

@@ -55,14 +55,19 @@ def sample_kink_free(problem, rng, margin=1e-3, box=2.0):
             return zeta
 
 
-def counting_F(problem):
-    """The problem with F wrapped to record its calls, and the record."""
-    calls = []
+def counting(problem, *names):
+    """The problem with the named evaluators wrapped to record their calls,
+    and the records by name."""
+    calls = {name: [] for name in names}
 
-    def F(x, y):
-        calls.append((x, y))
-        return problem.F(x, y)
-    return dataclasses.replace(problem, F=F), calls
+    def wrap(name):
+        fn = getattr(problem, name)
+
+        def call(x, y):
+            calls[name].append((x, y))
+            return fn(x, y)
+        return call
+    return dataclasses.replace(problem, **{name: wrap(name) for name in names}), calls
 
 
 def max_rel_err(approx, exact):

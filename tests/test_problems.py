@@ -1,8 +1,10 @@
 """Problem-contract tests: evaluation bundles, derivative checks, registry."""
 import dataclasses
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -111,6 +113,25 @@ def test_evaluate_all_flags_nonfinite():
     assert calls == ["F"]  # f, G and g are never called after F fails
     assert np.array_equal(exc.value.point, [0.5, -1.5])
     assert str(exc.value) == "non-finite value while evaluating F at [0.5, -1.5]"
+
+
+def test_follower_bundle_calls_only_f_and_g():
+    # F and G are non-finite here, but a follower bundle never calls them
+    calls = []
+    p = _logged_problem(calls, F=(np.nan, np.zeros(2), np.zeros((2, 2))),
+                        G=(np.array([np.inf]), np.ones((1, 2)), np.zeros((1, 2, 2))))
+    b = bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]), upper=False)
+    assert calls == ["f", "g"]
+    assert (b.F, b.dF, b.d2F, b.G, b.dG, b.d2G) == (None,) * 6
+    assert b.f == 2.0 and np.array_equal(b.g, [-2.0])
+
+
+def test_follower_bundle_names_the_nonfinite_follower_evaluator():
+    calls = []
+    p = _logged_problem(calls, f=(np.nan, np.ones(2), np.eye(2)))
+    with pytest.raises(bn.EvaluationError) as exc:
+        bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]), upper=False)
+    assert exc.value.function == "f" and calls == ["f"]
 
 
 @pytest.mark.parametrize("name,output,called", [
@@ -444,6 +465,105 @@ def test_symmetric_hessians_are_not_copied():
     b = bn.evaluate_all(_hessian_problem(d2F, d2f, stack[2:], stack[1:]), _X, _Y)
     assert np.shares_memory(b.d2F, d2F) and np.shares_memory(b.d2f, d2f)
     assert np.shares_memory(b.d2G, stack) and np.shares_memory(b.d2g, stack)
+
+
+_BIG_Q = 1000  # a (q, 3, 3) g-Hessian stack of 72,000 bytes, above _CHECKED_MIN_BYTES
+
+
+def _big_stack(rng, symmetric=True):
+    a = rng.standard_normal((_BIG_Q, 3, 3))
+    return a + a.transpose(0, 2, 1) if symmetric else a
+
+
+def _big_g_problem(stack):
+    """n = 1, m = 2, p = 0, q = _BIG_Q; g returns the same Hessian stack object at every point."""
+    return bn.BilevelProblem(
+        name="big-g", dims=bn.ProblemDims(n=1, m=2, p=0, q=_BIG_Q),
+        F=lambda x, y: (1.0, np.ones(3), np.eye(3)),
+        f=lambda x, y: (2.0, np.ones(3), np.eye(3)),
+        g=lambda x, y: (np.full(_BIG_Q, -1.0), np.ones((_BIG_Q, 3)), stack))
+
+
+def _ddot_reads(problem, points):
+    """The arrays ddot read while evaluate_all evaluated problem at each point, by size."""
+    reads, blas_ddot = [], problem_module.ddot
+
+    def ddot(a, b):
+        reads.append(a.size)
+        return blas_ddot(a, b)
+    with mock.patch.object(problem_module, "ddot", ddot):
+        bundles = [bn.evaluate_all(problem, x, y) for x, y in points]
+    return reads, bundles
+
+
+def test_repeated_large_hessian_is_checked_once():
+    stack = _big_stack(np.random.default_rng(9))
+    reads, bundles = _ddot_reads(_big_g_problem(stack), [(_X, _Y), (_X + 1.0, _Y), (_X, _Y - 1.0)])
+    # F's and f's 3 x 3 Hessians are checked at every point, g's stack at the first only
+    assert reads == [9, 9, stack.size, 9, 9, 9, 9]
+    for b in bundles:
+        assert np.shares_memory(b.d2g, stack)
+        assert np.array_equal(b.d2g.view(np.int64), stack.view(np.int64))
+
+
+def test_large_hessians_that_fail_a_check_are_checked_every_time():
+    rng = np.random.default_rng(10)
+    asym = _big_stack(rng, symmetric=False)
+    reads, bundles = _ddot_reads(_big_g_problem(asym), [(_X, _Y), (_X, _Y)])
+    assert reads.count(asym.size) == 2
+    for b in bundles:
+        assert not np.shares_memory(b.d2g, asym)
+        assert np.array_equal(b.d2g, 0.5 * (asym + asym.transpose(0, 2, 1)))
+    nan = _big_stack(rng)
+    nan[7, 1, 2] = nan[7, 2, 1] = np.nan
+    for _ in range(2):
+        with pytest.raises(bn.EvaluationError) as exc:
+            bn.evaluate_all(_big_g_problem(nan), _X, _Y)
+        assert exc.value.function == "g"
+
+
+def test_checked_hessian_is_checked_again_at_another_shape():
+    # four symmetric 64 x 64 blocks; read as one 128 x 128 matrix they are not symmetric
+    a = np.random.default_rng(11).standard_normal((4, 64, 64))
+    blocks = a + a.transpose(0, 2, 1)
+    assert problem_module._ingest_hessian(blocks.reshape(4, 64, 64))[0].base is blocks
+    as_one = blocks.reshape(1, 128, 128)
+    ingested, finite = problem_module._ingest_hessian(as_one)
+    assert finite and np.array_equal(ingested, 0.5 * (as_one + as_one.transpose(0, 2, 1)))
+    # and another region of the same memory is checked on its own
+    half = problem_module._ingest_hessian(blocks[2:])[0]
+    assert half.base is blocks and problem_module._checked(half)[1] is not None
+
+
+def test_a_fresh_view_of_checked_memory_is_not_read_again():
+    stack = _big_stack(np.random.default_rng(13))
+    owner = np.concatenate([stack, stack])
+    # g returns a new view of the same first half of owner at every point
+    problem = dataclasses.replace(_big_g_problem(stack), g=lambda x, y: (
+        np.full(_BIG_Q, -1.0), np.ones((_BIG_Q, 3)), owner[:_BIG_Q]))
+    reads, _ = _ddot_reads(problem, [(_X, _Y), (_X, _Y + 1.0)])
+    assert reads.count(stack.size) == 1
+
+
+def test_zero_hessians_are_recognised_once_and_skipped():
+    zero, neg_zero = np.zeros((_BIG_Q, 3, 3)), np.full((_BIG_Q, 3, 3), -0.0)
+    assert problem_module.is_zero_hessian(bn.evaluate_all(_big_g_problem(zero), _X, _Y).d2g)
+    assert not problem_module.is_zero_hessian(bn.evaluate_all(_big_g_problem(neg_zero), _X, _Y).d2g)
+    assert not problem_module.is_zero_hessian(np.zeros((_BIG_Q, 3, 3)))  # never ingested
+    assert not problem_module.is_zero_hessian(np.zeros((1, 3, 3)))  # below the recorded size
+    dense = bn.evaluate_all(_big_g_problem(_big_stack(np.random.default_rng(14))), _X, _Y).d2g
+    assert not problem_module.is_zero_hessian(dense)
+
+
+def test_hessian_check_record_keeps_no_array_alive():
+    stack = _big_stack(np.random.default_rng(12))
+    bn.evaluate_all(_big_g_problem(stack), _X, _Y)
+    keys = [key for key in problem_module._CHECKED if key[0] == id(stack)]
+    assert len(keys) == 1
+    ref = weakref.ref(stack)
+    del stack
+    gc.collect()
+    assert ref() is None and keys[0] not in problem_module._CHECKED
 
 
 def _returning_copies(problem, writable):

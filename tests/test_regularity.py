@@ -9,7 +9,7 @@ from bilevel_newton.linalg import null_space_basis, sym_eig_min
 from bilevel_newton.regularity import ssosc_matrices
 from bilevel_newton.system import hessian_block
 
-from conftest import counting_F
+from conftest import counting
 
 
 def test_classify_quadratic_projection_certified(entries):
@@ -186,9 +186,10 @@ def test_diagnose_augmented_variant_penalizes_kinks(problems):
 def test_diagnose_evaluates_the_point_once(entries):
     entry = entries["dempe-parabola"]
     zeta = entry.certified_points[0].build(4.0)
-    p, calls = counting_F(entry.problem)
+    p, calls = counting(entry.problem, "F", "f")
     bn.diagnose(p, zeta, 4.0)
-    assert len(calls) == 2
+    # F only at (x, y); f there and at (x, z)
+    assert (len(calls["F"]), len(calls["f"])) == (1, 2)
 
 
 def test_ssosc_form_is_the_jacobian_hessian_block(entries):

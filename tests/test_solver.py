@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import bilevel_newton as bn
-from bilevel_newton.solver import GRADIENT, NEWTON, StepRecord
+from bilevel_newton import solver
+from bilevel_newton.problem import BilevelProblem
+from bilevel_newton.solver import GRADIENT, NEWTON, LineSearchResult, SolverConfig, StepRecord
+from bilevel_newton.system import Iterate, assemble_residual
 
-from conftest import counting_F
+from conftest import counting
 
 
 def make_duplicated_constraint_problem():
@@ -227,6 +230,60 @@ def test_run_reports_evaluation_failure():
     assert report.error is not None
 
 
+def test_run_proceeds_when_F_fails_only_at_the_follower_copy(problems):
+    # F is never evaluated at (x, z), so a start whose z lies outside F's
+    # domain is no evaluation failure
+    base = problems["quadratic-projection"]
+    nm = base.dims.n + base.dims.m
+
+    def F(x, y):
+        if np.max(np.abs(y)) > 5.0:
+            return np.nan, np.zeros(nm), np.zeros((nm, nm))
+        return base.F(x, y)
+    zeta0 = bn.resolve_start(base)
+    zeta0 = dataclasses.replace(zeta0, z=zeta0.z + 9.0)
+    report = bn.run(dataclasses.replace(base, F=F), bn.SolverConfig(lam=1.0), zeta0)
+    assert report.status == bn.SOLVED and report.error is None
+
+
+def _nonfinite_at(problem, name, point):
+    """The problem with scalar evaluator ``name`` non-finite exactly at ``point``."""
+    nm = problem.dims.n + problem.dims.m
+    fn = getattr(problem, name)
+
+    def call(x, y):
+        if np.array_equal(np.concatenate([x, y]), point):
+            return np.nan, np.zeros(nm), np.zeros((nm, nm))
+        return fn(x, y)
+    return dataclasses.replace(problem, **{name: call})
+
+
+def _first_trial(problem, cfg):
+    """A start with z != y, and the first line-search trial point from it."""
+    zeta0 = bn.resolve_start(problem)
+    zeta0 = dataclasses.replace(zeta0, z=zeta0.z + 0.5)
+    d, _ = bn.step(problem, cfg, zeta0)
+    return zeta0, bn.Iterate.from_vector(zeta0.to_vector() + d, problem.dims)
+
+
+def test_run_names_f_at_a_trial_follower_point(problems):
+    base, cfg = problems["quadratic-projection"], bn.SolverConfig(lam=1.0)
+    zeta0, trial = _first_trial(base, cfg)
+    follower = np.r_[trial.x, trial.z]
+    report = bn.run(_nonfinite_at(base, "f", follower), cfg, zeta0)
+    assert report.status == bn.EVALUATION_FAILED
+    assert report.error == f"non-finite value while evaluating f at {follower.tolist()}"
+
+
+def test_run_names_the_follower_function_when_both_trial_points_fail(problems):
+    base, cfg = problems["quadratic-projection"], bn.SolverConfig(lam=1.0)
+    zeta0, trial = _first_trial(base, cfg)
+    p = _nonfinite_at(_nonfinite_at(base, "F", np.r_[trial.x, trial.y]), "f", np.r_[trial.x, trial.z])
+    report = bn.run(p, cfg, zeta0)
+    assert report.status == bn.EVALUATION_FAILED
+    assert report.error == f"non-finite value while evaluating f at {np.r_[trial.x, trial.z].tolist()}"
+
+
 @pytest.mark.parametrize("malform", [
     lambda val, grad, hess: (val, grad[:2], hess),   # gradient of length 2 for n + m = 3
     lambda val, grad, hess: (val, grad),             # missing Hessian
@@ -245,35 +302,180 @@ def test_run_reports_malformed_evaluator_output(problems, malform):
 
 
 def _counted_start(entry):
-    p, calls = counting_F(entry.problem)
+    p, calls = counting(entry.problem, "F", "f")
     zeta = bn.resolve_start(entry.problem)
     return p, calls, zeta
 
 
+def _leader_trials(problem, config, zeta, d, merit0, slope, backtracks):
+    """How many of the first backtracks + 1 trials along d evaluate their
+    leader point: those whose follower rows do not reject them."""
+    vec = zeta.to_vector()
+    count = 0
+    for s in range(backtracks + 1):
+        alpha = config.rho**s
+        trial = bn.Iterate.from_vector(vec + alpha * d, problem.dims)
+        bound = merit0 + config.sigma * alpha * slope
+        count += bn.assemble_residual(problem, config.lam, trial, merit_bound=bound) is not None
+    return count
+
+
 def test_step_evaluates_the_point_once(entries):
+    # F at the leader point (x, y) only; f there and at the follower point (x, z)
     p, calls, zeta = _counted_start(entries["xy-linear"])
     bn.step(p, bn.SolverConfig(lam=2.0), zeta)
-    assert len(calls) == 2
+    assert (len(calls["F"]), len(calls["f"])) == (1, 2)
 
 
 def test_line_search_evaluates_the_start_once(entries):
-    # two evaluations at the start, two per trial point
+    # the start's two points, then every trial's follower point and the
+    # leader point of each trial its follower rows do not reject
     entry = entries["xy-linear"]
     cfg = bn.SolverConfig(lam=2.0)
     d, _ = bn.step(entry.problem, cfg, bn.resolve_start(entry.problem))
     p, calls, zeta = _counted_start(entry)
     result = bn.line_search(p, cfg, zeta, d)
-    assert len(calls) == 2 + 2 * (result.backtracks + 1)
+    merit0 = 0.5 * bn.assemble_residual(entry.problem, cfg.lam, zeta).norm() ** 2
+    slope = float(bn.merit_grad(entry.problem, cfg.lam, zeta) @ d)
+    leader = 1 + _leader_trials(entry.problem, cfg, zeta, d, merit0, slope, result.backtracks)
+    assert len(calls["F"]) == leader
+    assert len(calls["f"]) == leader + 1 + result.backtracks + 1
+
+
+def _assert_run_evaluates_each_point_once(entry, cfg):
+    # leader points: the start and every fully assembled trial, the last of
+    # which gives the report's F/f; follower points: the start and every trial
+    p, calls, zeta = _counted_start(entry)
+    records: list[StepRecord] = []
+    report = bn.run(p, cfg, zeta, callback=records.append)
+    assert records
+    leader = 1 + sum(_leader_trials(entry.problem, cfg, rec.zeta, rec.direction, rec.merit_before,
+                                    rec.slope, rec.backtracks) for rec in records)
+    trials = sum(rec.backtracks + 1 for rec in records)
+    assert len(calls["F"]) == leader
+    assert len(calls["f"]) == leader + 1 + trials
+    return report, leader, trials
 
 
 @pytest.mark.parametrize("name,lam", [("quadratic-projection", 1.0), ("dempe-parabola", 4.0)])
 def test_run_evaluates_each_point_once(entries, name, lam):
-    # the start, every line-search trial, and the final F/f report
-    p, calls, zeta = _counted_start(entries[name])
-    records: list[StepRecord] = []
-    report = bn.run(p, bn.SolverConfig(lam=lam), zeta, callback=records.append)
-    assert report.status == bn.SOLVED and records
-    assert len(calls) == 2 + 2 * sum(rec.backtracks + 1 for rec in records) + 1
+    report, _, _ = _assert_run_evaluates_each_point_once(entries[name], bn.SolverConfig(lam=lam))
+    assert report.status == bn.SOLVED
+
+
+def test_run_skips_the_leader_point_of_rejected_trials(entries):
+    # dempe at lam = 128 stalls: most trials are rejected, most of those by
+    # their follower rows alone
+    entry = entries["dempe-parabola"]
+    report, leader, trials = _assert_run_evaluates_each_point_once(
+        entry, bn.SolverConfig(lam=128.0, max_iter=30))
+    assert report.status == bn.MAX_ITER
+    assert leader < 1 + trials // 2
+
+
+def test_run_reads_final_values_from_the_last_leader_point(entries):
+    entry = entries["dempe-parabola"]
+    for cfg in (bn.SolverConfig(lam=4.0), bn.SolverConfig(lam=128.0, max_iter=30)):
+        report = bn.run(entry.problem, cfg, bn.resolve_start(entry.problem))
+        final = bn.evaluate_all(entry.problem, report.final.x, report.final.y)
+        assert (report.F, report.f) == (final.F, final.f)
+
+
+def test_run_reports_final_values_when_the_start_follower_point_fails(problems):
+    # no leader point is evaluated during the run; the report evaluates one
+    base = problems["quadratic-projection"]
+    zeta0 = bn.resolve_start(base)
+    p = dataclasses.replace(base, g=lambda x, y: (np.full(2, np.nan), np.zeros((2, 3)), np.zeros((2, 3, 3)))
+                            if y[0] > 5 else base.g(x, y))
+    report = bn.run(p, bn.SolverConfig(lam=1.0), dataclasses.replace(zeta0, z=zeta0.z + 9.0))
+    assert report.status == bn.EVALUATION_FAILED
+    assert "while evaluating g at [1.0, 10.0, 10.0]" in report.error
+    start = bn.evaluate_all(base, zeta0.x, zeta0.y)
+    assert (report.F, report.f) == (start.F, start.f)
+
+
+# The line search before the staged trial, verbatim: every trial assembles
+# the full residual.
+def _reference_backtrack(
+    problem: BilevelProblem,
+    config: SolverConfig,
+    zeta: Iterate,
+    d: np.ndarray,
+    merit0: float,
+    slope: float,
+) -> LineSearchResult | None:
+    if slope >= 0:
+        raise ValueError(f"line search needs a descent direction, slope={slope}")
+    zeta_vec = zeta.to_vector()
+    for s in range(config.max_backtracks + 1):
+        alpha = config.rho**s
+        trial = Iterate.from_vector(zeta_vec + alpha * d, problem.dims)
+        r_trial = assemble_residual(problem, config.lam, trial)
+        psi = 0.5 * r_trial.norm() ** 2
+        if psi <= merit0 + config.sigma * alpha * slope:
+            return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
+    return None
+
+
+def _small_lq():
+    """n = 2, m = 3, p = 1, q = 3: random convex quadratics, y >= 0, sum(x) <= 1."""
+    rng = np.random.default_rng(21)
+    n, m = 2, 3
+    k = n + m
+    a, b = rng.standard_normal((k, k)), rng.standard_normal((k, k))
+    P, H = a @ a.T / k + np.eye(k), b @ b.T / k + np.eye(k)
+    c, e = rng.standard_normal(k), rng.standard_normal(k)
+
+    def quadratic(M, v):
+        def fn(x, y):
+            s = np.concatenate([x, y])
+            return 0.5 * s @ M @ s + v @ s, M @ s + v, M
+        return fn
+    G_jac = np.concatenate([np.ones(n), np.zeros(m)])[None, :]
+    g_jac = np.hstack([np.zeros((m, n)), -np.eye(m)])
+    return bn.BilevelProblem(
+        name="small-lq", dims=bn.ProblemDims(n=n, m=m, p=1, q=m),
+        F=quadratic(P, c), f=quadratic(H, e),
+        G=lambda x, y: (np.array([x.sum() - 1.0]), G_jac, np.zeros((1, k, k))),
+        g=lambda x, y: (-y, g_jac, np.zeros((m, k, k))))
+
+
+def _same_decision(staged, reference):
+    if reference is None:
+        return staged is None
+    return (staged is not None and staged.alpha == reference.alpha
+            and staged.backtracks == reference.backtracks
+            and np.array_equal(staged.residual_next.vec.view(np.int64),
+                               reference.residual_next.vec.view(np.int64))
+            and np.array_equal(staged.zeta_next.to_vector().view(np.int64),
+                               reference.zeta_next.to_vector().view(np.int64)))
+
+
+def _line_search_cases(entries):
+    named = [(entries[name].problem, lam, 2000) for name, lam in
+             (("quadratic-projection", 1.0), ("xy-linear", 2.0), ("dempe-parabola", 4.0))]
+    return named + [(entries["dempe-parabola"].problem, 128.0, 40), (_small_lq(), 2.0, 2000)]
+
+
+def test_staged_line_search_decides_as_the_full_one(entries):
+    early = 0
+    for problem, lam, max_iter in _line_search_cases(entries):
+        cfg = bn.SolverConfig(lam=lam, max_iter=max_iter)
+        records: list[StepRecord] = []
+        bn.run(problem, cfg, bn.resolve_start(problem), callback=records.append)
+        assert records
+        for rec in records:
+            args = (problem, cfg, rec.zeta, rec.direction, rec.merit_before, rec.slope)
+            assert _same_decision(solver._backtrack(*args), _reference_backtrack(*args))
+            # a budget one short of the accepted trial stalls both
+            if rec.backtracks > 0:
+                tight = dataclasses.replace(cfg, max_backtracks=rec.backtracks - 1)
+                args = (problem, tight, *args[2:])
+                assert solver._backtrack(*args) is None and _reference_backtrack(*args) is None
+            trials = _leader_trials(problem, cfg, rec.zeta, rec.direction, rec.merit_before,
+                                    rec.slope, rec.backtracks)
+            early += rec.backtracks + 1 - trials
+    assert early > 0  # the follower rows alone rejected some trials
 
 
 def test_eoc_formula_examples():

@@ -1,13 +1,18 @@
 """Residual, Jacobian, and merit-function assembly tests."""
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import bilevel_newton as bn
+from bilevel_newton import problem as problem_module
+from bilevel_newton import system
 from bilevel_newton.complementarity import KINK_A, KINK_B
 from bilevel_newton.problem import EvalBundle
 from bilevel_newton.system import block_slices, hessian_block
 
-from conftest import counting_F, fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
+from conftest import counting, fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
 
 
 def test_iterate_round_trip(problems):
@@ -223,11 +228,97 @@ def test_merit_grad_independent_of_kink_element(problems):
 
 
 def test_merit_grad_evaluates_the_point_once(problems):
-    # one evaluation at (x, y) and one at (x, z); W reuses them
-    p, calls = counting_F(problems["quadratic-projection"])
+    # one evaluation at (x, y) and one at (x, z), where F is not called; W reuses them
+    p, calls = counting(problems["quadratic-projection"], "F", "f")
     zeta = bn.Iterate.from_vector(np.linspace(-1, 1, p.dims.N), p.dims)
     bn.merit_grad(p, 2.0, zeta)
-    assert len(calls) == 2
+    assert (len(calls["F"]), len(calls["f"])) == (1, 2)
+
+
+def test_residual_follower_bundle_has_no_leader_values(problems):
+    p = problems["xy-linear"]
+    zeta = bn.Iterate.from_vector(np.linspace(-1, 1, p.dims.N), p.dims)
+    r = bn.assemble_residual(p, 2.0, zeta)
+    assert (r.at_z.F, r.at_z.dF, r.at_z.d2F, r.at_z.G, r.at_z.dG, r.at_z.d2G) == (None,) * 6
+    assert r.at_y.F is not None and r.at_y.G.shape == (p.dims.p,)
+
+
+def _follower_only_problem(m):
+    """F = 0, f = |y|^2 / 2, no constraints: at y = 0 every row of Phi but
+    the z rows (-lam z) is exactly zero."""
+    k = 1 + m
+    hess = np.diag(np.r_[0.0, np.ones(m)])
+    return bn.BilevelProblem(
+        name="follower-only", dims=bn.ProblemDims(n=1, m=m, p=0, q=0),
+        F=lambda x, y: (0.0, np.zeros(k), np.zeros((k, k))),
+        f=lambda x, y: (0.5 * y @ y, np.r_[0.0, y], hess),
+        g=lambda x, y: (np.zeros(0), np.zeros((0, k)), np.zeros((0, k, k))))
+
+
+def _assert_bound_at_full_merit_keeps(problem, lam, zeta):
+    full = bn.assemble_residual(problem, lam, zeta)
+    bounded = bn.assemble_residual(problem, lam, zeta, merit_bound=0.5 * full.norm() ** 2)
+    assert bounded is not None
+    assert np.array_equal(bounded.vec.view(np.int64), full.vec.view(np.int64))
+
+
+def test_merit_bound_at_the_full_merit_returns_the_residual(problems):
+    # the boundary of the Armijo test: psi == bound is accepted, so the
+    # follower rows must never reject it, even when they are all of Phi
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        p = _follower_only_problem(m)
+        zeta = bn.Iterate.of(p.dims, x=[0.0], y=np.zeros(m), z=rng.standard_normal(m) * 10.0 ** rng.integers(-165, 150))
+        _assert_bound_at_full_merit_keeps(p, float(rng.uniform(0.5, 200.0)), zeta)
+    for p in problems.values():
+        for _ in range(100):
+            zeta = bn.Iterate.from_vector(rng.uniform(-3, 3, p.dims.N), p.dims)
+            _assert_bound_at_full_merit_keeps(p, float(rng.choice([0.5, 8.0, 128.0])), zeta)
+
+
+def test_follower_rows_above_the_bound_skip_the_leader_point(problems):
+    p, calls = counting(problems["dempe-parabola"], "F", "f")
+    zeta = bn.Iterate.of(p.dims, x=[1.0], y=[1.0], z=[3.0], v=[1.0], w=[1.0])
+    full = bn.assemble_residual(p, 8.0, zeta)
+    rows = np.r_[full.grad_z, full.comp_g_lower]
+    calls["F"].clear()
+    calls["f"].clear()
+    assert bn.assemble_residual(p, 8.0, zeta, merit_bound=0.49 * float(rows @ rows)) is None
+    assert (len(calls["F"]), len(calls["f"])) == (0, 1)
+
+
+def test_negative_merit_bound_rejects_even_a_zero_residual(entries):
+    entry = entries["xy-linear"]
+    zeta = entry.certified_points[0].build(1.0)
+    assert bn.assemble_residual(entry.problem, 1.0, zeta).norm() == 0.0
+    assert bn.assemble_residual(entry.problem, 1.0, zeta, merit_bound=-5e-324) is None
+    assert bn.assemble_residual(entry.problem, 1.0, zeta, merit_bound=0.0) is not None
+
+
+def _nan_scalar(nm):
+    return lambda x, y: (np.nan, np.zeros(nm), np.zeros((nm, nm)))
+
+
+def test_leader_failure_of_a_rejected_trial_goes_unseen(problems):
+    # the leader point of a trial rejected by its follower rows is never evaluated
+    base = problems["quadratic-projection"]
+    p = dataclasses.replace(base, F=_nan_scalar(base.dims.n + base.dims.m))
+    zeta = bn.Iterate.from_vector(np.linspace(-1, 1, p.dims.N), p.dims)
+    assert bn.assemble_residual(p, 1.0, zeta, merit_bound=-1.0) is None
+    with pytest.raises(bn.EvaluationError, match="while evaluating F"):
+        bn.assemble_residual(p, 1.0, zeta)
+
+
+def test_both_points_failing_names_the_follower_function(problems):
+    base = problems["quadratic-projection"]
+    nan = _nan_scalar(base.dims.n + base.dims.m)
+    p = dataclasses.replace(base, F=nan, f=nan)
+    zeta = bn.Iterate.from_vector(np.linspace(-1, 1, p.dims.N), p.dims)
+    with pytest.raises(bn.EvaluationError) as exc:
+        bn.assemble_residual(p, 1.0, zeta)
+    assert exc.value.function == "f"
+    assert np.array_equal(exc.value.point, np.r_[zeta.x, zeta.z])
 
 
 def test_merit_grad_zero_at_solution(entries):
@@ -249,3 +340,36 @@ def test_residual_affine_in_lambda(problems):
         interp = r1 + (2.0 - 1.0) / (4.0 - 1.0) * (r4 - r1)
         head = slice(0, n + 2 * m)
         assert np.max(np.abs(r2[head] - interp[head])) <= 1e-10
+
+
+def _linear_constraint_problem(n=2, m=30):
+    """Quadratic F and f, and the q = m bounds y >= 0, whose (q, n+m, n+m)
+    zero Hessian stack (240 KB) is returned as the same array at every point."""
+    rng = np.random.default_rng(21)
+    k = n + m
+    P, H = (a @ a.T / k + np.eye(k) for a in rng.standard_normal((2, k, k)))
+    jac, hess = np.hstack([np.zeros((m, n)), -np.eye(m)]), np.zeros((m, k, k))
+
+    def quadratic(Q):
+        return lambda x, y: (0.5 * np.concatenate([x, y]) @ Q @ np.concatenate([x, y]),
+                             Q @ np.concatenate([x, y]), Q)
+    return bn.BilevelProblem(name="linear-g", dims=bn.ProblemDims(n=n, m=m, p=0, q=m),
+                             F=quadratic(P), f=quadratic(H), g=lambda x, y: (-y, jac, hess))
+
+
+def test_zero_constraint_hessians_are_skipped_with_the_same_jacobian():
+    p = _linear_constraint_problem()
+    rng = np.random.default_rng(22)
+    zeta = bn.Iterate.from_vector(rng.normal(size=p.dims.N), p.dims)
+    resid = bn.assemble_residual(p, 2.0, zeta)
+    W = bn.assemble_jacobian(resid).mat
+    assert problem_module.is_zero_hessian(resid.at_y.d2g) and problem_module.is_zero_hessian(resid.at_z.d2g)
+    assert system._contract(zeta.v, resid.at_y.d2g) == 0.0
+    with mock.patch.object(system, "is_zero_hessian", lambda stack: False):
+        reference = bn.assemble_jacobian(bn.assemble_residual(p, 2.0, zeta)).mat
+    assert np.array_equal(W.view(np.int64), reference.view(np.int64))
+    # a non-finite multiplier still reaches the dot, which gives NaN as before
+    mult = zeta.v.copy()
+    mult[3] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(system._contract(mult, resid.at_y.d2g)).all()
