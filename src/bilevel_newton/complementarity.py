@@ -19,31 +19,11 @@ iterates and the CSV bytes of every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Deterministic kink choice: the boundary point of the coefficient disc on
-# the symmetric direction a = -b.
+# the symmetric direction a = -b.  ``pair_coeffs`` reads it at call time.
 KINK_A = 1.0 - math.sqrt(0.5)
 KINK_B = math.sqrt(0.5) - 1.0
-
-_DISC_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PairCoefficients:
-    """Row coefficients for one complementarity pair.
-
-    ``a_coef`` multiplies the constraint gradient row, ``b_coef`` sits on
-    the multiplier diagonal.  Admissible coefficients live in the disc
-    (a - 1)^2 + (b + 1)^2 <= 1.
-    """
-
-    a_coef: float
-    b_coef: float
-
-    def __post_init__(self):
-        if (self.a_coef - 1.0) ** 2 + (self.b_coef + 1.0) ** 2 > 1.0 + _DISC_TOL:
-            raise ValueError(f"coefficients ({self.a_coef}, {self.b_coef}) outside the admissible disc")
 
 
 def fb(a: float, b: float) -> float:
@@ -51,23 +31,18 @@ def fb(a: float, b: float) -> float:
     return math.hypot(a, b) - a - b
 
 
-def pair_coeffs(
-    c: float,
-    mult: float,
-    kink_tol: float = 1e-12,
-    kink_coeffs: tuple[float, float] | None = None,
-) -> PairCoefficients:
-    """Coefficients of one Jacobian row of z -> fb(-c(z), mult).
+def pair_coeffs(c: float, mult: float, kink_tol: float = 1e-12) -> tuple[float, float]:
+    """Coefficients (a, b) of one Jacobian row of z -> fb(-c(z), mult).
 
-    On the smooth branch (c^2 + mult^2 > kink_tol^2) these follow from the
-    chain rule; at a kink the fixed symmetric disc element is returned
-    unless an explicit admissible ``kink_coeffs`` override is given.
+    ``a`` multiplies the constraint gradient row, ``b`` sits on the
+    multiplier diagonal.  On the smooth branch (c^2 + mult^2 > kink_tol^2)
+    they follow from the chain rule; at a kink the fixed symmetric disc
+    element (KINK_A, KINK_B) is returned.  Either way (a, b) lies in the
+    disc (a - 1)^2 + (b + 1)^2 <= 1.
     """
     if kink_tol <= 0:
         raise ValueError("kink_tol must be positive")
     r = math.hypot(c, mult)
     if r > kink_tol:
-        return PairCoefficients(1.0 + c / r, mult / r - 1.0)
-    if kink_coeffs is not None:
-        return PairCoefficients(kink_coeffs[0], kink_coeffs[1])
-    return PairCoefficients(KINK_A, KINK_B)
+        return 1.0 + c / r, mult / r - 1.0
+    return KINK_A, KINK_B

@@ -242,15 +242,15 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, upper
     xy = (x, y)  # concatenated only for an error report
     nm = d.n + d.m
 
-    # each evaluator's output is checked before the next one is called
+    # each evaluator's output is checked before the next one is called; a
+    # constraint evaluator with no components (p = 0 or q = 0) is not called
     Fv = dF = d2F = Gv = dG = d2G = None
     if upper:
         Fv, dF, d2F = _check_scalar("F", xy, problem.F(x, y), nm)
     fv, df, d2f = _check_scalar("f", xy, problem.f(x, y), nm)
     if upper:
-        Gout = problem.G(x, y) if problem.G is not None else None
-        Gv, dG, d2G = _check_vector("G", xy, Gout, d.p, nm)
-    gv, dg, d2g = _check_vector("g", xy, problem.g(x, y), d.q, nm)
+        Gv, dG, d2G = _check_vector("G", xy, problem.G(x, y) if d.p else None, d.p, nm)
+    gv, dg, d2g = _check_vector("g", xy, problem.g(x, y) if d.q else None, d.q, nm)
 
     return EvalBundle(
         n=d.n,

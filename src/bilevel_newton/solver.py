@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import SingularMatrixError, lu_solve
 from .problem import BilevelProblem, EvaluationError, evaluate_all
-from .system import Iterate, ResidualVector, assemble_jacobian, assemble_residual
+from .system import Iterate, ResidualVector, assemble_jacobian, assemble_residual, valid_penalty
 
 SOLVED = "Solved"
 MERIT_STATIONARY = "MeritStationary"
@@ -62,7 +62,7 @@ class SolverConfig:
 
     def __post_init__(self):
         checks = [
-            (self.lam > 0, "lam must be > 0"),
+            (valid_penalty(self.lam), "lam must be finite and > 0"),
             (self.beta > 0, "beta must be > 0"),
             (self.eps >= 0, "eps must be >= 0"),
             (self.t > 2, "t must be > 2"),
@@ -153,18 +153,6 @@ def _direction(
     return -grad, GRADIENT
 
 
-def step(
-    problem: BilevelProblem,
-    config: SolverConfig,
-    zeta: Iterate,
-    residual: ResidualVector | None = None,
-) -> tuple[np.ndarray, str]:
-    """Search direction at zeta: Newton when usable, else -grad_Psi."""
-    r = residual if residual is not None else assemble_residual(problem, config.lam, zeta)
-    W = assemble_jacobian(r, config.kink_tol).mat
-    return _direction(config, W, r.vec, W.T @ r.vec)
-
-
 def _backtrack(
     problem: BilevelProblem,
     config: SolverConfig,
@@ -181,18 +169,9 @@ def _backtrack(
         trial = Iterate.from_vector(zeta_vec + alpha * d, problem.dims)
         threshold = merit0 + config.sigma * alpha * slope
         r_trial = assemble_residual(problem, config.lam, trial, merit_bound=threshold)
-        if r_trial is not None and 0.5 * r_trial.norm() ** 2 <= threshold:
+        if r_trial is not None and r_trial.merit() <= threshold:
             return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
     return None
-
-
-def line_search(
-    problem: BilevelProblem, config: SolverConfig, zeta: Iterate, d: np.ndarray
-) -> LineSearchResult | None:
-    """Smallest-power Armijo backtracking along d; None signals a stall."""
-    r = assemble_residual(problem, config.lam, zeta)
-    slope = float((assemble_jacobian(r, config.kink_tol).mat.T @ r.vec) @ d)
-    return _backtrack(problem, config, zeta, d, 0.5 * r.norm() ** 2, slope)
 
 
 def run(
@@ -223,8 +202,8 @@ def run(
             if k >= config.max_iter:
                 status = MAX_ITER
                 break
-            W = assemble_jacobian(resid, config.kink_tol).mat
-            phi = resid.vec
+            W = assemble_jacobian(resid, config.kink_tol)
+            phi, merit0 = resid.vec, resid.merit()
             resid = ls = None  # this point's evaluations are not needed past W
             grad = W.T @ phi
             if float(np.linalg.norm(grad)) <= config.grad_stall_tol:
@@ -232,7 +211,6 @@ def run(
                 break
             d, dtype = _direction(config, W, phi, grad)
             slope = float(grad @ d)
-            merit0 = 0.5 * norms[-1] ** 2
             ls = _backtrack(problem, config, zeta, d, merit0, slope)
             if ls is None:
                 status = LINE_SEARCH_STALL

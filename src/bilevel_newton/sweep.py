@@ -16,7 +16,7 @@ import numpy as np
 
 from .problem import BilevelProblem, evaluate_all
 from .solver import SOLVED, SolveReport, SolverConfig, run
-from .system import Iterate
+from .system import Iterate, valid_penalty
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID", "SweepConfig", "SweepReport", "DeltaMetrics",
@@ -38,8 +38,8 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.lambda_grid) == 0:
             raise ValueError("lambda grid must be non-empty")
-        if any(lam <= 0 for lam in self.lambda_grid):
-            raise ValueError("lambda grid entries must be positive")
+        if not all(valid_penalty(lam) for lam in self.lambda_grid):
+            raise ValueError("lambda grid entries must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ where the penalized Lagrangian is
 and ell(x,z,w) = f(x,z) + w.g(x,z) is the follower Lagrangian.  A selected
 generalized-Jacobian element W keeps the 6x6 block structure of the system:
 the top-left 3x3 super-block is the (symmetric) Hessian of L w.r.t.
-(x, y, z); complementarity rows carry a_coef times the constraint gradient
-plus b_coef on the matching multiplier diagonal.
+(x, y, z); complementarity rows carry a times the constraint gradient
+plus b on the matching multiplier diagonal, with (a, b) from
+``pair_coeffs``.
 
 Each point is evaluated once: the residual carries its evaluations at
 (x, y) and (x, z), and W is built from them.  ``hessian_block`` builds the
@@ -45,7 +46,6 @@ import numpy as np
 from .complementarity import fb, pair_coeffs
 from .problem import BilevelProblem, EvalBundle, ProblemDims, evaluate_all, is_zero_hessian
 
-RESIDUAL_BLOCKS = ("grad_x", "grad_y", "grad_z", "comp_G", "comp_g_upper", "comp_g_lower")
 VARIABLE_BLOCKS = ("x", "y", "z", "u", "v", "w")
 
 
@@ -96,8 +96,8 @@ class Iterate:
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Dense residual of length N with named slices in fixed row order,
-    with the penalty, point and evaluations it was assembled from."""
+    """Dense residual of length N, rows in ``block_slices`` order, with the
+    penalty, point and evaluations it was assembled from."""
 
     vec: np.ndarray
     dims: ProblemDims
@@ -106,57 +106,23 @@ class ResidualVector:
     at_y: EvalBundle
     at_z: EvalBundle
 
-    def _slice(self, name: str) -> np.ndarray:
-        return self.vec[block_slices(self.dims)[name]]
-
-    @property
-    def grad_x(self) -> np.ndarray:
-        return self._slice("x")
-
-    @property
-    def grad_y(self) -> np.ndarray:
-        return self._slice("y")
-
-    @property
-    def grad_z(self) -> np.ndarray:
-        return self._slice("z")
-
-    @property
-    def comp_G(self) -> np.ndarray:
-        return self._slice("u")
-
-    @property
-    def comp_g_upper(self) -> np.ndarray:
-        return self._slice("v")
-
-    @property
-    def comp_g_lower(self) -> np.ndarray:
-        return self._slice("w")
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
+    def merit(self) -> float:
+        """The merit function Psi = 0.5 * ||Phi||^2, as the line search tests it."""
+        return 0.5 * self.norm() ** 2
 
-@dataclass(frozen=True)
-class JacobianMatrix:
-    """Selected generalized-Jacobian element with block offset metadata."""
 
-    mat: np.ndarray
-    dims: ProblemDims
-
-    @property
-    def offsets(self) -> Mapping[str, slice]:
-        return block_slices(self.dims)
-
-    def block(self, row: str, col: str) -> np.ndarray:
-        s = block_slices(self.dims)
-        return self.mat[s[row], s[col]]
+def valid_penalty(lam: float) -> bool:
+    """Whether lam is an admissible penalty parameter: finite and positive."""
+    return math.isfinite(lam) and lam > 0
 
 
 def _require_lambda(lam: float) -> float:
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError(f"penalty parameter must be positive, got {lam}")
+    if not valid_penalty(lam):
+        raise ValueError(f"penalty parameter must be finite and positive, got {lam}")
     return lam
 
 
@@ -171,8 +137,8 @@ def assemble_residual(
     evaluations it was built from.
 
     The follower point (x, z) is evaluated first, with f and g only.  When
-    ``merit_bound`` is given and the follower rows alone prove that
-    ``0.5 * norm(Phi) ** 2 <= merit_bound`` fails (see ``_follower_rejects``),
+    ``merit_bound`` is given and the follower rows alone prove that the
+    residual's ``merit() <= merit_bound`` fails (see ``_follower_rejects``),
     None is returned and (x, y) is not evaluated.  Any returned residual
     is bitwise the same with or without the bound.
     """
@@ -297,17 +263,11 @@ def hessian_block(lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle)
     return K
 
 
-def assemble_jacobian(
-    residual: ResidualVector,
-    kink_tol: float = 1e-12,
-    kink_coeffs: tuple[float, float] | None = None,
-) -> JacobianMatrix:
+def assemble_jacobian(residual: ResidualVector, kink_tol: float = 1e-12) -> np.ndarray:
     """One element W of the generalized Jacobian of Phi at the residual's point.
 
     W is built from the evaluations the residual carries; nothing is
-    evaluated again.  ``kink_coeffs`` overrides the disc element used for
-    exactly-kinked complementarity pairs; any admissible choice yields a
-    valid element.
+    evaluated again.
     """
     d, lam, zeta = residual.dims, residual.lam, residual.zeta
     at_y, at_z = residual.at_y, residual.at_z
@@ -330,27 +290,15 @@ def assemble_jacobian(
     for cons, mults, grads, col, blk in _comp_blocks(zeta, at_y, at_z):
         r0 = s[blk].start
         for i in range(len(cons)):
-            cf = pair_coeffs(cons[i], mults[i], kink_tol, kink_coeffs)
-            W[r0 + i, s["x"]] = cf.a_coef * grads[i, :n]
-            W[r0 + i, s[col]] = cf.a_coef * grads[i, n:]
-            W[r0 + i, r0 + i] = cf.b_coef
+            a, b = pair_coeffs(cons[i], mults[i], kink_tol)
+            W[r0 + i, s["x"]] = a * grads[i, :n]
+            W[r0 + i, s[col]] = a * grads[i, n:]
+            W[r0 + i, r0 + i] = b
 
-    return JacobianMatrix(mat=W, dims=d)
-
-
-def merit(problem: BilevelProblem, lam: float, zeta: Iterate) -> float:
-    """Half squared Euclidean norm of the residual."""
-    r = assemble_residual(problem, lam, zeta)
-    return 0.5 * float(r.vec @ r.vec)
+    return W
 
 
-def merit_grad(
-    problem: BilevelProblem,
-    lam: float,
-    zeta: Iterate,
-    kink_tol: float = 1e-12,
-    kink_coeffs: tuple[float, float] | None = None,
-) -> np.ndarray:
+def merit_grad(problem: BilevelProblem, lam: float, zeta: Iterate, kink_tol: float = 1e-12) -> np.ndarray:
     """Gradient of the merit function, W^T Phi.
 
     The merit function is continuously differentiable, so the result does
@@ -358,4 +306,4 @@ def merit_grad(
     kinked pairs are zero.
     """
     r = assemble_residual(problem, lam, zeta)
-    return assemble_jacobian(r, kink_tol, kink_coeffs).mat.T @ r.vec
+    return assemble_jacobian(r, kink_tol).T @ r.vec

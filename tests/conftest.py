@@ -31,8 +31,8 @@ def fd_merit_grad(problem, lam, zeta, h=1e-7):
     for i in range(N):
         e = np.zeros(N)
         e[i] = h
-        mp = bn.merit(problem, lam, bn.Iterate.from_vector(vec + e, problem.dims))
-        mm = bn.merit(problem, lam, bn.Iterate.from_vector(vec - e, problem.dims))
+        mp = bn.assemble_residual(problem, lam, bn.Iterate.from_vector(vec + e, problem.dims)).merit()
+        mm = bn.assemble_residual(problem, lam, bn.Iterate.from_vector(vec - e, problem.dims)).merit()
         g[i] = (mp - mm) / (2 * h)
     return g
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 import bilevel_newton as bn
-from bilevel_newton import reporting
+from bilevel_newton import complementarity, reporting
 from bilevel_newton.solver import StepRecord
 
 from conftest import fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
@@ -73,7 +73,7 @@ def test_criterion_4_jacobian_vs_finite_differences(problems):
         for _ in range(20):
             zeta = sample_kink_free(p, rng)
             lam = float(rng.uniform(0.5, 8))
-            W = bn.assemble_jacobian(bn.assemble_residual(p, lam, zeta)).mat
+            W = bn.assemble_jacobian(bn.assemble_residual(p, lam, zeta))
             worst = max(worst, max_rel_err(fd_jacobian(p, lam, zeta), W))
     _verdict(4, worst <= 1e-5, f"max FD relative error {worst:.2e} (<= 1e-5), 20 points x 3 problems")
 
@@ -92,7 +92,7 @@ def _kink_points():
     }
 
 
-def test_criterion_5_merit_gradient(problems):
+def test_criterion_5_merit_gradient(problems, monkeypatch):
     rng = np.random.default_rng(202)
     worst = 0.0
     for name, p in problems.items():
@@ -102,12 +102,16 @@ def test_criterion_5_merit_gradient(problems):
             lam = float(rng.uniform(0.5, 4))
             g = bn.merit_grad(p, lam, zeta)
             worst = max(worst, max_rel_err(fd_merit_grad(p, lam, zeta), g))
-    # kink-element invariance at the constructed kink points
+    # kink-element invariance at the constructed kink points: the disc
+    # element (1, 0) in place of the default one
     invariance = 0.0
     for name, p in problems.items():
         zeta = _kink_points()[name]
         g1 = bn.merit_grad(p, 2.0, zeta)
-        g2 = bn.merit_grad(p, 2.0, zeta, kink_coeffs=(1.0, 0.0))
+        with monkeypatch.context() as patched:
+            patched.setattr(complementarity, "KINK_A", 1.0)
+            patched.setattr(complementarity, "KINK_B", 0.0)
+            g2 = bn.merit_grad(p, 2.0, zeta)
         invariance = max(invariance, float(np.max(np.abs(g1 - g2))))
     ok = worst <= 1e-4 and invariance <= 1e-14
     _verdict(5, ok, f"max FD relative error {worst:.2e} (<= 1e-4), "
@@ -163,13 +167,15 @@ def test_criterion_8_armijo_contract_replay(entries):
         for rec in records:
             base = rec.zeta.to_vector()
             trial = bn.Iterate.from_vector(base + rec.alpha * rec.direction, problem.dims)
-            accepted = bn.merit(problem, lam, trial) <= rec.merit_before + sigma * rec.alpha * rec.slope
+            psi = bn.assemble_residual(problem, lam, trial).merit()
+            accepted = psi <= rec.merit_before + sigma * rec.alpha * rec.slope
             ok = ok and accepted
             if rec.backtracks > 0:
                 backtracked += 1
                 alpha_prev = rec.alpha / rho
                 prev = bn.Iterate.from_vector(base + alpha_prev * rec.direction, problem.dims)
-                violated = bn.merit(problem, lam, prev) > rec.merit_before + sigma * alpha_prev * rec.slope
+                psi_prev = bn.assemble_residual(problem, lam, prev).merit()
+                violated = psi_prev > rec.merit_before + sigma * alpha_prev * rec.slope
                 ok = ok and violated
             checked += 1
     _verdict(8, ok and checked > 0,

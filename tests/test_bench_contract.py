@@ -1,14 +1,21 @@
-"""The library names that the benchmark's probe (``bench/probe.py``) replaces.
+"""The library surface the benchmark (``bench/``) relies on.
 
-The probe traces a run by swapping module globals for wrappers; a name it
-patches that the library no longer binds fails only when a traced run
-starts.  This checks every such name without running the benchmark.
+The probe (``bench/probe.py``) traces a run by swapping module globals for
+wrappers; a name it patches that the library no longer binds fails only
+when a traced run starts.  The workloads (``bench/workloads.py``) call a
+few more names and read a few fields.  This checks all of them without
+running the benchmark.
 """
+import dataclasses
 import importlib
 import pathlib
 import types
 
+import numpy as np
 import pytest
+
+import bilevel_newton as bn
+from bilevel_newton.solver import StepRecord
 
 PROBE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "probe.py"
 
@@ -32,3 +39,29 @@ def _patched_names():
 @pytest.mark.parametrize("module,attr", _patched_names())
 def test_probe_target_is_bound(module, attr):
     assert callable(getattr(importlib.import_module(f"bilevel_newton.{module}"), attr))
+
+
+# called by the workloads, apart from the probe's targets
+WORKLOAD_CALLS = (("problems", "get_entry"), ("problem", "check_derivatives"),
+                  ("system", "assemble_residual"), ("solver", "run"), ("solver", "SolverConfig"),
+                  ("sweep", "sweep"), ("sweep", "resolve_start"), ("sweep", "SweepConfig"),
+                  ("regularity", "diagnose"), ("regularity", "check_licq"), ("regularity", "check_ssosc"),
+                  ("cli", "main"), ("cli", "get_entry"), ("cli", "run"),
+                  ("reporting", "sweep_report_to_csv"), ("reporting", "sweep_report_to_dict"),
+                  ("reporting", "regularity_report_to_dict"), ("reporting", "to_json"))
+
+
+@pytest.mark.parametrize("module,attr", WORKLOAD_CALLS)
+def test_workload_call_is_bound(module, attr):
+    assert callable(getattr(importlib.import_module(f"bilevel_newton.{module}"), attr))
+
+
+def test_fields_and_calls_the_workloads_read():
+    assert {"backtracks", "direction_type"} <= {f.name for f in dataclasses.fields(StepRecord)}
+    config = bn.SolverConfig(lam=1.0, max_iter=3)
+    assert config.max_iter == 3
+    sweep_config = bn.SweepConfig(lambda_grid=(0.5, 1.0), base=config)
+    assert sweep_config.lambda_grid == (0.5, 1.0) and sweep_config.base is config
+    problem = bn.get_entry("xy-linear").problem
+    norm = bn.assemble_residual(problem, 1.0, bn.resolve_start(problem)).norm()
+    assert isinstance(norm, float) and np.isfinite(norm)

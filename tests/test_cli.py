@@ -1,5 +1,6 @@
 """CLI behavior: modes, exit codes, report files, determinism."""
 import csv
+import importlib
 import json
 import math
 
@@ -51,6 +52,15 @@ def test_solve_nonconvergence_exit_two(tmp_path, capsys):
                  "--max-iter", "1", "--out", str(out)])
     assert code == 2
     assert json.loads(out.read_text())["status"] == "MaxIter"
+
+
+def test_sweep_rejects_a_nan_penalty_before_any_run(monkeypatch, capsys):
+    runs = []
+    # the package's name sweep is the function; the module holds run
+    monkeypatch.setattr(importlib.import_module("bilevel_newton.sweep"), "run", lambda *args: runs.append(args))
+    assert main(["sweep", "--problem", "dempe-parabola", "--lambda-grid", "0.5,1,nan"]) == 1
+    assert runs == []
+    assert "finite and positive" in capsys.readouterr().err
 
 
 def test_sweep_mode_delta_star(tmp_path):

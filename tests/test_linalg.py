@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bilevel_newton import (SingularMatrixError, lu_factor, lu_solve,
-                            null_space_basis, sym_eig_min)
+from bilevel_newton import SingularMatrixError, lu_solve, null_space_basis, sym_eig_min
+from bilevel_newton.linalg import lu_factor
 
 
 def char_poly_coeffs(A):

@@ -16,6 +16,9 @@ from hypothesis.extra import numpy as hnp
 import bilevel_newton as bn
 from bilevel_newton import problem as problem_module
 from bilevel_newton import reporting
+from bilevel_newton.system import block_slices
+
+from conftest import counting
 
 
 def test_dims_invariants():
@@ -271,8 +274,35 @@ def test_dempe_parabola_point_outside_admissible_range(entries):
     entry = entries["dempe-parabola"]
     zeta = entry.certified_points[0].build(2.0)
     r = bn.assemble_residual(entry.problem, 2.0, zeta)
-    assert r.comp_g_upper[0] == pytest.approx(2.0, abs=1e-14)
+    assert r.vec[block_slices(entry.problem.dims)["v"]][0] == pytest.approx(2.0, abs=1e-14)
     assert r.norm() >= 1.0
+
+
+def _toy_with_constraints(p, q):
+    """F = (x - 1)^2 + (y - 1)^2 and f = (y - x)^2, solved by x = y = 1,
+    with a G evaluator given and p copies of G = x - 5 <= 0 and q of
+    g = -y - 5 <= 0, all inactive there."""
+    def F(x, y):
+        return (x[0] - 1) ** 2 + (y[0] - 1) ** 2, 2 * np.array([x[0] - 1, y[0] - 1]), 2 * np.eye(2)
+
+    def f(x, y):
+        return (y[0] - x[0]) ** 2, 2 * (y[0] - x[0]) * np.array([-1.0, 1.0]), np.array([[2.0, -2.0], [-2.0, 2.0]])
+
+    def G(x, y):
+        return np.full(p, x[0] - 5.0), np.tile([1.0, 0.0], (p, 1)), np.zeros((p, 2, 2))
+
+    def g(x, y):
+        return np.full(q, -y[0] - 5.0), np.tile([0.0, -1.0], (q, 1)), np.zeros((q, 2, 2))
+    return bn.BilevelProblem(name="toy", dims=bn.ProblemDims(n=1, m=1, p=p, q=q), F=F, f=f, G=G, g=g)
+
+
+@pytest.mark.parametrize("p,q,empty", [(1, 0, "g"), (0, 1, "G")])
+def test_an_empty_constraint_block_is_not_evaluated(p, q, empty):
+    problem, calls = counting(_toy_with_constraints(p, q), "F", "G", "g")
+    report = bn.run(problem, bn.SolverConfig(lam=1.0), bn.resolve_start(problem))
+    assert report.status == bn.SOLVED
+    assert calls[empty] == []
+    assert len(calls["F"]) >= 1 and len(calls["G" if empty == "g" else "g"]) >= len(calls["F"])
 
 
 def test_missing_G_with_positive_p_rejected():

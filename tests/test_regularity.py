@@ -199,6 +199,6 @@ def test_ssosc_form_is_the_jacobian_hessian_block(entries):
     part = bn.classify(entry.problem, zeta)
     _, M = ssosc_matrices(entry.problem, zeta, 2.0, part)
     r = bn.assemble_residual(entry.problem, 2.0, zeta)
-    W = bn.assemble_jacobian(r).mat
+    W = bn.assemble_jacobian(r)
     assert np.array_equal(M, W[: n + 2 * m, : n + 2 * m])
     assert np.array_equal(M, hessian_block(2.0, zeta, r.at_y, r.at_z))

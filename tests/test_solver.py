@@ -1,5 +1,6 @@
 """Newton iteration tests: directions, line search, full runs."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import bilevel_newton as bn
 from bilevel_newton import solver
 from bilevel_newton.problem import BilevelProblem
 from bilevel_newton.solver import GRADIENT, NEWTON, LineSearchResult, SolverConfig, StepRecord
-from bilevel_newton.system import Iterate, assemble_residual
+from bilevel_newton.system import Iterate, assemble_jacobian, assemble_residual
 
 from conftest import counting
 
@@ -39,12 +40,32 @@ def test_config_defaults_match_protocol():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("lam", 0.0), ("beta", 0.0), ("t", 2.0), ("rho", 1.0), ("sigma", 0.5), ("eps", -1.0),
+    ("lam", 0.0), ("lam", math.nan), ("lam", math.inf),
+    ("beta", 0.0), ("t", 2.0), ("rho", 1.0), ("sigma", 0.5), ("eps", -1.0),
 ])
 def test_config_validates_ranges(field, value):
     kwargs = {"lam": 1.0, field: value}
     with pytest.raises(ValueError):
         bn.SolverConfig(**kwargs)
+
+
+def _merit(problem, lam, zeta):
+    return assemble_residual(problem, lam, zeta).merit()
+
+
+def _first_step(problem, cfg, zeta):
+    """The record of run's first iteration from zeta."""
+    records: list[StepRecord] = []
+    bn.run(problem, dataclasses.replace(cfg, max_iter=1), zeta, callback=records.append)
+    (record,) = records
+    return record
+
+
+def _backtrack_from(problem, cfg, zeta, d):
+    """solver._backtrack along d, with zeta's merit and slope as run computes them."""
+    r = assemble_residual(problem, cfg.lam, zeta)
+    slope = float((assemble_jacobian(r, cfg.kink_tol).T @ r.vec) @ d)
+    return solver._backtrack(problem, cfg, zeta, d, r.merit(), slope)
 
 
 def test_step_newton_near_solution(entries):
@@ -53,10 +74,11 @@ def test_step_newton_near_solution(entries):
     zeta0 = entry.certified_points[0].build(1.0)
     vec = zeta0.to_vector() + 1e-3
     zeta = bn.Iterate.from_vector(vec, entry.problem.dims)
-    d, dtype = bn.step(entry.problem, cfg, zeta)
-    assert dtype == NEWTON
-    slope = float(bn.merit_grad(entry.problem, 1.0, zeta) @ d)
-    assert slope <= -cfg.beta * np.linalg.norm(d) ** cfg.t
+    rec = _first_step(entry.problem, cfg, zeta)
+    assert rec.direction_type == NEWTON
+    slope = float(bn.merit_grad(entry.problem, 1.0, zeta) @ rec.direction)
+    assert slope == rec.slope
+    assert slope <= -cfg.beta * np.linalg.norm(rec.direction) ** cfg.t
 
 
 def test_step_gradient_fallback_on_singular_jacobian():
@@ -64,10 +86,10 @@ def test_step_gradient_fallback_on_singular_jacobian():
     cfg = bn.SolverConfig(lam=1.0)
     # both duplicate pairs active with positive multipliers: identical rows
     zeta = bn.Iterate.of(p.dims, x=[1.0], y=[1.0], z=[1.0], v=[1.0, 1.0], w=[1.0, 1.0])
-    d, dtype = bn.step(p, cfg, zeta)
-    assert dtype == GRADIENT
+    rec = _first_step(p, cfg, zeta)
+    assert rec.direction_type == GRADIENT
     grad = bn.merit_grad(p, 1.0, zeta)
-    np.testing.assert_allclose(d, -grad)
+    np.testing.assert_allclose(rec.direction, -grad)
 
 
 def test_line_search_full_step_near_solution(entries):
@@ -75,23 +97,20 @@ def test_line_search_full_step_near_solution(entries):
     cfg = bn.SolverConfig(lam=1.0)
     vec = entry.certified_points[0].build(1.0).to_vector() + 1e-3
     zeta = bn.Iterate.from_vector(vec, entry.problem.dims)
-    d, _ = bn.step(entry.problem, cfg, zeta)
-    result = bn.line_search(entry.problem, cfg, zeta, d)
-    assert result is not None
-    assert result.alpha == 1.0 and result.backtracks == 0
+    rec = _first_step(entry.problem, cfg, zeta)
+    assert rec.alpha == 1.0 and rec.backtracks == 0
 
 
 def test_line_search_replays_armijo_inequality(entries):
     entry = entries["xy-linear"]
     cfg = bn.SolverConfig(lam=2.0)
     zeta = bn.resolve_start(entry.problem)
-    d, _ = bn.step(entry.problem, cfg, zeta)
-    result = bn.line_search(entry.problem, cfg, zeta, d)
-    assert result is not None
-    psi0 = bn.merit(entry.problem, 2.0, zeta)
-    slope = float(bn.merit_grad(entry.problem, 2.0, zeta) @ d)
-    trial = bn.Iterate.from_vector(zeta.to_vector() + result.alpha * d, entry.problem.dims)
-    assert bn.merit(entry.problem, 2.0, trial) <= psi0 + cfg.sigma * result.alpha * slope
+    rec = _first_step(entry.problem, cfg, zeta)
+    psi0 = _merit(entry.problem, 2.0, zeta)
+    slope = float(bn.merit_grad(entry.problem, 2.0, zeta) @ rec.direction)
+    assert (psi0, slope) == (rec.merit_before, rec.slope)
+    trial = bn.Iterate.from_vector(zeta.to_vector() + rec.alpha * rec.direction, entry.problem.dims)
+    assert _merit(entry.problem, 2.0, trial) <= psi0 + cfg.sigma * rec.alpha * slope
 
 
 def test_line_search_tiny_gradient_direction(entries):
@@ -101,7 +120,7 @@ def test_line_search_tiny_gradient_direction(entries):
     vec = entry.certified_points[0].build(1.0).to_vector() + 1e-7
     zeta = bn.Iterate.from_vector(vec, entry.problem.dims)
     d = -bn.merit_grad(entry.problem, 1.0, zeta)
-    result = bn.line_search(entry.problem, cfg, zeta, d)
+    result = _backtrack_from(entry.problem, cfg, zeta, d)
     if result is not None:
         assert result.backtracks <= cfg.max_backtracks
 
@@ -112,7 +131,7 @@ def test_line_search_stall_on_tight_budget(entries):
     zeta = bn.resolve_start(entry.problem)
     # huge descent-scaled direction: the first two trial points overshoot
     d = -1e12 * bn.merit_grad(entry.problem, 1.0, zeta)
-    assert bn.line_search(entry.problem, cfg, zeta, d) is None
+    assert _backtrack_from(entry.problem, cfg, zeta, d) is None
 
 
 def test_line_search_rejects_ascent(entries):
@@ -121,7 +140,7 @@ def test_line_search_rejects_ascent(entries):
     zeta = bn.resolve_start(entry.problem)
     d = bn.merit_grad(entry.problem, 1.0, zeta)  # ascent direction
     with pytest.raises(ValueError):
-        bn.line_search(entry.problem, cfg, zeta, d)
+        _backtrack_from(entry.problem, cfg, zeta, d)
 
 
 def test_run_solves_quadratic_projection(entries):
@@ -200,12 +219,12 @@ def test_run_armijo_contract_replay(entries):
     for rec in records:
         base = rec.zeta.to_vector()
         trial = bn.Iterate.from_vector(base + rec.alpha * rec.direction, entry.problem.dims)
-        psi_trial = bn.merit(entry.problem, cfg.lam, trial)
+        psi_trial = _merit(entry.problem, cfg.lam, trial)
         assert psi_trial <= rec.merit_before + cfg.sigma * rec.alpha * rec.slope
         if rec.backtracks > 0:
             alpha_prev = rec.alpha / cfg.rho
             prev = bn.Iterate.from_vector(base + alpha_prev * rec.direction, entry.problem.dims)
-            psi_prev = bn.merit(entry.problem, cfg.lam, prev)
+            psi_prev = _merit(entry.problem, cfg.lam, prev)
             assert psi_prev > rec.merit_before + cfg.sigma * alpha_prev * rec.slope
 
 
@@ -262,7 +281,7 @@ def _first_trial(problem, cfg):
     """A start with z != y, and the first line-search trial point from it."""
     zeta0 = bn.resolve_start(problem)
     zeta0 = dataclasses.replace(zeta0, z=zeta0.z + 0.5)
-    d, _ = bn.step(problem, cfg, zeta0)
+    d = _first_step(problem, cfg, zeta0).direction
     return zeta0, bn.Iterate.from_vector(zeta0.to_vector() + d, problem.dims)
 
 
@@ -320,26 +339,32 @@ def _leader_trials(problem, config, zeta, d, merit0, slope, backtracks):
     return count
 
 
-def test_step_evaluates_the_point_once(entries):
-    # F at the leader point (x, y) only; f there and at the follower point (x, z)
+def test_step_evaluates_the_point_once(entries, monkeypatch):
+    # by the time run solves for its first direction: F at the leader point
+    # (x, y) only; f there and at the follower point (x, z)
     p, calls, zeta = _counted_start(entries["xy-linear"])
-    bn.step(p, bn.SolverConfig(lam=2.0), zeta)
-    assert (len(calls["F"]), len(calls["f"])) == (1, 2)
+    seen, solver_lu_solve = [], solver.lu_solve
+
+    def lu_solve(*args):
+        seen.append((len(calls["F"]), len(calls["f"])))
+        return solver_lu_solve(*args)
+    monkeypatch.setattr(solver, "lu_solve", lu_solve)
+    bn.run(p, bn.SolverConfig(lam=2.0, max_iter=1), zeta)
+    assert seen == [(1, 2)]
 
 
 def test_line_search_evaluates_the_start_once(entries):
-    # the start's two points, then every trial's follower point and the
-    # leader point of each trial its follower rows do not reject
+    # run's first iteration: the start's two points, then every trial's
+    # follower point and the leader point of each trial its follower rows
+    # do not reject; the line search does not evaluate the start again
     entry = entries["xy-linear"]
     cfg = bn.SolverConfig(lam=2.0)
-    d, _ = bn.step(entry.problem, cfg, bn.resolve_start(entry.problem))
     p, calls, zeta = _counted_start(entry)
-    result = bn.line_search(p, cfg, zeta, d)
-    merit0 = 0.5 * bn.assemble_residual(entry.problem, cfg.lam, zeta).norm() ** 2
-    slope = float(bn.merit_grad(entry.problem, cfg.lam, zeta) @ d)
-    leader = 1 + _leader_trials(entry.problem, cfg, zeta, d, merit0, slope, result.backtracks)
+    rec = _first_step(p, cfg, zeta)
+    leader = 1 + _leader_trials(entry.problem, cfg, zeta, rec.direction, rec.merit_before,
+                                rec.slope, rec.backtracks)
     assert len(calls["F"]) == leader
-    assert len(calls["f"]) == leader + 1 + result.backtracks + 1
+    assert len(calls["f"]) == leader + 1 + rec.backtracks + 1
 
 
 def _assert_run_evaluates_each_point_once(entry, cfg):

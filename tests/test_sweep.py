@@ -15,6 +15,9 @@ def test_sweep_config_validation():
         bn.SweepConfig(lambda_grid=())
     with pytest.raises(ValueError):
         bn.SweepConfig(lambda_grid=(1.0, -2.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            bn.SweepConfig(lambda_grid=(1.0, bad))
 
 
 def test_default_start_xy_linear(problems):

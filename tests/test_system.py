@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import bilevel_newton as bn
+from bilevel_newton import complementarity, system
 from bilevel_newton import problem as problem_module
-from bilevel_newton import system
 from bilevel_newton.complementarity import KINK_A, KINK_B
 from bilevel_newton.problem import EvalBundle
-from bilevel_newton.system import block_slices, hessian_block
+from bilevel_newton.system import VARIABLE_BLOCKS, block_slices, hessian_block
 
 from conftest import counting, fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
 
@@ -71,8 +71,9 @@ def test_hessian_block_matches_tensordot_reference(k):
 def test_residual_rejects_nonpositive_lambda(problems):
     p = problems["xy-linear"]
     zeta = bn.Iterate.from_vector(np.zeros(p.dims.N), p.dims)
-    with pytest.raises(ValueError):
-        bn.assemble_residual(p, 0.0, zeta)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            bn.assemble_residual(p, lam, zeta)
 
 
 def test_residual_zero_at_certified_points(entries):
@@ -88,16 +89,17 @@ def test_residual_frozen_example_xy_linear(problems):
     zeta = bn.Iterate.of(p.dims, x=[1.0], y=[1.0], z=[1.0], u=[0.0], v=[0.0], w=[0.0])
     r = bn.assemble_residual(p, 1.0, zeta)
     np.testing.assert_allclose(r.vec, [1.0, 2.0, -1.0, 0.0, 0.0, 0.0], atol=1e-14)
-    assert bn.merit(p, 1.0, zeta) == pytest.approx(3.0, abs=1e-14)
+    assert r.merit() == pytest.approx(3.0, abs=1e-14)
 
 
 def test_residual_slices_cover_vector(problems):
     p = problems["quadratic-projection"]
     zeta = bn.Iterate.from_vector(np.arange(p.dims.N, dtype=float), p.dims)
     r = bn.assemble_residual(p, 1.0, zeta)
-    stacked = np.concatenate([r.grad_x, r.grad_y, r.grad_z, r.comp_G, r.comp_g_upper, r.comp_g_lower])
+    s = block_slices(p.dims)
+    stacked = np.concatenate([r.vec[s[name]] for name in VARIABLE_BLOCKS])
     assert np.array_equal(stacked, r.vec)
-    assert r.comp_G.size == 0  # p = 0
+    assert r.vec[s["u"]].size == 0  # p = 0
 
 
 def test_single_condition_violation_moves_residual(entries):
@@ -119,7 +121,7 @@ def test_jacobian_matches_finite_differences(problems):
         for _ in range(10):
             zeta = sample_kink_free(p, rng)
             lam = float(rng.uniform(0.5, 8))
-            W = bn.assemble_jacobian(bn.assemble_residual(p, lam, zeta)).mat
+            W = bn.assemble_jacobian(bn.assemble_residual(p, lam, zeta))
             assert max_rel_err(fd_jacobian(p, lam, zeta), W) <= 1e-5
 
 
@@ -128,7 +130,7 @@ def test_jacobian_top_left_symmetric(problems):
     for p in problems.values():
         n, m = p.dims.n, p.dims.m
         zeta = bn.Iterate.from_vector(rng.uniform(-2, 2, p.dims.N), p.dims)
-        W = bn.assemble_jacobian(bn.assemble_residual(p, 3.0, zeta)).mat
+        W = bn.assemble_jacobian(bn.assemble_residual(p, 3.0, zeta))
         k = n + 2 * m
         np.testing.assert_allclose(W[:k, :k], W[:k, :k].T, atol=1e-12)
 
@@ -139,7 +141,7 @@ def test_jacobian_zero_pattern(problems):
     for p in problems.values():
         s = block_slices(p.dims)
         zeta = bn.Iterate.from_vector(rng.uniform(-2, 2, p.dims.N), p.dims)
-        W = bn.assemble_jacobian(bn.assemble_residual(p, 2.0, zeta)).mat
+        W = bn.assemble_jacobian(bn.assemble_residual(p, 2.0, zeta))
         zero_blocks = [
             ("y", "z"), ("y", "w"), ("z", "y"), ("z", "u"), ("z", "v"),
             ("u", "z"), ("u", "v"), ("u", "w"),
@@ -158,24 +160,25 @@ def test_jacobian_kink_rows_use_kink_element(problems):
     p = problems["xy-linear"]
     zeta = bn.Iterate.of(p.dims, x=[1.0], y=[1.0], z=[1.0], u=[0.0], v=[0.0], w=[0.0])
     W = bn.assemble_jacobian(bn.assemble_residual(p, 1.0, zeta))
+    assert type(W) is np.ndarray
     s = block_slices(p.dims)
     # all three pairs are exact kinks at this point; G row: grad (1, 1)
-    np.testing.assert_allclose(W.mat[s["u"], s["x"]], [[KINK_A]], atol=1e-15)
-    np.testing.assert_allclose(W.mat[s["u"], s["y"]], [[KINK_A]], atol=1e-15)
-    np.testing.assert_allclose(W.mat[s["u"], s["u"]], [[KINK_B]], atol=1e-15)
+    np.testing.assert_allclose(W[s["u"], s["x"]], [[KINK_A]], atol=1e-15)
+    np.testing.assert_allclose(W[s["u"], s["y"]], [[KINK_A]], atol=1e-15)
+    np.testing.assert_allclose(W[s["u"], s["u"]], [[KINK_B]], atol=1e-15)
     # g(x,y) row: grad (1, -1)
-    np.testing.assert_allclose(W.mat[s["v"], s["x"]], [[KINK_A]], atol=1e-15)
-    np.testing.assert_allclose(W.mat[s["v"], s["y"]], [[-KINK_A]], atol=1e-15)
+    np.testing.assert_allclose(W[s["v"], s["x"]], [[KINK_A]], atol=1e-15)
+    np.testing.assert_allclose(W[s["v"], s["y"]], [[-KINK_A]], atol=1e-15)
 
 
 def test_merit_nonnegative_and_zero_at_solution(entries):
     entry = entries["quadratic-projection"]
     zeta = entry.certified_points[0].build(2.0)
-    assert bn.merit(entry.problem, 2.0, zeta) == pytest.approx(0.0, abs=1e-24)
+    assert bn.assemble_residual(entry.problem, 2.0, zeta).merit() == pytest.approx(0.0, abs=1e-24)
     rng = np.random.default_rng(2)
     for _ in range(5):
         z = bn.Iterate.from_vector(rng.uniform(-2, 2, entry.problem.dims.N), entry.problem.dims)
-        assert bn.merit(entry.problem, 2.0, z) >= 0.0
+        assert bn.assemble_residual(entry.problem, 2.0, z).merit() >= 0.0
 
 
 def test_merit_invariant_under_constraint_permutation():
@@ -197,7 +200,8 @@ def test_merit_invariant_under_constraint_permutation():
         w = rng.uniform(-1, 2, 2)
         z1 = bn.Iterate.of(base.dims, x=x, y=y, z=z, v=v, w=w)
         z2 = bn.Iterate.of(base.dims, x=x, y=y, z=z, v=v[::-1], w=w[::-1])
-        assert bn.merit(base, 1.5, z1) == pytest.approx(bn.merit(swapped, 1.5, z2), rel=1e-14)
+        psi1 = bn.assemble_residual(base, 1.5, z1).merit()
+        assert psi1 == pytest.approx(bn.assemble_residual(swapped, 1.5, z2).merit(), rel=1e-14)
 
 
 def test_merit_grad_matches_finite_differences(problems):
@@ -218,12 +222,17 @@ def test_merit_grad_at_kink_points(problems):
     assert max_rel_err(fd_merit_grad(p, 1.5, zeta), g) <= 1e-4
 
 
-def test_merit_grad_independent_of_kink_element(problems):
+def test_merit_grad_independent_of_kink_element(problems, monkeypatch):
     p = problems["xy-linear"]
     zeta = bn.Iterate.of(p.dims, x=[0.7], y=[0.7], z=[0.7], u=[0.3], v=[0.0], w=[0.0])
     g_default = bn.merit_grad(p, 1.5, zeta)
+    v = block_slices(p.dims)["v"]
     for alt in [(1.0, 0.0), (0.0, -1.0), (1.0, -1.0)]:
-        g_alt = bn.merit_grad(p, 1.5, zeta, kink_coeffs=alt)
+        monkeypatch.setattr(complementarity, "KINK_A", alt[0])
+        monkeypatch.setattr(complementarity, "KINK_B", alt[1])
+        # the kinked v pair's row of W takes the replaced element
+        assert bn.assemble_jacobian(bn.assemble_residual(p, 1.5, zeta))[v, v][0, 0] == alt[1]
+        g_alt = bn.merit_grad(p, 1.5, zeta)
         assert np.max(np.abs(g_default - g_alt)) <= 1e-14
 
 
@@ -257,7 +266,7 @@ def _follower_only_problem(m):
 
 def _assert_bound_at_full_merit_keeps(problem, lam, zeta):
     full = bn.assemble_residual(problem, lam, zeta)
-    bounded = bn.assemble_residual(problem, lam, zeta, merit_bound=0.5 * full.norm() ** 2)
+    bounded = bn.assemble_residual(problem, lam, zeta, merit_bound=full.merit())
     assert bounded is not None
     assert np.array_equal(bounded.vec.view(np.int64), full.vec.view(np.int64))
 
@@ -281,7 +290,8 @@ def test_follower_rows_above_the_bound_skip_the_leader_point(problems):
     p, calls = counting(problems["dempe-parabola"], "F", "f")
     zeta = bn.Iterate.of(p.dims, x=[1.0], y=[1.0], z=[3.0], v=[1.0], w=[1.0])
     full = bn.assemble_residual(p, 8.0, zeta)
-    rows = np.r_[full.grad_z, full.comp_g_lower]
+    s = block_slices(p.dims)
+    rows = np.r_[full.vec[s["z"]], full.vec[s["w"]]]
     calls["F"].clear()
     calls["f"].clear()
     assert bn.assemble_residual(p, 8.0, zeta, merit_bound=0.49 * float(rows @ rows)) is None
@@ -362,11 +372,11 @@ def test_zero_constraint_hessians_are_skipped_with_the_same_jacobian():
     rng = np.random.default_rng(22)
     zeta = bn.Iterate.from_vector(rng.normal(size=p.dims.N), p.dims)
     resid = bn.assemble_residual(p, 2.0, zeta)
-    W = bn.assemble_jacobian(resid).mat
+    W = bn.assemble_jacobian(resid)
     assert problem_module.is_zero_hessian(resid.at_y.d2g) and problem_module.is_zero_hessian(resid.at_z.d2g)
     assert system._contract(zeta.v, resid.at_y.d2g) == 0.0
     with mock.patch.object(system, "is_zero_hessian", lambda stack: False):
-        reference = bn.assemble_jacobian(bn.assemble_residual(p, 2.0, zeta)).mat
+        reference = bn.assemble_jacobian(bn.assemble_residual(p, 2.0, zeta))
     assert np.array_equal(W.view(np.int64), reference.view(np.int64))
     # a non-finite multiplier still reaches the dot, which gives NaN as before
     mult = zeta.v.copy()
