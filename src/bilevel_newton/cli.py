@@ -12,6 +12,7 @@ evaluation errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -21,10 +22,13 @@ from .problem import EvaluationError, check_derivatives
 from .problems import BenchmarkEntry, get_entry, problem_names
 from .regularity import InconsistentPoint, diagnose
 from .solver import EVALUATION_FAILED, SOLVED, SolverConfig, run
-from .sweep import (DEFAULT_LAMBDA_GRID, SweepConfig, default_start,
-                    delta_metrics, resolve_start, sweep)
+from .sweep import DEFAULT_LAMBDA_GRID, SweepConfig, delta_metrics, resolve_start, sweep
 
 MODES = ("solve", "sweep", "check-derivatives", "diagnose")
+
+# Every solver parameter but the penalty is a flag, named, typed and
+# defaulted by its SolverConfig field.
+_SOLVER_FIELDS = tuple(f for f in dataclasses.fields(SolverConfig) if f.name != "lam")
 
 
 def _float_list(text: str) -> list[float]:
@@ -49,16 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="penalty parameter for solve/diagnose (default 1.0)")
     parser.add_argument("--lambda-grid", type=_float_list, default=None,
                         help="comma-separated penalties for sweep (default 0.5,1,...,128)")
-    parser.add_argument("--max-iter", type=int, default=2000)
-    parser.add_argument("--eps", type=float, default=1e-8)
-    parser.add_argument("--beta", type=float, default=1e-8)
-    parser.add_argument("--t", type=float, default=2.1)
-    parser.add_argument("--rho", type=float, default=0.5)
-    parser.add_argument("--sigma", type=float, default=1e-4)
-    parser.add_argument("--max-backtracks", type=int, default=60)
-    parser.add_argument("--kink-tol", type=float, default=1e-12)
-    parser.add_argument("--pivot-tol", type=float, default=1e-12)
-    parser.add_argument("--grad-stall-tol", type=float, default=1e-12)
+    for field in _SOLVER_FIELDS:
+        parser.add_argument("--" + field.name.replace("_", "-"), type=type(field.default), default=field.default)
     parser.add_argument("--x0", type=_float_list, default=None,
                         help="override the upper-level starting point (comma-separated)")
     parser.add_argument("--y0", type=_float_list, default=None,
@@ -69,29 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_config(args, lam: float) -> SolverConfig:
-    return SolverConfig(
-        lam=lam,
-        beta=args.beta,
-        eps=args.eps,
-        t=args.t,
-        rho=args.rho,
-        sigma=args.sigma,
-        max_iter=args.max_iter,
-        max_backtracks=args.max_backtracks,
-        kink_tol=args.kink_tol,
-        pivot_tol=args.pivot_tol,
-        grad_stall_tol=args.grad_stall_tol,
-    )
-
-
-def _start_iterate(entry: BenchmarkEntry, args):
-    problem = entry.problem
-    if args.x0 is None and args.y0 is None:
-        return resolve_start(problem)
-    d = problem.dims
-    x0 = np.asarray(args.x0 if args.x0 is not None else np.ones(d.n), dtype=float)
-    y0 = np.asarray(args.y0 if args.y0 is not None else np.ones(d.m), dtype=float)
-    return default_start(problem, x0, y0)
+    return SolverConfig(lam=lam, **{f.name: getattr(args, f.name) for f in _SOLVER_FIELDS})
 
 
 def _emit(text: str, out_path: str | None):
@@ -103,7 +77,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _cmd_solve(entry: BenchmarkEntry, args) -> int:
-    report = run(entry.problem, _solver_config(args, args.lam), _start_iterate(entry, args))
+    report = run(entry.problem, _solver_config(args, args.lam), resolve_start(entry.problem, args.x0, args.y0))
     deltas = delta_metrics(report.F, report.f, entry.problem.known_F, entry.problem.known_f, entry.status)
     if args.format == "csv":
         _emit(reporting.solve_report_to_csv(report, deltas), args.out)
@@ -119,9 +93,11 @@ def _cmd_solve(entry: BenchmarkEntry, args) -> int:
 
 
 def _cmd_sweep(entry: BenchmarkEntry, args) -> int:
-    grid = tuple(args.lambda_grid) if args.lambda_grid else DEFAULT_LAMBDA_GRID
-    config = SweepConfig(lambda_grid=grid, base=_solver_config(args, grid[0]))
-    report = sweep(entry.problem, config, start=_start_iterate(entry, args), status_known=entry.status)
+    grid = DEFAULT_LAMBDA_GRID if args.lambda_grid is None else tuple(args.lambda_grid)
+    # sweep gives each run its grid penalty; 1.0 only fills the template
+    config = SweepConfig(lambda_grid=grid, base=_solver_config(args, 1.0))
+    start = resolve_start(entry.problem, args.x0, args.y0)
+    report = sweep(entry.problem, config, start=start, status_known=entry.status)
     if args.format == "csv":
         _emit(reporting.sweep_report_to_csv(report), args.out)
     else:
@@ -160,7 +136,7 @@ def _cmd_diagnose(entry: BenchmarkEntry, args) -> int:
             source = f"certified point ({cp.condition})"
             break
     if zeta is None:
-        solve_report = run(entry.problem, _solver_config(args, lam), _start_iterate(entry, args))
+        solve_report = run(entry.problem, _solver_config(args, lam), resolve_start(entry.problem, args.x0, args.y0))
         zeta = solve_report.final
         source = f"computed point (status {solve_report.status})"
     report = diagnose(entry.problem, zeta, lam)
@@ -168,10 +144,7 @@ def _cmd_diagnose(entry: BenchmarkEntry, args) -> int:
         "problem": entry.problem.name,
         "lambda": lam,
         "point_source": source,
-        "point": {
-            "x": zeta.x.tolist(), "y": zeta.y.tolist(), "z": zeta.z.tolist(),
-            "u": zeta.u.tolist(), "v": zeta.v.tolist(), "w": zeta.w.tolist(),
-        },
+        "point": reporting.point_to_dict(zeta),
         "regularity": reporting.regularity_report_to_dict(report),
     }
     _emit(reporting.to_json(tree), args.out)

@@ -17,7 +17,7 @@ import numpy as np
 from .complementarity import KINK_A, KINK_B
 from .linalg import null_space_basis, sym_eig_min
 from .problem import BilevelProblem, EvalBundle, evaluate_all
-from .system import Iterate, hessian_block
+from .system import Iterate, hessian_block, require_penalty
 
 
 class InconsistentPoint(ValueError):
@@ -189,6 +189,8 @@ def ssosc_matrices(
 def _ssosc_matrices(
     lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle, partition: IndexSetPartition
 ) -> tuple[np.ndarray, np.ndarray]:
+    # the one point diagnose, ssosc_matrices and check_ssosc all pass through
+    lam = require_penalty(lam)
     n, m = zeta.x.size, zeta.y.size
 
     def row(grad: np.ndarray, follower: slice) -> np.ndarray:
@@ -254,7 +256,7 @@ def diagnose(
     rank_tol: float = 1e-8,
     eig_tol: float = 1e-8,
 ) -> RegularityReport:
-    """Full regularity report at a candidate point for a fixed penalty."""
+    """Full regularity report at a candidate point for a fixed, finite, positive penalty."""
     at_y, at_z = _bundles(problem, zeta)
     partition = _partition(zeta, at_y, at_z, active_tol, mult_tol)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .regularity import RegularityReport
 from .solver import SolveReport
 from .sweep import DeltaMetrics, SweepReport
+from .system import VARIABLE_BLOCKS, Iterate
 
 CSV_COLUMNS = ("problem", "lambda", "status", "iters", "final_resid",
                "F", "f", "EOC", "delta_F", "delta_f", "delta")
@@ -37,6 +38,11 @@ def _finite_or_str(value: float | None) -> float | str | None:
     return value if math.isfinite(value) else repr(value)
 
 
+def point_to_dict(zeta: Iterate) -> dict[str, list[float]]:
+    """The six blocks of a stacked point, in ``VARIABLE_BLOCKS`` order."""
+    return {name: getattr(zeta, name).tolist() for name in VARIABLE_BLOCKS}
+
+
 def solve_report_to_dict(report: SolveReport, deltas: DeltaMetrics | None = None) -> dict[str, Any]:
     d: dict[str, Any] = {
         "problem": report.problem,
@@ -47,14 +53,7 @@ def solve_report_to_dict(report: SolveReport, deltas: DeltaMetrics | None = None
         "F": report.F,
         "f": report.f,
         "eoc": _eoc_value(report.eoc),
-        "final_point": {
-            "x": report.final.x.tolist(),
-            "y": report.final.y.tolist(),
-            "z": report.final.z.tolist(),
-            "u": report.final.u.tolist(),
-            "v": report.final.v.tolist(),
-            "w": report.final.w.tolist(),
-        },
+        "final_point": point_to_dict(report.final),
         "trace": {
             "residual_norms": list(report.residual_norms),
             "step_sizes": list(report.step_sizes),

@@ -24,8 +24,9 @@ final F and f come from the last leader evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -61,6 +62,10 @@ class SolverConfig:
     grad_stall_tol: float = 1e-12
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         checks = [
             (valid_penalty(self.lam), "lam must be finite and > 0"),
             (self.beta > 0, "beta must be > 0"),

@@ -105,13 +105,18 @@ def delta_metrics(
     return DeltaMetrics(delta_F=dF, delta_f=df, delta=max(dF, df))
 
 
-def resolve_start(problem: BilevelProblem) -> Iterate:
-    """Registered primal start if any, all-ones otherwise, lifted via default_start."""
+def resolve_start(problem: BilevelProblem, x0=None, y0=None) -> Iterate:
+    """The reference start, lifted via default_start.
+
+    x0 and y0 override the primal start.  Each of them that is not given
+    comes from the problem's registered ``known_start`` if it has one, and
+    is all ones otherwise.
+    """
     if problem.known_start is not None:
-        x0, y0 = problem.known_start
+        known_x, known_y = problem.known_start
     else:
-        x0, y0 = np.ones(problem.dims.n), np.ones(problem.dims.m)
-    return default_start(problem, x0, y0)
+        known_x, known_y = np.ones(problem.dims.n), np.ones(problem.dims.m)
+    return default_start(problem, known_x if x0 is None else x0, known_y if y0 is None else y0)
 
 
 def sweep(

@@ -119,7 +119,8 @@ def valid_penalty(lam: float) -> bool:
     return math.isfinite(lam) and lam > 0
 
 
-def _require_lambda(lam: float) -> float:
+def require_penalty(lam: float) -> float:
+    """lam as a float, or ValueError when it is not a valid penalty."""
     lam = float(lam)
     if not valid_penalty(lam):
         raise ValueError(f"penalty parameter must be finite and positive, got {lam}")
@@ -142,7 +143,7 @@ def assemble_residual(
     None is returned and (x, y) is not evaluated.  Any returned residual
     is bitwise the same with or without the bound.
     """
-    lam = _require_lambda(lam)
+    lam = require_penalty(lam)
     d = problem.dims
     s = block_slices(d)
     vec = np.empty(d.N)

@@ -1,5 +1,6 @@
 """CLI behavior: modes, exit codes, report files, determinism."""
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import bilevel_newton as bn
-from bilevel_newton import reporting
+from bilevel_newton import cli, reporting
 from bilevel_newton.cli import main
+from bilevel_newton.system import VARIABLE_BLOCKS
 
 
 def test_solve_mode_exit_zero(tmp_path, capsys):
@@ -61,6 +63,79 @@ def test_sweep_rejects_a_nan_penalty_before_any_run(monkeypatch, capsys):
     assert main(["sweep", "--problem", "dempe-parabola", "--lambda-grid", "0.5,1,nan"]) == 1
     assert runs == []
     assert "finite and positive" in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_empty_lambda_grid(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(importlib.import_module("bilevel_newton.sweep"), "run", lambda *args: runs.append(args))
+    assert main(["sweep", "--problem", "xy-linear", "--lambda-grid", ","]) == 1
+    assert runs == []
+    assert "non-empty" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_non_finite_solver_parameter(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    assert main(["solve", "--problem", "dempe-parabola", "--lambda", "1", "--eps", "inf"]) == 1
+    assert runs == []
+    assert "eps must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan", "0", "-1"])
+def test_diagnose_rejects_an_invalid_penalty(monkeypatch, capsys, lam):
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    assert main(["diagnose", "--problem", "dempe-parabola", "--lambda", lam]) == 1
+    assert runs == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_solver_flags_are_the_config_fields():
+    actions = {a.dest: a for a in cli.build_parser()._actions}
+    fields = [f for f in dataclasses.fields(bn.SolverConfig) if f.name != "lam"]
+    assert fields
+    for field in fields:
+        action = actions[field.name]
+        assert action.option_strings == ["--" + field.name.replace("_", "-")]
+        assert action.type is type(field.default)
+        assert action.default == field.default
+    assert "--lam" not in cli.build_parser()._option_string_actions
+
+
+# a non-default value for every solver flag
+FLAG_VALUES = {"beta": 2e-8, "eps": 1e-9, "t": 2.5, "rho": 0.4, "sigma": 1e-3, "max_iter": 5,
+               "max_backtracks": 7, "kink_tol": 1e-11, "pivot_tol": 1e-10, "grad_stall_tol": 1e-9}
+
+
+@pytest.mark.parametrize("mode,module,lams", [
+    ("solve", "bilevel_newton.cli", [2.0]),
+    ("diagnose", "bilevel_newton.cli", [2.0]),  # no certified point at lambda 2: solves first
+    ("sweep", "bilevel_newton.sweep", [1.0, 2.0]),
+])
+def test_solver_flags_reach_the_config(monkeypatch, tmp_path, mode, module, lams):
+    assert set(FLAG_VALUES) == {f.name for f in dataclasses.fields(bn.SolverConfig)} - {"lam"}
+    configs = []
+    target = importlib.import_module(module)
+
+    def recording_run(problem, config, start):
+        configs.append(config)
+        return bn.run(problem, config, start)
+    monkeypatch.setattr(target, "run", recording_run)
+    argv = [mode, "--problem", "dempe-parabola", "--lambda", "2", "--lambda-grid", "1,2",
+            "--out", str(tmp_path / "out.json")]
+    for name, value in FLAG_VALUES.items():
+        argv += ["--" + name.replace("_", "-"), repr(value)]
+    main(argv)
+    assert configs == [bn.SolverConfig(lam=lam, **FLAG_VALUES) for lam in lams]
+
+
+def test_point_layout_is_the_variable_blocks(entries):
+    zeta = entries["dempe-parabola"].certified_points[0].build(4.0)
+    tree = reporting.point_to_dict(zeta)
+    assert tuple(tree) == VARIABLE_BLOCKS
+    for name in VARIABLE_BLOCKS:
+        assert tree[name] == getattr(zeta, name).tolist()
 
 
 def test_sweep_mode_delta_star(tmp_path):

@@ -183,6 +183,19 @@ def test_diagnose_augmented_variant_penalizes_kinks(problems):
     assert report.ssosc_augmented_min_eig <= -2.0 + 1e-12
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_diagnostics_reject_an_invalid_penalty(entries, lam):
+    entry = entries["dempe-parabola"]
+    zeta = entry.certified_points[0].build(4.0)
+    part = bn.classify(entry.problem, zeta)
+    with pytest.raises(ValueError, match="penalty"):
+        bn.diagnose(entry.problem, zeta, lam)
+    with pytest.raises(ValueError, match="penalty"):
+        ssosc_matrices(entry.problem, zeta, lam, part)
+    with pytest.raises(ValueError, match="penalty"):
+        bn.check_ssosc(entry.problem, zeta, lam, part)
+
+
 def test_diagnose_evaluates_the_point_once(entries):
     entry = entries["dempe-parabola"]
     zeta = entry.certified_points[0].build(4.0)

@@ -42,10 +42,10 @@ def test_config_defaults_match_protocol():
 @pytest.mark.parametrize("field,value", [
     ("lam", 0.0), ("lam", math.nan), ("lam", math.inf),
     ("beta", 0.0), ("t", 2.0), ("rho", 1.0), ("sigma", 0.5), ("eps", -1.0),
-])
+] + [(f.name, math.inf) for f in dataclasses.fields(bn.SolverConfig) if isinstance(f.default, float)])
 def test_config_validates_ranges(field, value):
     kwargs = {"lam": 1.0, field: value}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^{field} "):
         bn.SolverConfig(**kwargs)
 
 

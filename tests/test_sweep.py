@@ -1,4 +1,5 @@
 """Penalty-grid driver tests: starts, metrics, aggregation, determinism."""
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,6 +37,28 @@ def test_default_start_multiplier_magnitudes(problems):
     np.testing.assert_allclose(zeta.v, [3.0, 1.0])  # |y1 - y2|, |-y1 - y2|
     np.testing.assert_allclose(zeta.w, zeta.v)
     np.testing.assert_allclose(zeta.z, [2.0, -1.0])
+
+
+def _same_iterate(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("x", "y", "z", "u", "v", "w"))
+
+
+def test_resolve_start_overrides(problems):
+    plain = problems["quadratic-projection"]
+    known_x, known_y = np.array([0.25]), np.array([2.0, -1.0])
+    registered = dataclasses.replace(plain, known_start=(known_x, known_y))
+    x0, y0 = [0.5], [0.5, -0.5]
+    cases = [
+        (registered, {}, known_x, known_y),
+        (registered, {"x0": x0}, x0, known_y),
+        (registered, {"y0": y0}, known_x, y0),
+        (registered, {"x0": x0, "y0": y0}, x0, y0),
+        (plain, {}, np.ones(1), np.ones(2)),
+        (plain, {"x0": x0}, x0, np.ones(2)),
+        (plain, {"y0": y0}, np.ones(1), y0),
+    ]
+    for problem, overrides, x, y in cases:
+        assert _same_iterate(bn.resolve_start(problem, **overrides), bn.default_start(problem, x, y))
 
 
 def test_delta_metrics_zero_gap():
