@@ -10,11 +10,13 @@ origin the map is smooth; at (c, mu) = (0, 0) every generalized-derivative
 row has the form a*grad(c) + b*e_mu with (a, b) in the disc
 (a - 1)^2 + (b + 1)^2 <= 1.
 
-``fb`` and ``pair_coeffs`` stay scalar, on ``math.hypot``.  ``np.hypot``
-is not bitwise the same: on 1.5 M standard-normal pairs, 8,693 results
-differed by one unit in the last place (glibc 2.36, numpy 2.4.6).
-Vectorizing the complementarity rows with it would change residuals,
-iterates and the CSV bytes of every run.
+``fb`` and ``pair_coeffs`` stay scalar, on ``math.hypot``: one call per
+pair.  ``np.hypot`` is not bitwise the same: on 1.5 M standard-normal
+pairs, 8,693 results differed by one unit in the last place (glibc 2.36,
+numpy 2.4.6).  Computing the coefficients with it would change residuals,
+iterates and the CSV bytes of every run.  Only the writes are blockwise:
+``system.assemble_jacobian`` gathers the scalar (a, b) of all pairs and
+writes the complementarity rows of W a block at a time.
 """
 from __future__ import annotations
 

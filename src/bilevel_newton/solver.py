@@ -147,10 +147,10 @@ def eoc(residual_norms: list[float]) -> float | None:
 
 
 def _direction(
-    config: SolverConfig, W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray
+    config: SolverConfig, W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray, lu_work: np.ndarray
 ) -> tuple[np.ndarray, str]:
     try:
-        d = lu_solve(W, -resid_vec, config.pivot_tol)
+        d = lu_solve(W, -resid_vec, config.pivot_tol, work=lu_work)
     except SingularMatrixError:
         return -grad, GRADIENT
     if float(grad @ d) <= -config.beta * float(np.linalg.norm(d)) ** config.t:
@@ -194,6 +194,9 @@ def run(
     status = None
     error = None
     F_val = f_val = None  # at zeta's leader point, once evaluated
+    # W and its LU factors are rebuilt in these two buffers at every step
+    N = problem.dims.N
+    W_buf, lu_work = np.empty((N, N)), np.empty((N, N), order="F")
 
     try:
         resid = assemble_residual(problem, config.lam, zeta)
@@ -207,14 +210,14 @@ def run(
             if k >= config.max_iter:
                 status = MAX_ITER
                 break
-            W = assemble_jacobian(resid, config.kink_tol)
+            W = assemble_jacobian(resid, config.kink_tol, out=W_buf)
             phi, merit0 = resid.vec, resid.merit()
             resid = ls = None  # this point's evaluations are not needed past W
             grad = W.T @ phi
             if float(np.linalg.norm(grad)) <= config.grad_stall_tol:
                 status = MERIT_STATIONARY
                 break
-            d, dtype = _direction(config, W, phi, grad)
+            d, dtype = _direction(config, W, phi, grad, lu_work)
             slope = float(grad @ d)
             ls = _backtrack(problem, config, zeta, d, merit0, slope)
             if ls is None:

@@ -71,11 +71,15 @@ def default_start(problem: BilevelProblem, x0: np.ndarray, y0: np.ndarray) -> It
     """Lift a primal starting point to the full stacked variable.
 
     z starts at y0, multipliers at the absolute constraint values:
-    u_i = |G_i(x0, y0)|, v_j = |g_j(x0, y0)|, w = v.
+    u_i = |G_i(x0, y0)|, v_j = |g_j(x0, y0)|, w = v.  A start of the wrong
+    length raises ValueError before anything is evaluated.
     """
     d = problem.dims
-    x0 = np.asarray(x0, dtype=float).reshape(d.n)
-    y0 = np.asarray(y0, dtype=float).reshape(d.m)
+    x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    for name, part, size, dim in (("x0", x0, d.n, "n"), ("y0", y0, d.m, "m")):
+        if part.size != size:
+            raise ValueError(f"{name} has length {part.size}, expected {dim} = {size}")
+    x0, y0 = x0.reshape(d.n), y0.reshape(d.m)
     bundle = evaluate_all(problem, x0, y0)
     u0 = np.abs(bundle.G)
     v0 = np.abs(bundle.g)

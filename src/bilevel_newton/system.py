@@ -24,9 +24,11 @@ plus b on the matching multiplier diagonal, with (a, b) from
 ``pair_coeffs``.
 
 Each point is evaluated once: the residual carries its evaluations at
-(x, y) and (x, z), and W is built from them.  ``hessian_block`` builds the
-Hessian super-block; W and the second-order form of the regularity
-diagnostics share it.
+(x, y) and (x, z), and W is built from them, in ``assemble_jacobian`` alone.
+``hessian_block`` builds the Hessian super-block; W and the second-order
+form of the regularity diagnostics share it.  Both take an optional
+``out=`` array to build into: the solver passes one (N, N) buffer per run,
+so a step allocates no N x N array.  Either way the bits are the same.
 
 The rows z and w read only f and g at the follower point (x, z), which is
 evaluated first.  Given a merit bound, ``assemble_residual`` stops there
@@ -214,14 +216,6 @@ def _fb_rows(cons: np.ndarray, mults: np.ndarray) -> list[float]:
     return [fb(-c, mu) for c, mu in zip(cons, mults)]
 
 
-def _comp_blocks(zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle):
-    """The three complementarity blocks in row order: constraint values,
-    multipliers, constraint gradients, follower block, multiplier block."""
-    return ((at_y.G, zeta.u, at_y.dG, "y", "u"),
-            (at_y.g, zeta.v, at_y.dg, "y", "v"),
-            (at_z.g, zeta.w, at_z.dg, "z", "w"))
-
-
 def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray | float:
     """sum_i mult[i] * stack[i] over a (k, nm, nm) stack.
 
@@ -230,15 +224,25 @@ def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray | float:
     axis bookkeeping.  A stack that ingestion found to be all +0.0 (the
     constraints are linear) is not read: with finite multipliers the sum
     is zero, and 0.0 is returned.  Added to a matrix, it gives the same
-    bits as the dot's +0.0 entries.
+    bits as the dot's +0.0 entries.  So does an empty stack (no
+    constraints), whose dot would be all +0.0.
     """
-    if is_zero_hessian(stack) and np.isfinite(mult).all():
-        return 0.0
     k, nm = stack.shape[0], stack.shape[1]
+    if k == 0 or (is_zero_hessian(stack) and np.isfinite(mult).all()):
+        return 0.0
     return np.dot(mult.reshape(1, k), stack.reshape(k, nm * nm)).reshape(nm, nm)
 
 
-def hessian_block(lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle) -> np.ndarray:
+def _require_out(out: np.ndarray, size: int) -> np.ndarray:
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != (size, size):
+        raise ValueError(f"out must be a float64 array of shape ({size}, {size}), "
+                         f"got {getattr(out, 'dtype', type(out).__name__)} {getattr(out, 'shape', '')}")
+    return out
+
+
+def hessian_block(
+    lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Hessian of L w.r.t. (x, y, z): the (n+2m)x(n+2m) top-left block of W.
 
     With H_lag the upper-Lagrangian Hessian w.r.t. (x, y) and H_ell the
@@ -247,54 +251,82 @@ def hessian_block(lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle)
         [ H_lag_xx - lam H_ell_xx   H_lag_xy   -lam H_ell_xz ]
         [ H_lag_yx                  H_lag_yy    0            ]
         [ -lam H_ell_zx             0          -lam H_ell_zz ]
+
+    Every one of the nine blocks is written, the two zero blocks included,
+    so ``out`` (a float64 array of that shape, a view of W's corner for
+    instance) may hold anything beforehand; it is returned.  Without
+    ``out`` a new array is returned.
     """
     n, m = zeta.x.size, zeta.y.size
-    x, y, z = slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m)
+    k = n + 2 * m
+    K = np.empty((k, k)) if out is None else _require_out(out, k)
+    x, y, z = slice(0, n), slice(n, n + m), slice(n + m, k)
     H_lag = at_y.d2F + _contract(zeta.u, at_y.d2G) + _contract(zeta.v, at_y.d2g) + lam * at_y.d2f
     H_ell = at_z.d2f + _contract(zeta.w, at_z.d2g)
 
-    K = np.zeros((n + 2 * m, n + 2 * m))
-    K[x, x] = H_lag[:n, :n] - lam * H_ell[:n, :n]
+    np.subtract(H_lag[:n, :n], lam * H_ell[:n, :n], out=K[x, x])
     K[x, y] = H_lag[:n, n:]
     K[y, x] = H_lag[n:, :n]
     K[y, y] = H_lag[n:, n:]
-    K[x, z] = -lam * H_ell[:n, n:]
-    K[z, x] = -lam * H_ell[n:, :n]
-    K[z, z] = -lam * H_ell[n:, n:]
+    K[y, z] = 0.0
+    K[z, y] = 0.0
+    np.multiply(-lam, H_ell[:n, n:], out=K[x, z])
+    np.multiply(-lam, H_ell[n:, :n], out=K[z, x])
+    np.multiply(-lam, H_ell[n:, n:], out=K[z, z])
     return K
 
 
-def assemble_jacobian(residual: ResidualVector, kink_tol: float = 1e-12) -> np.ndarray:
+def assemble_jacobian(
+    residual: ResidualVector, kink_tol: float = 1e-12, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """One element W of the generalized Jacobian of Phi at the residual's point.
 
     W is built from the evaluations the residual carries; nothing is
-    evaluated again.
+    evaluated again.  Without ``out`` it is a new array.  With ``out``, a
+    float64 (N, N) array of any layout (a run passes the same buffer at
+    every step), W is built there and ``out`` is returned; it is zeroed
+    first, so what it held does not matter.  The bits are the same either
+    way.
+
+    Every region is written as whole blocks: ``hessian_block`` writes the
+    (x, y, z) corner in place; one broadcast product a[:, None] * grad
+    gives the point-column entries of all complementarity rows, copied in
+    as three blocks; one strided write puts every b on the multiplier
+    diagonal.  The coefficients (a, b) come from one scalar ``pair_coeffs``
+    call per pair, gathered for all pairs in one pass.
     """
     d, lam, zeta = residual.dims, residual.lam, residual.zeta
     at_y, at_z = residual.at_y, residual.at_z
-    n, k = d.n, d.n + 2 * d.m
+    n, k, N = d.n, d.n + 2 * d.m, d.N
     s = block_slices(d)
 
-    W = np.zeros((d.N, d.N))
-    W[:k, :k] = hessian_block(lam, zeta, at_y, at_z)
+    if out is None:
+        W = np.zeros((N, N))
+    else:
+        W = _require_out(out, N)
+        W.fill(0.0)
+    hessian_block(lam, zeta, at_y, at_z, out=W[:k, :k])
 
-    # multiplier columns of the gradient rows
-    W[s["x"], s["u"]] = at_y.dG[:, :n].T
-    W[s["y"], s["u"]] = at_y.dG[:, n:].T
-    W[s["x"], s["v"]] = at_y.dg[:, :n].T
-    W[s["y"], s["v"]] = at_y.dg[:, n:].T
-    W[s["x"], s["w"]] = -lam * at_z.dg[:, :n].T
-    W[s["z"], s["w"]] = -lam * at_z.dg[:, n:].T
+    # multiplier columns of the gradient rows; rows x and y together are
+    # the (x, y) coordinates of the leader-point constraint gradients
+    W[:n + d.m, s["u"]] = at_y.dG.T
+    W[:n + d.m, s["v"]] = at_y.dg.T
+    np.multiply(-lam, at_z.dg[:, :n].T, out=W[s["x"], s["w"]])
+    np.multiply(-lam, at_z.dg[:, n:].T, out=W[s["z"], s["w"]])
 
-    # complementarity rows: a*grad(constraint) on the point columns, b on
-    # the own-multiplier diagonal
-    for cons, mults, grads, col, blk in _comp_blocks(zeta, at_y, at_z):
-        r0 = s[blk].start
-        for i in range(len(cons)):
-            a, b = pair_coeffs(cons[i], mults[i], kink_tol)
-            W[r0 + i, s["x"]] = a * grads[i, :n]
-            W[r0 + i, s[col]] = a * grads[i, n:]
-            W[r0 + i, r0 + i] = b
+    # complementarity rows, one per pair in row order (u, v, w): a times the
+    # constraint gradient on the point columns, b on the multiplier diagonal
+    cons = at_y.G.tolist() + at_y.g.tolist() + at_z.g.tolist()
+    mults = zeta.u.tolist() + zeta.v.tolist() + zeta.w.tolist()
+    coeffs = np.array([pair_coeffs(c, mu, kink_tol) for c, mu in zip(cons, mults)]).reshape(-1, 2)
+    rows = np.concatenate((at_y.dG, at_y.dg, at_z.dg))
+    rows *= coeffs[:, :1]
+    j = d.p + d.q  # rows u and v differentiate in y, rows w in z
+    W[k:, s["x"]] = rows[:, :n]
+    W[k:k + j, s["y"]] = rows[:j, n:]
+    W[k + j:, s["z"]] = rows[j:, n:]
+    # the multiplier blocks follow each other on W's diagonal
+    W.flat[k * (N + 1)::N + 1] = coeffs[:, 1]
 
     return W
 

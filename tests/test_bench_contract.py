@@ -65,3 +65,35 @@ def test_fields_and_calls_the_workloads_read():
     problem = bn.get_entry("xy-linear").problem
     norm = bn.assemble_residual(problem, 1.0, bn.resolve_start(problem)).norm()
     assert isinstance(norm, float) and np.isfinite(norm)
+
+
+def _counting_scalars(monkeypatch):
+    """Count calls to the scalar complementarity functions as the system
+    module looks them up, the way the probe counts them."""
+    from bilevel_newton import system
+    counts = {"fb": 0, "pair_coeffs": 0}
+    for name in counts:
+        fn = getattr(system, name)
+
+        def wrapper(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(system, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["quadratic-projection", "xy-linear", "dempe-parabola"])
+def test_one_scalar_call_per_pair_for_each_residual_and_jacobian(monkeypatch, name):
+    problem = bn.get_entry(name).problem
+    pairs = problem.dims.p + 2 * problem.dims.q
+    zeta = bn.resolve_start(problem)
+    counts = _counting_scalars(monkeypatch)
+    residual = bn.assemble_residual(problem, 2.0, zeta)
+    assert counts == {"fb": pairs, "pair_coeffs": 0}
+    bn.assemble_jacobian(residual)
+    bn.assemble_jacobian(residual, out=np.empty((problem.dims.N, problem.dims.N)))
+    assert counts == {"fb": pairs, "pair_coeffs": 2 * pairs}
+    # a run builds one W per iteration
+    counts.update(fb=0, pair_coeffs=0)
+    report = bn.run(problem, bn.SolverConfig(lam=2.0), zeta)
+    assert report.iterations > 0 and counts["pair_coeffs"] == report.iterations * pairs

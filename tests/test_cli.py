@@ -224,6 +224,19 @@ def test_start_override(tmp_path):
     assert json.loads(out.read_text())["status"] == "Solved"
 
 
+@pytest.mark.parametrize("flag,value,expected", [("--x0", "1,2", "x0 has length 2, expected n = 1"),
+                                                  ("--y0", "1", "y0 has length 1, expected m = 2")])
+def test_start_of_the_wrong_length_exits_one_before_any_evaluation(monkeypatch, capsys, flag, value, expected):
+    runs, evaluations = [], []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    monkeypatch.setattr(importlib.import_module("bilevel_newton.sweep"), "evaluate_all",
+                        lambda *args, **kwargs: evaluations.append(args))
+    assert main(["solve", "--problem", "quadratic-projection", flag, value]) == 1
+    assert runs == [] and evaluations == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {expected}\n"
+
+
 def test_check_derivatives_mode(tmp_path):
     out = tmp_path / "d.json"
     code = main(["check-derivatives", "--problem", "dempe-parabola", "--out", str(out)])

@@ -345,9 +345,9 @@ def test_step_evaluates_the_point_once(entries, monkeypatch):
     p, calls, zeta = _counted_start(entries["xy-linear"])
     seen, solver_lu_solve = [], solver.lu_solve
 
-    def lu_solve(*args):
+    def lu_solve(*args, **kwargs):
         seen.append((len(calls["F"]), len(calls["f"])))
-        return solver_lu_solve(*args)
+        return solver_lu_solve(*args, **kwargs)
     monkeypatch.setattr(solver, "lu_solve", lu_solve)
     bn.run(p, bn.SolverConfig(lam=2.0, max_iter=1), zeta)
     assert seen == [(1, 2)]
@@ -511,3 +511,53 @@ def test_eoc_formula_examples():
     assert bn.eoc([1e-2, 1e-4, 0.0]) == np.inf
     # longer histories use only the last three entries
     assert bn.eoc([5.0, 1e-2, 1e-4, 1e-8]) == pytest.approx(2.0, abs=1e-12)
+
+
+def _bits_of(value):
+    """value with every float and array replaced by its bits, for exact comparison."""
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits_of(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits_of(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.astype(float).tobytes())
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+# dempe at 0.5 takes 5 gradient steps in its first 40 (the LU solve rejects
+# W); the small LQ problem has p, q > 0 and solves in a few Newton steps
+@pytest.mark.parametrize("case,lam", [("dempe-parabola", 0.5), ("small-lq", 2.0)])
+def test_run_builds_every_step_in_the_same_two_buffers(entries, monkeypatch, case, lam):
+    problem = _small_lq() if case == "small-lq" else entries[case].problem
+    cfg = bn.SolverConfig(lam=lam, max_iter=40)
+
+    def solve(records):
+        report = bn.run(problem, cfg, bn.resolve_start(problem), callback=records.append)
+        return dataclasses.replace(report, wall_time=0.0)
+    plain_records: list[StepRecord] = []
+    plain = solve(plain_records)
+
+    outs, works = [], []
+    assemble, lu = solver.assemble_jacobian, solver.lu_solve
+
+    def assemble_spy(*args, **kwargs):
+        outs.append(kwargs["out"])
+        return assemble(*args, **kwargs)
+
+    def lu_spy(*args, **kwargs):
+        works.append(kwargs["work"])
+        return lu(*args, **kwargs)
+    monkeypatch.setattr(solver, "assemble_jacobian", assemble_spy)
+    monkeypatch.setattr(solver, "lu_solve", lu_spy)
+    spied_records: list[StepRecord] = []
+    spied = solve(spied_records)
+
+    N = problem.dims.N
+    assert len(outs) == len(works) == plain.iterations > 1
+    assert all(out is outs[0] for out in outs) and outs[0].shape == (N, N)
+    assert all(work is works[0] for work in works) and works[0].flags.f_contiguous
+    assert not np.shares_memory(outs[0], works[0])
+    assert _bits_of(spied_records) == _bits_of(plain_records)
+    assert _bits_of(spied) == _bits_of(plain)

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bilevel_newton as bn
 from bilevel_newton import complementarity, system
@@ -49,6 +51,50 @@ def _random_bundle(rng, n, nm, k):
     )
 
 
+def _reference_hessian(lam, zeta, at_y, at_z):
+    """The Hessian block from tensordot contractions and np.block."""
+    n, m = zeta.x.size, zeta.y.size
+    H_lag = at_y.d2F + np.tensordot(zeta.u, at_y.d2G, axes=1) \
+        + np.tensordot(zeta.v, at_y.d2g, axes=1) + lam * at_y.d2f
+    H_ell = at_z.d2f + np.tensordot(zeta.w, at_z.d2g, axes=1)
+    zero = np.zeros((m, m))
+    return np.block([
+        [H_lag[:n, :n] - lam * H_ell[:n, :n], H_lag[:n, n:], -lam * H_ell[:n, n:]],
+        [H_lag[n:, :n], H_lag[n:, n:], zero],
+        [-lam * H_ell[n:, :n], zero, -lam * H_ell[n:, n:]],
+    ])
+
+
+def _reference_jacobian(r, kink_tol=1e-12):
+    """W with its complementarity rows written one row at a time, with a
+    pair_coeffs call per row: the loop assemble_jacobian replaced."""
+    d, lam, zeta, at_y, at_z = r.dims, r.lam, r.zeta, r.at_y, r.at_z
+    n, k = d.n, d.n + 2 * d.m
+    s = block_slices(d)
+    W = np.zeros((d.N, d.N))
+    W[:k, :k] = _reference_hessian(lam, zeta, at_y, at_z)
+    W[s["x"], s["u"]] = at_y.dG[:, :n].T
+    W[s["y"], s["u"]] = at_y.dG[:, n:].T
+    W[s["x"], s["v"]] = at_y.dg[:, :n].T
+    W[s["y"], s["v"]] = at_y.dg[:, n:].T
+    W[s["x"], s["w"]] = -lam * at_z.dg[:, :n].T
+    W[s["z"], s["w"]] = -lam * at_z.dg[:, n:].T
+    blocks = ((at_y.G, zeta.u, at_y.dG, "y", "u"), (at_y.g, zeta.v, at_y.dg, "y", "v"),
+              (at_z.g, zeta.w, at_z.dg, "z", "w"))
+    for cons, mults, grads, col, blk in blocks:
+        r0 = s[blk].start
+        for i in range(len(cons)):
+            a, b = complementarity.pair_coeffs(cons[i], mults[i], kink_tol)
+            W[r0 + i, s["x"]] = a * grads[i, :n]
+            W[r0 + i, s[col]] = a * grads[i, n:]
+            W[r0 + i, r0 + i] = b
+    return W
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 @pytest.mark.parametrize("k", [0, 1, 50])
 def test_hessian_block_matches_tensordot_reference(k):
     # k = 0 is p = q = 0: every multiplier contraction is empty
@@ -56,16 +102,61 @@ def test_hessian_block_matches_tensordot_reference(k):
     n, m, lam = 3, 2, 2.5
     at_y, at_z = _random_bundle(rng, n, n + m, k), _random_bundle(rng, n, n + m, k)
     zeta = bn.Iterate(*(rng.normal(size=size) for size in (n, m, m, k, k, k)))
-    H_lag = at_y.d2F + np.tensordot(zeta.u, at_y.d2G, axes=1) \
-        + np.tensordot(zeta.v, at_y.d2g, axes=1) + lam * at_y.d2f
-    H_ell = at_z.d2f + np.tensordot(zeta.w, at_z.d2g, axes=1)
-    zero = np.zeros((m, m))
-    reference = np.block([
-        [H_lag[:n, :n] - lam * H_ell[:n, :n], H_lag[:n, n:], -lam * H_ell[:n, n:]],
-        [H_lag[n:, :n], H_lag[n:, n:], zero],
-        [-lam * H_ell[n:, :n], zero, -lam * H_ell[n:, n:]],
-    ])
-    assert np.array_equal(hessian_block(lam, zeta, at_y, at_z), reference)
+    assert np.array_equal(hessian_block(lam, zeta, at_y, at_z), _reference_hessian(lam, zeta, at_y, at_z))
+
+
+# (constraint value, multiplier) pairs: a random one, or one of these
+_SPECIAL_PAIRS = ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (1e-13, -0.0), (0.7, -0.0), (-1.5, -0.0),
+                  (-0.0, 2.0), (3.0, 0.0))
+
+
+@st.composite
+def _jacobian_cases(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    lam = draw(st.one_of(st.sampled_from([0.5, 1.0, 128.0, 1e6]), st.floats(1e-3, 1e6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nm = n + m
+    kinds = draw(st.lists(st.integers(-1, len(_SPECIAL_PAIRS) - 1), min_size=p + 2 * q, max_size=p + 2 * q))
+    pairs = [tuple(rng.normal(size=2)) if kind < 0 else _SPECIAL_PAIRS[kind] for kind in kinds]
+    cons, mults = (np.array([pair[i] for pair in pairs], dtype=float).reshape(-1) for i in (0, 1))
+
+    def rand(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+    at_y = EvalBundle(n=n, F=1.0, dF=rand(nm), d2F=rand(nm, nm), f=2.0, df=rand(nm), d2f=rand(nm, nm),
+                      G=cons[:p], dG=rand(p, nm), d2G=rand(p, nm, nm),
+                      g=cons[p:p + q], dg=rand(q, nm), d2g=rand(q, nm, nm))
+    at_z = EvalBundle(n=n, F=None, dF=None, d2F=None, f=3.0, df=rand(nm), d2f=rand(nm, nm),
+                      G=None, dG=None, d2G=None, g=cons[p + q:], dg=rand(q, nm), d2g=rand(q, nm, nm))
+    zeta = bn.Iterate(rand(n), rand(m), rand(m), mults[:p], mults[p:p + q], mults[p + q:])
+    dims = bn.ProblemDims(n=n, m=m, p=p, q=q)
+    r = system.ResidualVector(vec=np.zeros(dims.N), dims=dims, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
+    return r, draw(st.sampled_from("CF"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_jacobian_cases())
+def test_jacobian_matches_the_per_row_reference_bitwise(case):
+    r, order = case
+    reference = _reference_jacobian(r)
+    assert np.array_equal(_bits(bn.assemble_jacobian(r)), _bits(reference))
+    buf = np.full((r.dims.N, r.dims.N), np.nan, order=order)
+    assert bn.assemble_jacobian(r, out=buf) is buf
+    assert np.array_equal(_bits(buf), _bits(reference))
+    k = r.dims.n + 2 * r.dims.m
+    corner = np.full((k, k), np.nan, order=order)
+    assert hessian_block(r.lam, r.zeta, r.at_y, r.at_z, out=corner) is corner
+    assert np.array_equal(_bits(corner), _bits(reference[:k, :k]))
+
+
+@pytest.mark.parametrize("shape,dtype", [((5, 5), float), ((6, 6), np.float32), ((6, 5), float)])
+def test_jacobian_out_of_the_wrong_shape_or_type_is_refused(problems, shape, dtype):
+    p = problems["xy-linear"]  # N = 6, Hessian block 3 x 3
+    r = bn.assemble_residual(p, 1.0, bn.resolve_start(p))
+    with pytest.raises(ValueError, match="out must be"):
+        bn.assemble_jacobian(r, out=np.zeros(shape, dtype=dtype))
+    with pytest.raises(ValueError, match="out must be"):
+        hessian_block(r.lam, r.zeta, r.at_y, r.at_z, out=np.zeros((3, 4)))
 
 
 def test_residual_rejects_nonpositive_lambda(problems):
