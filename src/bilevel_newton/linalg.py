@@ -33,42 +33,21 @@ class LuFactorization:
     singular: bool
 
 
-def _require_work(work: np.ndarray, shape: tuple[int, int]) -> None:
-    if not (isinstance(work, np.ndarray) and work.dtype == np.float64 and work.shape == shape
-            and work.flags.f_contiguous and work.flags.writeable):
-        raise ValueError(f"work must be a writeable Fortran-ordered float64 array of shape {shape}, "
-                         f"got {getattr(work, 'dtype', type(work).__name__)} {getattr(work, 'shape', '')}")
-
-
-def lu_factor(A: np.ndarray, pivot_tol: float = 1e-12, *, work: np.ndarray | None = None) -> LuFactorization:
+def lu_factor(A: np.ndarray, pivot_tol: float = 1e-12) -> LuFactorization:
     """LU with partial pivoting; flags singularity on tiny pivots.
 
     A pivot counts as tiny when its magnitude is <= pivot_tol times the
     largest absolute entry of A.  That scale is max(max A, -min A), read
     in two passes over A with no |A| temporary.
-
-    Without ``work``, ``dgetrf`` gets A as given (and f2py makes the
-    Fortran-ordered copy it factors).  With ``work``, a writeable
-    Fortran-ordered float64 array of A's shape, A is copied into it and
-    factored there in place: the same routine on the same input layout, so
-    the factors are bitwise the same, and ``lu`` of the result is ``work``
-    itself, valid until ``work`` is written again.  Any other ``work``
-    raises ValueError rather than being copied.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if work is not None:
-        _require_work(work, A.shape)
     if A.size == 0:
         # dgetrf rejects a 0 x 0 matrix as an illegal argument
         return LuFactorization(lu=np.empty((0, 0)), piv=np.empty(0, dtype=np.int32),
                                min_pivot=0.0, singular=True)
-    if work is None:
-        lu, piv, info = dgetrf(A)
-    else:
-        np.copyto(work, A)
-        lu, piv, info = dgetrf(work, overwrite_a=1)
+    lu, piv, info = dgetrf(A)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
     # info > 0 reports an exactly zero pivot; the pivot test below flags it
@@ -78,19 +57,16 @@ def lu_factor(A: np.ndarray, pivot_tol: float = 1e-12, *, work: np.ndarray | Non
     return LuFactorization(lu=lu, piv=piv, min_pivot=min_pivot, singular=singular)
 
 
-def lu_solve(A: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12, *,
-             work: np.ndarray | None = None) -> np.ndarray:
+def lu_solve(A: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
     """Solve A d = b; raises SingularMatrixError instead of returning garbage.
 
     Besides the pivot test, the multiplied-back residual must satisfy
     ||A d - b|| <= 1e-8 * max(1, ||b||); severely ill-conditioned systems
-    are therefore also reported as singular.  ``work`` is passed to
-    ``lu_factor``: the factors are built there, and d is bitwise the same
-    with or without it.
+    are therefore also reported as singular.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(A.shape[0])
-    fac = lu_factor(A, pivot_tol, work=work)
+    fac = lu_factor(A, pivot_tol)
     if fac.singular:
         raise SingularMatrixError(f"pivot {fac.min_pivot:.3e} below threshold")
     d, info = dgetrs(fac.lu, fac.piv, b)

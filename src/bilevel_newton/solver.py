@@ -147,10 +147,10 @@ def eoc(residual_norms: list[float]) -> float | None:
 
 
 def _direction(
-    config: SolverConfig, W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray, lu_work: np.ndarray
+    config: SolverConfig, W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, str]:
     try:
-        d = lu_solve(W, -resid_vec, config.pivot_tol, work=lu_work)
+        d = lu_solve(W, -resid_vec, config.pivot_tol)
     except SingularMatrixError:
         return -grad, GRADIENT
     if float(grad @ d) <= -config.beta * float(np.linalg.norm(d)) ** config.t:
@@ -194,9 +194,7 @@ def run(
     status = None
     error = None
     F_val = f_val = None  # at zeta's leader point, once evaluated
-    # W and its LU factors are rebuilt in these two buffers at every step
-    N = problem.dims.N
-    W_buf, lu_work = np.empty((N, N)), np.empty((N, N), order="F")
+    W_buf = np.empty((problem.dims.N,) * 2)  # W is rebuilt here at every step
 
     try:
         resid = assemble_residual(problem, config.lam, zeta)
@@ -217,7 +215,7 @@ def run(
             if float(np.linalg.norm(grad)) <= config.grad_stall_tol:
                 status = MERIT_STATIONARY
                 break
-            d, dtype = _direction(config, W, phi, grad, lu_work)
+            d, dtype = _direction(config, W, phi, grad)
             slope = float(grad @ d)
             ls = _backtrack(problem, config, zeta, d, merit0, slope)
             if ls is None:

@@ -28,7 +28,7 @@ Each point is evaluated once: the residual carries its evaluations at
 ``hessian_block`` builds the Hessian super-block; W and the second-order
 form of the regularity diagnostics share it.  Both take an optional
 ``out=`` array to build into: the solver passes one (N, N) buffer per run,
-so a step allocates no N x N array.  Either way the bits are the same.
+so a step allocates no new W.  Either way the bits are the same.
 
 The rows z and w read only f and g at the follower point (x, z), which is
 evaluated first.  Given a merit bound, ``assemble_residual`` stops there
@@ -233,13 +233,6 @@ def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray | float:
     return np.dot(mult.reshape(1, k), stack.reshape(k, nm * nm)).reshape(nm, nm)
 
 
-def _require_out(out: np.ndarray, size: int) -> np.ndarray:
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != (size, size):
-        raise ValueError(f"out must be a float64 array of shape ({size}, {size}), "
-                         f"got {getattr(out, 'dtype', type(out).__name__)} {getattr(out, 'shape', '')}")
-    return out
-
-
 def hessian_block(
     lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle, *, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -259,7 +252,7 @@ def hessian_block(
     """
     n, m = zeta.x.size, zeta.y.size
     k = n + 2 * m
-    K = np.empty((k, k)) if out is None else _require_out(out, k)
+    K = np.empty((k, k)) if out is None else out
     x, y, z = slice(0, n), slice(n, n + m), slice(n + m, k)
     H_lag = at_y.d2F + _contract(zeta.u, at_y.d2G) + _contract(zeta.v, at_y.d2g) + lam * at_y.d2f
     H_ell = at_z.d2f + _contract(zeta.w, at_z.d2g)
@@ -285,8 +278,9 @@ def assemble_jacobian(
     evaluated again.  Without ``out`` it is a new array.  With ``out``, a
     float64 (N, N) array of any layout (a run passes the same buffer at
     every step), W is built there and ``out`` is returned; it is zeroed
-    first, so what it held does not matter.  The bits are the same either
-    way.
+    first, so what it held does not matter.  ``out`` is trusted like any
+    internal buffer: its shape and type are not checked.  The bits are the
+    same either way.
 
     Every region is written as whole blocks: ``hessian_block`` writes the
     (x, y, z) corner in place; one broadcast product a[:, None] * grad
@@ -303,7 +297,7 @@ def assemble_jacobian(
     if out is None:
         W = np.zeros((N, N))
     else:
-        W = _require_out(out, N)
+        W = out
         W.fill(0.0)
     hessian_block(lam, zeta, at_y, at_z, out=W[:k, :k])
 

@@ -105,44 +105,6 @@ def test_lu_factor_empty_matrix_is_singular_and_silent(capfd):
     assert capfd.readouterr() == ("", "")
 
 
-def _work(n):
-    return np.full((n, n), np.nan, order="F")
-
-
-@pytest.mark.parametrize("n", [1, 2, 6, 50, 250])
-@pytest.mark.parametrize("order,integer", [("C", False), ("F", False), ("C", True)])
-def test_lu_with_work_matches_without_bitwise(n, order, integer):
-    A = _well_conditioned(n, order, integer)
-    b = np.random.default_rng(n + 2).normal(size=n)
-    work = _work(n)
-    fac, ref = lu_factor(A, work=work), lu_factor(A)
-    assert fac.lu is work  # factored in place
-    assert np.array_equal(fac.lu.view(np.int64), ref.lu.view(np.int64)) and np.array_equal(fac.piv, ref.piv)
-    assert (fac.min_pivot, fac.singular) == (ref.min_pivot, ref.singular)
-    d = lu_solve(A, b, work=_work(n))
-    assert np.array_equal(d.view(np.int64), lu_solve(A, b).view(np.int64))
-    # the buffer is reused: what it held from another matrix does not matter
-    assert np.array_equal(lu_solve(A, b, work=work).view(np.int64), d.view(np.int64))
-
-
-def _rejection(A, b, **kwargs):
-    with pytest.raises(SingularMatrixError) as exc:
-        lu_solve(A, b, **kwargs)
-    return str(exc.value)
-
-
-@pytest.mark.parametrize("A,b,pivot_tol,marker", [
-    (np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2), 1e-12, "below threshold"),
-    (np.zeros((3, 3)), np.ones(3), 1e-12, "below threshold"),
-    (scipy.linalg.hilbert(15), np.ones(15), 0.0, "solve residual"),
-    (np.diag([1e-300, 1.0]), np.array([1e300, 1.0]), 0.0, "non-finite"),
-])
-def test_lu_with_work_rejects_as_without(A, b, pivot_tol, marker):
-    message = _rejection(A, b, pivot_tol=pivot_tol)
-    assert marker in message
-    assert _rejection(A, b, pivot_tol=pivot_tol, work=_work(len(A))) == message
-
-
 def _singular_with_abs_scale(A, pivot_tol):
     """The pivot test with the scale taken from an |A| temporary."""
     fac = lu_factor(A, pivot_tol)
@@ -163,28 +125,11 @@ def _singular_with_abs_scale(A, pivot_tol):
 def test_pivot_scale_without_a_temporary_decides_as_abs(A, pivot_tol):
     expected = _singular_with_abs_scale(A, pivot_tol)
     assert lu_factor(A, pivot_tol).singular == expected
-    assert lu_factor(A, pivot_tol, work=_work(len(A))).singular == expected
 
 
 def test_pivot_scale_cases_reach_both_decisions():
     assert _singular_with_abs_scale(np.array([[-4.0, 0.0], [0.0, 1e-3]]), 2.5e-4)
     assert not _singular_with_abs_scale(np.array([[-4.0, 0.0], [0.0, 1e-3]]), 2.4e-4)
-
-
-@pytest.mark.parametrize("work", [
-    np.zeros((3, 3)),                      # C order
-    np.zeros((4, 4), order="F"),           # wrong shape
-    np.zeros((3, 3), dtype=np.float32, order="F"),
-    np.zeros((3, 6), order="F")[:, ::2],   # strided, not contiguous
-])
-def test_lu_work_of_the_wrong_shape_or_layout_is_refused(work):
-    A = np.eye(3)
-    with pytest.raises(ValueError, match="work must be"):
-        lu_solve(A, np.ones(3), work=work)
-    readonly = np.zeros((3, 3), order="F")
-    readonly.flags.writeable = False
-    with pytest.raises(ValueError, match="work must be"):
-        lu_factor(A, work=readonly)
 
 
 def test_sym_eig_min_diagonal():
