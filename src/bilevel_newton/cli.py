@@ -44,9 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semismooth Newton solver for optimistic bilevel programs "
                     "via value-function penalization.",
     )
-    parser.add_argument("mode_pos", nargs="?", choices=MODES, metavar="mode",
-                        help=f"one of: {', '.join(MODES)}")
-    parser.add_argument("--mode", choices=MODES, help="alternative to the positional mode")
+    parser.add_argument("mode", choices=MODES, help=f"one of: {', '.join(MODES)}")
     parser.add_argument("--problem", required=True,
                         help=f"benchmark problem name; one of: {', '.join(problem_names())}")
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
@@ -158,14 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
-    mode = args.mode_pos or args.mode
-    if mode is None:
-        print("error: no mode given; expected one of " + ", ".join(MODES), file=sys.stderr)
-        return 1
-    if args.mode_pos and args.mode and args.mode_pos != args.mode:
-        print("error: positional mode conflicts with --mode", file=sys.stderr)
-        return 1
-
     try:
         entry = get_entry(args.problem)
     except KeyError as exc:
@@ -173,11 +163,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        if mode == "solve":
+        if args.mode == "solve":
             return _cmd_solve(entry, args)
-        if mode == "sweep":
+        if args.mode == "sweep":
             return _cmd_sweep(entry, args)
-        if mode == "check-derivatives":
+        if args.mode == "check-derivatives":
             return _cmd_check_derivatives(entry, args)
         return _cmd_diagnose(entry, args)
     except (EvaluationError, InconsistentPoint, ValueError) as exc:

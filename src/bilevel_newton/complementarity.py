@@ -23,9 +23,11 @@ from __future__ import annotations
 import math
 
 # Deterministic kink choice: the boundary point of the coefficient disc on
-# the symmetric direction a = -b.  ``pair_coeffs`` reads it at call time.
+# the symmetric direction a = -b, taken when hypot(c, mult) <= KINK_TOL.
+# ``pair_coeffs`` reads all three at call time.
 KINK_A = 1.0 - math.sqrt(0.5)
 KINK_B = math.sqrt(0.5) - 1.0
+KINK_TOL = 1e-12
 
 
 def fb(a: float, b: float) -> float:
@@ -33,18 +35,16 @@ def fb(a: float, b: float) -> float:
     return math.hypot(a, b) - a - b
 
 
-def pair_coeffs(c: float, mult: float, kink_tol: float = 1e-12) -> tuple[float, float]:
+def pair_coeffs(c: float, mult: float) -> tuple[float, float]:
     """Coefficients (a, b) of one Jacobian row of z -> fb(-c(z), mult).
 
     ``a`` multiplies the constraint gradient row, ``b`` sits on the
-    multiplier diagonal.  On the smooth branch (c^2 + mult^2 > kink_tol^2)
+    multiplier diagonal.  On the smooth branch (c^2 + mult^2 > KINK_TOL^2)
     they follow from the chain rule; at a kink the fixed symmetric disc
     element (KINK_A, KINK_B) is returned.  Either way (a, b) lies in the
     disc (a - 1)^2 + (b + 1)^2 <= 1.
     """
-    if kink_tol <= 0:
-        raise ValueError("kink_tol must be positive")
     r = math.hypot(c, mult)
-    if r > kink_tol:
+    if r > KINK_TOL:
         return 1.0 + c / r, mult / r - 1.0
     return KINK_A, KINK_B

@@ -6,8 +6,8 @@ SVD-based null-space bases.  Everything here is deterministic for fixed
 input.
 
 The LU factorization and solve call LAPACK ``dgetrf``/``dgetrs`` directly.
-These are the routines ``scipy.linalg.lu_factor``/``lu_solve`` call, so the
-results are bitwise the same; the direct call skips scipy's batching and
+These are the routines behind scipy's LU wrappers in ``scipy.linalg``, so
+the results are bitwise the same; the direct call skips scipy's batching and
 argument-checking wrappers, which cost several times the arithmetic at the
 system sizes of the bundled problems, and it does not warn on an exactly
 zero pivot, which the pivot test here reports instead.
@@ -15,7 +15,6 @@ zero pivot, which the pivot test here reports instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -25,51 +24,37 @@ class SingularMatrixError(RuntimeError):
     """Linear system flagged as (numerically) singular; expected control flow."""
 
 
-@dataclass(frozen=True)
-class LuFactorization:
-    lu: np.ndarray   # packed L\U factors
-    piv: np.ndarray  # LAPACK pivot indices
-    min_pivot: float
-    singular: bool
+# A pivot is tiny when its magnitude is <= PIVOT_TOL times the largest
+# absolute entry of the matrix.
+PIVOT_TOL = 1e-12
 
 
-def lu_factor(A: np.ndarray, pivot_tol: float = 1e-12) -> LuFactorization:
-    """LU with partial pivoting; flags singularity on tiny pivots.
+def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A d = b by LU with partial pivoting; raises SingularMatrixError
+    instead of returning garbage.
 
-    A pivot counts as tiny when its magnitude is <= pivot_tol times the
-    largest absolute entry of A.  That scale is max(max A, -min A), read
-    in two passes over A with no |A| temporary.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.size == 0:
-        # dgetrf rejects a 0 x 0 matrix as an illegal argument
-        return LuFactorization(lu=np.empty((0, 0)), piv=np.empty(0, dtype=np.int32),
-                               min_pivot=0.0, singular=True)
-    lu, piv, info = dgetrf(A)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
-    # info > 0 reports an exactly zero pivot; the pivot test below flags it
-    min_pivot = float(np.abs(lu.diagonal()).min())
-    scale = max(float(A.max()), -float(A.min()))
-    singular = scale == 0.0 or min_pivot <= pivot_tol * scale
-    return LuFactorization(lu=lu, piv=piv, min_pivot=min_pivot, singular=singular)
-
-
-def lu_solve(A: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
-    """Solve A d = b; raises SingularMatrixError instead of returning garbage.
-
+    A tiny pivot (see PIVOT_TOL) reports A singular.  The scale is
+    max(max A, -min A), read in two passes over A with no |A| temporary.
     Besides the pivot test, the multiplied-back residual must satisfy
     ||A d - b|| <= 1e-8 * max(1, ||b||); severely ill-conditioned systems
     are therefore also reported as singular.
     """
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     b = np.asarray(b, dtype=float).reshape(A.shape[0])
-    fac = lu_factor(A, pivot_tol)
-    if fac.singular:
-        raise SingularMatrixError(f"pivot {fac.min_pivot:.3e} below threshold")
-    d, info = dgetrs(fac.lu, fac.piv, b)
+    if A.size == 0:
+        # dgetrf rejects a 0 x 0 matrix as an illegal argument
+        raise SingularMatrixError("pivot 0.000e+00 below threshold")
+    lu, piv, info = dgetrf(A)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
+    # info > 0 reports an exactly zero pivot; the pivot test flags it
+    min_pivot = float(np.abs(lu.diagonal()).min())
+    scale = max(float(A.max()), -float(A.min()))
+    if scale == 0.0 or min_pivot <= PIVOT_TOL * scale:
+        raise SingularMatrixError(f"pivot {min_pivot:.3e} below threshold")
+    d, info = dgetrs(lu, piv, b)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
     if not np.isfinite(d).all():

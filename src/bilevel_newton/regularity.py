@@ -19,6 +19,15 @@ from .linalg import null_space_basis, sym_eig_min
 from .problem import BilevelProblem, EvalBundle, evaluate_all
 from .system import Iterate, hessian_block, require_penalty
 
+# A constraint is active when |c| <= ACTIVE_TOL, a multiplier zero when
+# |mu| <= MULT_TOL.  A family of gradients is independent when its smallest
+# singular value exceeds RANK_TOL times its largest; the reduced
+# second-order form is positive definite when its smallest eigenvalue
+# exceeds EIG_TOL.
+ACTIVE_TOL = MULT_TOL = 1e-6
+RANK_TOL = EIG_TOL = 1e-8
+_NS_TOL = 1e-10  # rank tolerance for the feasible-direction null space
+
 
 class InconsistentPoint(ValueError):
     """The point is not approximately stationary: some pair fits no index class."""
@@ -67,22 +76,15 @@ class RegularityReport:
     ssosc_augmented_min_eig: float
 
 
-def _classify_block(
-    name: str,
-    cons: np.ndarray,
-    mults: np.ndarray,
-    active_tol: float,
-    mult_tol: float,
-    flagged: list,
-) -> BlockPartition:
+def _classify_block(name: str, cons: np.ndarray, mults: np.ndarray, flagged: list) -> BlockPartition:
     eta, theta, nu = [], [], []
     for j, (c, mu) in enumerate(zip(cons, mults)):
-        active = abs(c) <= active_tol
-        if active and mu > mult_tol:
+        active = abs(c) <= ACTIVE_TOL
+        if active and mu > MULT_TOL:
             nu.append(j)
-        elif active and abs(mu) <= mult_tol:
+        elif active and abs(mu) <= MULT_TOL:
             theta.append(j)
-        elif c < -active_tol and abs(mu) <= mult_tol:
+        elif c < -ACTIVE_TOL and abs(mu) <= MULT_TOL:
             eta.append(j)
         else:
             flagged.append((name, j, float(c), float(mu)))
@@ -94,33 +96,24 @@ def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBu
     return evaluate_all(problem, zeta.x, zeta.y), evaluate_all(problem, zeta.x, zeta.z, upper=False)
 
 
-def _partition(
-    zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle, active_tol: float, mult_tol: float
-) -> IndexSetPartition:
-    if active_tol <= 0 or mult_tol <= 0:
-        raise ValueError("tolerances must be positive")
+def _partition(zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle) -> IndexSetPartition:
     flagged: list[tuple[str, int, float, float]] = []
-    upper = _classify_block("G", at_y.G, zeta.u, active_tol, mult_tol, flagged)
-    lower_y = _classify_block("g(x,y)", at_y.g, zeta.v, active_tol, mult_tol, flagged)
-    lower_z = _classify_block("g(x,z)", at_z.g, zeta.w, active_tol, mult_tol, flagged)
+    upper = _classify_block("G", at_y.G, zeta.u, flagged)
+    lower_y = _classify_block("g(x,y)", at_y.g, zeta.v, flagged)
+    lower_z = _classify_block("g(x,z)", at_z.g, zeta.w, flagged)
     if flagged:
         raise InconsistentPoint(flagged)
     return IndexSetPartition(upper=upper, lower_y=lower_y, lower_z=lower_z)
 
 
-def classify(
-    problem: BilevelProblem,
-    zeta: Iterate,
-    active_tol: float = 1e-6,
-    mult_tol: float = 1e-6,
-) -> IndexSetPartition:
+def classify(problem: BilevelProblem, zeta: Iterate) -> IndexSetPartition:
     """Partition every complementarity pair into eta / theta / nu.
 
     Raises InconsistentPoint when a pair fits none of the classes (violated
     constraint, negative multiplier, or positive multiplier on an inactive
     constraint), which signals that zeta is not approximately stationary.
     """
-    return _partition(zeta, *_bundles(problem, zeta), active_tol, mult_tol)
+    return _partition(zeta, *_bundles(problem, zeta))
 
 
 def _licq_families(
@@ -138,21 +131,20 @@ def _licq_families(
     }
 
 
-def _independent(columns: np.ndarray, rank_tol: float) -> tuple[bool, float | None]:
-    """(family linearly independent?, smallest singular value or None if empty)."""
-    if columns.shape[1] == 0:
+def _independent(columns: np.ndarray) -> tuple[bool, float | None]:
+    """(family linearly independent?, smallest singular value or None if empty).
+
+    The rule is the one ``null_space_basis(columns, RANK_TOL)`` applies
+    for a trivial null space, decided from the singular values alone.
+    """
+    rows, k = columns.shape
+    if k == 0:
         return True, None
-    nullity = null_space_basis(columns, rank_tol).shape[1]
     s = np.linalg.svd(columns, compute_uv=False)
-    return nullity == 0, float(s[-1])
+    return bool(k <= rows and s[0] > 0 and s[-1] > RANK_TOL * s[0]), float(s[-1])
 
 
-def check_licq(
-    problem: BilevelProblem,
-    zeta: Iterate,
-    partition: IndexSetPartition,
-    rank_tol: float = 1e-8,
-) -> tuple[bool, bool, bool]:
+def check_licq(problem: BilevelProblem, zeta: Iterate, partition: IndexSetPartition) -> tuple[bool, bool, bool]:
     """Upper-level and lower-level linear independence of active gradients.
 
     The upper-level condition stacks full (x, y)-gradients of active G and
@@ -161,7 +153,7 @@ def check_licq(
     families pass vacuously.
     """
     fams = _licq_families(problem.dims.m, *_bundles(problem, zeta), partition)
-    return tuple(_independent(fams[k], rank_tol)[0] for k in ("ulicq", "llicq_at_xy", "llicq_at_xz"))
+    return tuple(_independent(fams[k])[0] for k in ("ulicq", "llicq_at_xy", "llicq_at_xz"))
 
 
 def check_lscc(partition: IndexSetPartition) -> bool:
@@ -205,24 +197,17 @@ def _ssosc_matrices(
     return C, hessian_block(lam, zeta, at_y, at_z)
 
 
-_NS_TOL = 1e-10  # rank tolerance for the feasible-direction null space
-
-
-def _reduced_min_eig(Z: np.ndarray, M: np.ndarray, eig_tol: float) -> tuple[float, bool, int]:
+def _reduced_min_eig(Z: np.ndarray, M: np.ndarray) -> tuple[float, bool, int]:
     """Minimum eigenvalue of M reduced to the span of Z's columns."""
     dim = Z.shape[1]
     if dim == 0:
         return math.inf, True, 0
     min_eig = sym_eig_min(Z.T @ M @ Z)
-    return min_eig, min_eig > eig_tol, dim
+    return min_eig, min_eig > EIG_TOL, dim
 
 
 def check_ssosc(
-    problem: BilevelProblem,
-    zeta: Iterate,
-    lam: float,
-    partition: IndexSetPartition,
-    eig_tol: float = 1e-8,
+    problem: BilevelProblem, zeta: Iterate, lam: float, partition: IndexSetPartition
 ) -> tuple[float, bool]:
     """Minimum eigenvalue of the reduced second-order form and its verdict.
 
@@ -230,7 +215,7 @@ def check_ssosc(
     condition then holds vacuously.
     """
     C, M = ssosc_matrices(problem, zeta, lam, partition)
-    min_eig, holds, _ = _reduced_min_eig(null_space_basis(C, _NS_TOL), M, eig_tol)
+    min_eig, holds, _ = _reduced_min_eig(null_space_basis(C, _NS_TOL), M)
     return min_eig, holds
 
 
@@ -247,29 +232,21 @@ def _unperturbed_variant(M: np.ndarray, n: int, m: int) -> np.ndarray:
     return M_star
 
 
-def diagnose(
-    problem: BilevelProblem,
-    zeta: Iterate,
-    lam: float,
-    active_tol: float = 1e-6,
-    mult_tol: float = 1e-6,
-    rank_tol: float = 1e-8,
-    eig_tol: float = 1e-8,
-) -> RegularityReport:
+def diagnose(problem: BilevelProblem, zeta: Iterate, lam: float) -> RegularityReport:
     """Full regularity report at a candidate point for a fixed, finite, positive penalty."""
     at_y, at_z = _bundles(problem, zeta)
-    partition = _partition(zeta, at_y, at_z, active_tol, mult_tol)
+    partition = _partition(zeta, at_y, at_z)
 
     fams = _licq_families(problem.dims.m, at_y, at_z, partition)
-    ulicq, m_u = _independent(fams["ulicq"], rank_tol)
-    llicq_xy, m_y = _independent(fams["llicq_at_xy"], rank_tol)
-    llicq_xz, m_z = _independent(fams["llicq_at_xz"], rank_tol)
+    ulicq, m_u = _independent(fams["ulicq"])
+    llicq_xy, m_y = _independent(fams["llicq_at_xy"])
+    llicq_xz, m_z = _independent(fams["llicq_at_xz"])
 
     C, M = _ssosc_matrices(lam, zeta, at_y, at_z, partition)
     Z = null_space_basis(C, _NS_TOL)
-    min_eig, holds, dim = _reduced_min_eig(Z, M, eig_tol)
+    min_eig, holds, dim = _reduced_min_eig(Z, M)
 
-    star_eig, _, _ = _reduced_min_eig(Z, _unperturbed_variant(M, problem.dims.n, problem.dims.m), eig_tol)
+    star_eig, _, _ = _reduced_min_eig(Z, _unperturbed_variant(M, problem.dims.n, problem.dims.m))
 
     # Follower kink indices augment the form with -lam per index (the
     # symmetric kink element has -b/a = 1), so any kink forces failure.

@@ -44,6 +44,9 @@ EVALUATION_FAILED = "EvaluationFailed"
 NEWTON = "Newton"
 GRADIENT = "Gradient"
 
+# A point is merit-stationary when ||grad Psi|| <= GRAD_STALL_TOL.
+GRAD_STALL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -57,9 +60,6 @@ class SolverConfig:
     sigma: float = 1e-4
     max_iter: int = 2000
     max_backtracks: int = 60
-    kink_tol: float = 1e-12
-    pivot_tol: float = 1e-12
-    grad_stall_tol: float = 1e-12
 
     def __post_init__(self):
         for field in fields(self):
@@ -75,9 +75,6 @@ class SolverConfig:
             (0 < self.sigma < 0.5, "sigma must be in (0, 0.5)"),
             (self.max_iter >= 0, "max_iter must be >= 0"),
             (self.max_backtracks >= 0, "max_backtracks must be >= 0"),
-            (self.kink_tol > 0, "kink_tol must be > 0"),
-            (self.pivot_tol >= 0, "pivot_tol must be >= 0"),
-            (self.grad_stall_tol >= 0, "grad_stall_tol must be >= 0"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -150,7 +147,7 @@ def _direction(
     config: SolverConfig, W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, str]:
     try:
-        d = lu_solve(W, -resid_vec, config.pivot_tol)
+        d = lu_solve(W, -resid_vec)
     except SingularMatrixError:
         return -grad, GRADIENT
     if float(grad @ d) <= -config.beta * float(np.linalg.norm(d)) ** config.t:
@@ -208,11 +205,11 @@ def run(
             if k >= config.max_iter:
                 status = MAX_ITER
                 break
-            W = assemble_jacobian(resid, config.kink_tol, out=W_buf)
+            W = assemble_jacobian(resid, out=W_buf)
             phi, merit0 = resid.vec, resid.merit()
             resid = ls = None  # this point's evaluations are not needed past W
             grad = W.T @ phi
-            if float(np.linalg.norm(grad)) <= config.grad_stall_tol:
+            if float(np.linalg.norm(grad)) <= GRAD_STALL_TOL:
                 status = MERIT_STATIONARY
                 break
             d, dtype = _direction(config, W, phi, grad)

@@ -213,7 +213,8 @@ def _follower_rejects(rows_z: np.ndarray, rows_w: np.ndarray, N: int, bound: flo
 
 
 def _fb_rows(cons: np.ndarray, mults: np.ndarray) -> list[float]:
-    return [fb(-c, mu) for c, mu in zip(cons, mults)]
+    # Python floats: fb on numpy scalars costs twice as much, same bits
+    return [fb(-c, mu) for c, mu in zip(cons.tolist(), mults.tolist())]
 
 
 def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray | float:
@@ -269,9 +270,7 @@ def hessian_block(
     return K
 
 
-def assemble_jacobian(
-    residual: ResidualVector, kink_tol: float = 1e-12, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def assemble_jacobian(residual: ResidualVector, *, out: np.ndarray | None = None) -> np.ndarray:
     """One element W of the generalized Jacobian of Phi at the residual's point.
 
     W is built from the evaluations the residual carries; nothing is
@@ -312,7 +311,7 @@ def assemble_jacobian(
     # constraint gradient on the point columns, b on the multiplier diagonal
     cons = at_y.G.tolist() + at_y.g.tolist() + at_z.g.tolist()
     mults = zeta.u.tolist() + zeta.v.tolist() + zeta.w.tolist()
-    coeffs = np.array([pair_coeffs(c, mu, kink_tol) for c, mu in zip(cons, mults)]).reshape(-1, 2)
+    coeffs = np.array([pair_coeffs(c, mu) for c, mu in zip(cons, mults)]).reshape(-1, 2)
     rows = np.concatenate((at_y.dG, at_y.dg, at_z.dg))
     rows *= coeffs[:, :1]
     j = d.p + d.q  # rows u and v differentiate in y, rows w in z
@@ -325,7 +324,7 @@ def assemble_jacobian(
     return W
 
 
-def merit_grad(problem: BilevelProblem, lam: float, zeta: Iterate, kink_tol: float = 1e-12) -> np.ndarray:
+def merit_grad(problem: BilevelProblem, lam: float, zeta: Iterate) -> np.ndarray:
     """Gradient of the merit function, W^T Phi.
 
     The merit function is continuously differentiable, so the result does
@@ -333,4 +332,4 @@ def merit_grad(problem: BilevelProblem, lam: float, zeta: Iterate, kink_tol: flo
     kinked pairs are zero.
     """
     r = assemble_residual(problem, lam, zeta)
-    return assemble_jacobian(r, kink_tol).T @ r.vec
+    return assemble_jacobian(r).T @ r.vec

@@ -70,6 +70,17 @@ def counting(problem, *names):
     return dataclasses.replace(problem, **{name: wrap(name) for name in names}), calls
 
 
+def growth_matrix(n):
+    """1 on the diagonal, -1 below it, last column all ones.  Partial
+    pivoting keeps every pivot at 1 but the last, and the last column of U
+    doubles row by row, up to 2^(n-1): from n = 40 on, ``lu_solve`` of a
+    normal right-hand side (seed 0) passes the pivot test and fails the
+    solve-residual test.  (With b all ones, LU solves it exactly.)"""
+    A = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    A[:, -1] = 1.0
+    return A
+
+
 def max_rel_err(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)

@@ -17,6 +17,8 @@ import pytest
 import bilevel_newton as bn
 from bilevel_newton.solver import StepRecord
 
+from conftest import growth_matrix
+
 PROBE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "probe.py"
 
 
@@ -97,3 +99,17 @@ def test_one_scalar_call_per_pair_for_each_residual_and_jacobian(monkeypatch, na
     counts.update(fb=0, pair_coeffs=0)
     report = bn.run(problem, bn.SolverConfig(lam=2.0), zeta)
     assert report.iterations > 0 and counts["pair_coeffs"] == report.iterations * pairs
+
+
+@pytest.mark.parametrize("A,b,cause", [
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2), "pivot"),
+    (growth_matrix(64), np.random.default_rng(0).normal(size=64), "residual"),
+    (np.diag([1e-300, 1e-300]), np.array([1e300, 1.0]), "nonfinite"),
+    (np.zeros((0, 0)), np.zeros(0), "pivot"),
+], ids=["singular", "growth", "overflow", "empty"])
+def test_probe_classifies_every_lu_rejection(A, b, cause):
+    # the probe sorts each rejection by its message and raises on one it
+    # cannot classify, which would end a traced run
+    with pytest.raises(bn.SingularMatrixError) as exc:
+        bn.lu_solve(A, b)
+    assert _load_probe().lu_reject_cause(str(exc.value)) == cause

@@ -25,12 +25,6 @@ def test_solve_mode_exit_zero(tmp_path, capsys):
     assert len(tree["trace"]["residual_norms"]) == tree["iterations"] + 1
 
 
-def test_solve_mode_flag_spelling(tmp_path):
-    out = tmp_path / "solve.json"
-    code = main(["--mode", "solve", "--problem", "xy-linear", "--lambda", "2", "--out", str(out)])
-    assert code == 0
-
-
 def test_unknown_problem_exit_one(capsys):
     assert main(["solve", "--problem", "nosuch"]) == 1
     assert "unknown problem" in capsys.readouterr().err
@@ -105,7 +99,7 @@ def test_solver_flags_are_the_config_fields():
 
 # a non-default value for every solver flag
 FLAG_VALUES = {"beta": 2e-8, "eps": 1e-9, "t": 2.5, "rho": 0.4, "sigma": 1e-3, "max_iter": 5,
-               "max_backtracks": 7, "kink_tol": 1e-11, "pivot_tol": 1e-10, "grad_stall_tol": 1e-9}
+               "max_backtracks": 7}
 
 
 @pytest.mark.parametrize("mode,module,lams", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilevel_newton import fb, pair_coeffs
-from bilevel_newton.complementarity import KINK_A, KINK_B
+from bilevel_newton.complementarity import KINK_A, KINK_B, KINK_TOL
 
 
 def test_fb_simple_values():
@@ -88,7 +88,6 @@ def test_pair_coeffs_always_in_disc():
         assert (a - 1) ** 2 + (b + 1) ** 2 <= 1 + 1e-12
 
 
-KINK_TOL = 1e-12
 # signed zeros, the smallest and largest subnormals, huge values, the tolerance itself
 _EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
                 1e300, -1e300, KINK_TOL, -KINK_TOL)
@@ -97,7 +96,7 @@ _finite = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, al
 
 @st.composite
 def _near_kink_tol(draw):
-    """A pair whose hypot lies a few ulps to a part in 1e6 above or below kink_tol."""
+    """A pair whose hypot lies a few ulps to a part in 1e6 above or below KINK_TOL."""
     radius = KINK_TOL * draw(st.sampled_from((1 - 1e-6, 1 - 4e-16, 1 - 2e-16, 1.0, 1 + 2e-16, 1 + 4e-16, 1 + 1e-6)))
     angle = draw(st.floats(min_value=-math.pi, max_value=math.pi))
     return radius * math.cos(angle), radius * math.sin(angle)
@@ -108,14 +107,9 @@ def _near_kink_tol(draw):
 def test_pair_coeffs_disc_and_magnitude_property(pair):
     # every row lies in the coefficient disc, so one of |a|, |b| is at
     # least 1 - 1/sqrt(2), the smallest max(|a|, |b|) over the disc
-    a, b = pair_coeffs(*pair, KINK_TOL)
+    a, b = pair_coeffs(*pair)
     assert (a - 1) ** 2 + (b + 1) ** 2 <= 1 + 1e-12
     assert max(abs(a), abs(b)) >= 1 - 1 / math.sqrt(2) - 1e-12
-
-
-def test_pair_coeffs_requires_positive_tolerance():
-    with pytest.raises(ValueError):
-        pair_coeffs(1.0, 1.0, kink_tol=0.0)
 
 
 def test_fb_overflow_safe():

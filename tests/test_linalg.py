@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf
 
-from bilevel_newton import SingularMatrixError, lu_solve, null_space_basis, sym_eig_min
-from bilevel_newton.linalg import lu_factor
+from bilevel_newton import SingularMatrixError, linalg, lu_solve, null_space_basis, sym_eig_min
+from bilevel_newton.linalg import PIVOT_TOL
+
+from conftest import growth_matrix
 
 
 def char_poly_coeffs(A):
@@ -39,19 +42,6 @@ def test_lu_solve_random_systems_residual():
         assert np.linalg.norm(A @ d - b) <= 1e-10
 
 
-def test_lu_factor_reconstruction():
-    rng = np.random.default_rng(2)
-    A = rng.normal(size=(8, 8)) + 8 * np.eye(8)
-    fac = lu_factor(A)
-    assert not fac.singular
-    L = np.tril(fac.lu, -1) + np.eye(8)
-    U = np.triu(fac.lu)
-    PA = A.copy()
-    for i, piv in enumerate(fac.piv):
-        PA[[i, piv]] = PA[[piv, i]]
-    assert np.linalg.norm(PA - L @ U) <= 1e-10 * np.linalg.norm(A)
-
-
 def test_lu_solve_flags_duplicate_rows():
     A = np.array([[1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(SingularMatrixError):
@@ -71,45 +61,65 @@ def test_lu_matches_scipy_bitwise(n, order, integer):
     A = _well_conditioned(n, order, integer)
     b = np.random.default_rng(n + 1).normal(size=n)
     lu_ref, piv_ref = scipy.linalg.lu_factor(A)
-    fac = lu_factor(A)
-    assert np.array_equal(fac.lu, lu_ref) and np.array_equal(fac.piv, piv_ref)
-    assert not fac.singular
     assert np.array_equal(lu_solve(A, b), scipy.linalg.lu_solve((lu_ref, piv_ref), b))
 
 
-@pytest.mark.parametrize("n", [13, 15, 17])
-def test_lu_solve_residual_test_on_hilbert_matrices(n):
-    # with the pivot test off, these ill-conditioned systems fail the
-    # backward-residual test; the residual is the one np.linalg.norm gives
-    H, b = scipy.linalg.hilbert(n), np.ones(n)
-    d = scipy.linalg.lu_solve(scipy.linalg.lu_factor(H), b)
-    expected = f"solve residual {np.linalg.norm(H @ d - b):.3e} too large"
+def _expect_solve_residual_rejection(A, b):
+    # the residual is the one np.linalg.norm gives for scipy's solution
+    d = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+    expected = f"solve residual {np.linalg.norm(A @ d - b):.3e} too large"
     with pytest.raises(SingularMatrixError) as exc:
-        lu_solve(H, b, pivot_tol=0.0)
+        lu_solve(A, b)
     assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("n", [13, 15, 17])
+def test_lu_solve_residual_test_on_hilbert_matrices(n, monkeypatch):
+    # with the pivot test off, these ill-conditioned systems fail the
+    # backward-residual test
+    monkeypatch.setattr(linalg, "PIVOT_TOL", 0.0)
+    _expect_solve_residual_rejection(scipy.linalg.hilbert(n), np.ones(n))
+
+
+@pytest.mark.parametrize("n", [40, 55, 64])
+def test_lu_solve_residual_test_on_growth_matrices(n):
+    # these pass the pivot test and fail the backward-residual test
+    _expect_solve_residual_rejection(growth_matrix(n), np.random.default_rng(0).normal(size=n))
 
 
 def test_lu_exactly_singular_is_flagged_without_warning():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fac = lu_factor(A)
-        assert fac.singular and fac.min_pivot == 0.0
-        with pytest.raises(SingularMatrixError, match="below threshold"):
+        with pytest.raises(SingularMatrixError, match=r"^pivot 0\.000e\+00 below threshold$"):
             lu_solve(A, np.ones(2))
 
 
 def test_lu_factor_empty_matrix_is_singular_and_silent(capfd):
-    fac = lu_factor(np.zeros((0, 0)))
-    assert fac.singular and fac.lu.shape == (0, 0) and fac.piv.size == 0
+    with pytest.raises(SingularMatrixError, match=r"^pivot 0\.000e\+00 below threshold$"):
+        lu_solve(np.zeros((0, 0)), np.zeros(0))
     assert capfd.readouterr() == ("", "")
+
+
+def _lu_rejects_pivot(A):
+    try:
+        lu_solve(A, np.ones(A.shape[0]))
+    except SingularMatrixError as exc:
+        return "below threshold" in str(exc)
+    return False
 
 
 def _singular_with_abs_scale(A, pivot_tol):
     """The pivot test with the scale taken from an |A| temporary."""
-    fac = lu_factor(A, pivot_tol)
+    min_pivot = float(np.abs(dgetrf(A)[0].diagonal()).min())
     scale = float(np.abs(A).max())
-    return scale == 0.0 or fac.min_pivot <= pivot_tol * scale
+    return scale == 0.0 or min_pivot <= pivot_tol * scale
+
+
+# largest magnitude 4: a minimum pivot of exactly 4 * PIVOT_TOL is tiny,
+# one ulp above it is not
+_AT_PIVOT_TOL = np.array([[-4.0, 0.0], [0.0, 4 * PIVOT_TOL]])
+_ABOVE_PIVOT_TOL = np.array([[-4.0, 0.0], [0.0, np.nextafter(4 * PIVOT_TOL, 1.0)]])
 
 
 @pytest.mark.parametrize("A,pivot_tol", [
@@ -121,15 +131,19 @@ def _singular_with_abs_scale(A, pivot_tol):
     (np.array([[-4.0, 0.0], [0.0, 1e-3]]), 2.4e-4),
     (np.array([[1e-3, 0.0], [0.0, -4.0]]), 2.5e-4),
     (np.array([[2.0, -3.0], [1.0, 0.5]]), 0.1),
+    (_AT_PIVOT_TOL, PIVOT_TOL),
+    (_ABOVE_PIVOT_TOL, PIVOT_TOL),
 ])
-def test_pivot_scale_without_a_temporary_decides_as_abs(A, pivot_tol):
-    expected = _singular_with_abs_scale(A, pivot_tol)
-    assert lu_factor(A, pivot_tol).singular == expected
+def test_pivot_scale_without_a_temporary_decides_as_abs(A, pivot_tol, monkeypatch):
+    monkeypatch.setattr(linalg, "PIVOT_TOL", pivot_tol)
+    assert _lu_rejects_pivot(A) == _singular_with_abs_scale(A, pivot_tol)
 
 
 def test_pivot_scale_cases_reach_both_decisions():
     assert _singular_with_abs_scale(np.array([[-4.0, 0.0], [0.0, 1e-3]]), 2.5e-4)
     assert not _singular_with_abs_scale(np.array([[-4.0, 0.0], [0.0, 1e-3]]), 2.4e-4)
+    assert _lu_rejects_pivot(_AT_PIVOT_TOL) and _singular_with_abs_scale(_AT_PIVOT_TOL, PIVOT_TOL)
+    assert not _lu_rejects_pivot(_ABOVE_PIVOT_TOL) and not _singular_with_abs_scale(_ABOVE_PIVOT_TOL, PIVOT_TOL)
 
 
 def test_sym_eig_min_diagonal():

@@ -6,7 +6,7 @@ import pytest
 
 import bilevel_newton as bn
 from bilevel_newton.linalg import null_space_basis, sym_eig_min
-from bilevel_newton.regularity import ssosc_matrices
+from bilevel_newton.regularity import RANK_TOL, _independent, ssosc_matrices
 from bilevel_newton.system import hessian_block
 
 from conftest import counting
@@ -49,13 +49,6 @@ def test_classify_flags_inconsistent_points(problems):
     zeta2 = bn.Iterate.of(p.dims, x=[0.0], y=[0.0], z=[0.0], u=[0.0], v=[-1.0], w=[1.0])
     with pytest.raises(bn.InconsistentPoint):
         bn.classify(p, zeta2)
-
-
-def test_classify_requires_positive_tols(problems):
-    p = problems["xy-linear"]
-    zeta = bn.Iterate.from_vector(np.zeros(p.dims.N), p.dims)
-    with pytest.raises(ValueError):
-        bn.classify(p, zeta, active_tol=0.0)
 
 
 def test_classify_scale_robust():
@@ -111,6 +104,30 @@ def test_check_licq_fails_on_duplicated_constraints():
     part = bn.classify(p, zeta)
     ulicq, llicq_xy, llicq_xz = bn.check_licq(p, zeta, part)
     assert not ulicq and not llicq_xy and not llicq_xz
+
+
+_RANK_EDGE = np.nextafter(RANK_TOL, 1.0)
+
+
+@pytest.mark.parametrize("columns,independent", [
+    # smallest singular value at the threshold, and one ulp above it
+    (np.diag([1.0, RANK_TOL]), False),
+    (np.diag([1.0, _RANK_EDGE]), True),
+    (np.diag([4.0, 4 * RANK_TOL, 1.0]), False),
+    (np.diag([4.0, 4 * _RANK_EDGE, 1.0]), True),
+    (np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0]]), False),  # more columns than rows
+    (np.zeros((2, 2)), False),
+    (np.zeros((3, 0)), True),  # empty family: vacuously independent
+    (np.random.default_rng(3).normal(size=(5, 3)), True),
+])
+def test_independent_decides_as_the_null_space(columns, independent):
+    holds, margin = _independent(columns)
+    assert holds is independent
+    assert holds == (null_space_basis(columns, RANK_TOL).shape[1] == 0)
+    if columns.shape[1] == 0:
+        assert margin is None
+    else:
+        assert margin == float(np.linalg.svd(columns, compute_uv=False)[-1])
 
 
 def test_check_ssosc_quadratic_projection(entries):

@@ -7,6 +7,8 @@ import pytest
 
 import bilevel_newton as bn
 from bilevel_newton import solver
+from bilevel_newton.complementarity import KINK_TOL
+from bilevel_newton.linalg import PIVOT_TOL
 from bilevel_newton.problem import BilevelProblem
 from bilevel_newton.solver import GRADIENT, NEWTON, LineSearchResult, SolverConfig, StepRecord
 from bilevel_newton.system import Iterate, assemble_jacobian, assemble_residual
@@ -36,7 +38,9 @@ def test_config_defaults_match_protocol():
     assert (cfg.beta, cfg.eps, cfg.t, cfg.rho, cfg.sigma) == (1e-8, 1e-8, 2.1, 0.5, 1e-4)
     assert cfg.max_iter == 2000
     assert cfg.max_backtracks == 60
-    assert (cfg.kink_tol, cfg.pivot_tol, cfg.grad_stall_tol) == (1e-12, 1e-12, 1e-12)
+    assert {f.name for f in dataclasses.fields(cfg)} == {
+        "lam", "beta", "eps", "t", "rho", "sigma", "max_iter", "max_backtracks"}
+    assert (KINK_TOL, PIVOT_TOL, solver.GRAD_STALL_TOL) == (1e-12, 1e-12, 1e-12)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -64,7 +68,7 @@ def _first_step(problem, cfg, zeta):
 def _backtrack_from(problem, cfg, zeta, d):
     """solver._backtrack along d, with zeta's merit and slope as run computes them."""
     r = assemble_residual(problem, cfg.lam, zeta)
-    slope = float((assemble_jacobian(r, cfg.kink_tol).T @ r.vec) @ d)
+    slope = float((assemble_jacobian(r).T @ r.vec) @ d)
     return solver._backtrack(problem, cfg, zeta, d, r.merit(), slope)
 
 

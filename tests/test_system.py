@@ -65,7 +65,7 @@ def _reference_hessian(lam, zeta, at_y, at_z):
     ])
 
 
-def _reference_jacobian(r, kink_tol=1e-12):
+def _reference_jacobian(r):
     """W with its complementarity rows written one row at a time, with a
     pair_coeffs call per row: the loop assemble_jacobian replaced."""
     d, lam, zeta, at_y, at_z = r.dims, r.lam, r.zeta, r.at_y, r.at_z
@@ -84,7 +84,7 @@ def _reference_jacobian(r, kink_tol=1e-12):
     for cons, mults, grads, col, blk in blocks:
         r0 = s[blk].start
         for i in range(len(cons)):
-            a, b = complementarity.pair_coeffs(cons[i], mults[i], kink_tol)
+            a, b = complementarity.pair_coeffs(cons[i], mults[i])
             W[r0 + i, s["x"]] = a * grads[i, :n]
             W[r0 + i, s[col]] = a * grads[i, n:]
             W[r0 + i, r0 + i] = b
