@@ -17,8 +17,7 @@ from .solver import (EVALUATION_FAILED, LINE_SEARCH_STALL, MAX_ITER,
                      MERIT_STATIONARY, SOLVED, SolveReport, SolverConfig, eoc,
                      run)
 from .sweep import (DEFAULT_LAMBDA_GRID, DeltaMetrics, SweepConfig,
-                    SweepReport, default_start, delta_metrics, resolve_start,
-                    sweep)
+                    SweepReport, delta_metrics, resolve_start, sweep)
 from .system import (Iterate, ResidualVector, assemble_jacobian,
                      assemble_residual, merit_grad)
 
@@ -33,9 +32,9 @@ __all__ = [
     "RegularityReport", "ResidualVector", "SOLVED", "SingularMatrixError",
     "SolveReport", "SolverConfig", "SweepConfig", "SweepReport",
     "assemble_jacobian", "assemble_residual", "check_derivatives",
-    "check_licq", "check_lscc", "check_ssosc", "classify", "default_start",
-    "delta_metrics", "diagnose", "eoc", "evaluate_all", "fb", "get_entry",
-    "get_problem", "lu_solve", "merit_grad", "null_space_basis",
-    "pair_coeffs", "problem_names", "registry", "resolve_start", "run",
-    "sweep", "sym_eig_min",
+    "check_licq", "check_lscc", "check_ssosc", "classify", "delta_metrics",
+    "diagnose", "eoc", "evaluate_all", "fb", "get_entry", "get_problem",
+    "lu_solve", "merit_grad", "null_space_basis", "pair_coeffs",
+    "problem_names", "registry", "resolve_start", "run", "sweep",
+    "sym_eig_min",
 ]

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import reporting
+from . import problem, reporting
 from .problem import EvaluationError, check_derivatives
 from .problems import BenchmarkEntry, get_entry, problem_names
 from .regularity import InconsistentPoint, diagnose
@@ -25,6 +25,8 @@ from .solver import EVALUATION_FAILED, SOLVED, SolverConfig, run
 from .sweep import DEFAULT_LAMBDA_GRID, SweepConfig, delta_metrics, resolve_start, sweep
 
 MODES = ("solve", "sweep", "check-derivatives", "diagnose")
+# the modes whose report has a CSV form; the others write JSON only
+CSV_MODES = ("solve", "sweep")
 
 # Every solver parameter but the penalty is a flag, named, typed and
 # defaulted by its SolverConfig field.
@@ -114,11 +116,11 @@ def _cmd_check_derivatives(entry: BenchmarkEntry, args) -> int:
     tree = {
         "problem": entry.problem.name,
         "passed": report.passed,
-        "tolerance": report.tolerance,
+        "tolerance": problem.FD_TOL,
         "worst_error": report.worst,
         "gradient_errors": report.grad_errors,
         "hessian_errors": report.hess_errors,
-        "num_points": len(report.points),
+        "num_points": len(points),
     }
     _emit(reporting.to_json(tree), args.out)
     return 0 if report.passed else 1
@@ -153,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and args.mode not in CSV_MODES:
+            parser.error(f"--format csv is for {' and '.join(CSV_MODES)} only, not {args.mode}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 

@@ -261,14 +261,18 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, upper
     )
 
 
+# check_derivatives' central-difference step, relative to max(1, ||point||),
+# and the worst relative error a passing check allows.
+FD_STEP = 1e-6
+FD_TOL = 1e-4
+
+
 @dataclass
 class DerivativeCheckReport:
     """Worst finite-difference relative errors per function over the sampled points."""
 
     grad_errors: dict[str, float] = field(default_factory=dict)
     hess_errors: dict[str, float] = field(default_factory=dict)
-    points: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    tolerance: float = 1e-4
 
     @property
     def worst(self) -> float:
@@ -277,67 +281,67 @@ class DerivativeCheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.worst <= self.tolerance
+        return self.worst <= FD_TOL
 
 
-def _rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
-    approx = np.atleast_1d(np.asarray(approx, dtype=float))
-    exact = np.atleast_1d(np.asarray(exact, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(exact))))
-    return float(np.max(np.abs(approx - exact)) / scale)
+def _stacked(b: EvalBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The values and gradient rows of F, f, G and g at b, as 2 + p + q rows."""
+    return np.hstack([b.F, b.f, b.G, b.g]), np.vstack([b.dF, b.df, b.dG, b.dg])
+
+
+def _row_rel_errors(approx: np.ndarray, exact: np.ndarray) -> list[float]:
+    """max |approx - exact| / max(1, max |exact|) for each row of the two
+    stacks, which it overwrites."""
+    axes = tuple(range(1, exact.ndim))
+    approx -= exact
+    err = np.abs(approx, out=approx).max(axis=axes)
+    return (err / np.maximum(1.0, np.abs(exact, out=exact).max(axis=axes))).tolist()
 
 
 def check_derivatives(
-    problem: BilevelProblem,
-    points: Sequence[tuple[np.ndarray, np.ndarray]],
-    h: float | None = None,
-    tolerance: float = 1e-4,
+    problem: BilevelProblem, points: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> DerivativeCheckReport:
     """Validate supplied gradients/Hessians against central differences.
 
     Gradients are checked against central differences of the values;
-    Hessians against central differences of the gradients.  The default
-    step is 1e-6 * max(1, ||point||) per point.
+    Hessians against the symmetrized central differences of the gradients.
+    The step is FD_STEP * max(1, ||point||) per point.  At each coordinate
+    the two perturbed bundles fill the rows of every function at once, and
+    only that coordinate's pair is held.
     """
-    if h is not None and h <= 0:
-        raise ValueError("finite-difference step h must be positive")
+    if len(points) == 0:
+        raise ValueError("check_derivatives needs at least one point")
     d = problem.dims
     nm = d.n + d.m
-    report = DerivativeCheckReport(tolerance=tolerance)
+    names = ["F", "f", *(f"G[{j}]" for j in range(d.p)), *(f"g[{j}]" for j in range(d.q))]
+    report = DerivativeCheckReport()
 
     for x0, y0 in points:
         x0 = np.asarray(x0, dtype=float).reshape(d.n)
         y0 = np.asarray(y0, dtype=float).reshape(d.m)
         pt = np.concatenate([x0, y0])
-        step = h if h is not None else 1e-6 * max(1.0, float(np.linalg.norm(pt)))
-        report.points.append((x0, y0))
+        step = FD_STEP * max(1.0, float(np.linalg.norm(pt)))
 
         base = evaluate_all(problem, x0, y0)
-        checks = [("F", lambda b: (b.F, b.dF), base.dF, base.d2F),
-                  ("f", lambda b: (b.f, b.df), base.df, base.d2f)]
-        for j in range(d.p):
-            checks.append((f"G[{j}]", lambda b, j=j: (b.G[j], b.dG[j]), base.dG[j], base.d2G[j]))
-        for j in range(d.q):
-            checks.append((f"g[{j}]", lambda b, j=j: (b.g[j], b.dg[j]), base.dg[j], base.d2g[j]))
-
-        # one coordinate at a time, so only its two perturbed bundles are held
-        grad_fd = np.empty((len(checks), nm))
-        hess_fd = np.empty((len(checks), nm, nm))
+        grad_fd = np.empty((len(names), nm))
+        hess_fd = np.empty((len(names), nm, nm))
         for i in range(nm):
             e = np.zeros(nm)
             e[i] = step
             pp, pm = pt + e, pt - e
-            bp = evaluate_all(problem, pp[: d.n], pp[d.n:])
-            bm = evaluate_all(problem, pm[: d.n], pm[d.n:])
-            for c, (_, extract, _, _) in enumerate(checks):
-                vp, gp = extract(bp)
-                vm, gm = extract(bm)
-                grad_fd[c, i] = (vp - vm) / (2 * step)
-                hess_fd[c, i] = (gp - gm) / (2 * step)
+            vp, gp = _stacked(evaluate_all(problem, pp[: d.n], pp[d.n:]))
+            vm, gm = _stacked(evaluate_all(problem, pm[: d.n], pm[d.n:]))
+            grad_fd[:, i] = (vp - vm) / (2 * step)
+            hess_fd[:, i] = (gp - gm) / (2 * step)
+            # rows 0..i are filled now: symmetrize the pairs (i, j <= i) in place
+            s = hess_fd[:, i, : i + 1] + hess_fd[:, : i + 1, i]
+            s *= 0.5
+            hess_fd[:, i, : i + 1] = hess_fd[:, : i + 1, i] = s
 
-        for c, (name, _, grad_exact, hess_exact) in enumerate(checks):
-            ge = _rel_err(grad_fd[c], grad_exact)
-            he = _rel_err(_sym(hess_fd[c]), hess_exact)
+        grad_errors = _row_rel_errors(grad_fd, _stacked(base)[1])
+        hess = np.concatenate([base.d2F[None], base.d2f[None], base.d2G, base.d2g])
+        hess_errors = _row_rel_errors(hess_fd, hess)
+        for name, ge, he in zip(names, grad_errors, hess_errors):
             report.grad_errors[name] = max(report.grad_errors.get(name, 0.0), ge)
             report.hess_errors[name] = max(report.hess_errors.get(name, 0.0), he)
 

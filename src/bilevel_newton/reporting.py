@@ -20,8 +20,12 @@ from .solver import SolveReport
 from .sweep import DeltaMetrics, SweepReport
 from .system import VARIABLE_BLOCKS, Iterate
 
-CSV_COLUMNS = ("problem", "lambda", "status", "iters", "final_resid",
-               "F", "f", "EOC", "delta_F", "delta_f", "delta")
+# each CSV column and the key of solve_report_to_dict's tree it is read from
+CSV_FIELDS = (("problem", "problem"), ("lambda", "lambda"), ("status", "status"),
+              ("iters", "iterations"), ("final_resid", "final_residual_norm"),
+              ("F", "F"), ("f", "f"), ("EOC", "eoc"),
+              ("delta_F", "delta_F"), ("delta_f", "delta_f"), ("delta", "delta"))
+CSV_COLUMNS = tuple(column for column, _ in CSV_FIELDS)
 
 
 def _eoc_value(eoc: float | None) -> float | str | None:
@@ -116,21 +120,9 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _csv_row(report: SolveReport, deltas: DeltaMetrics | None) -> list[str]:
-    deltas = deltas if deltas is not None else DeltaMetrics(None, None, None)
-    return [
-        report.problem,
-        _cell(report.lam),
-        report.status,
-        str(report.iterations),
-        _cell(report.final_residual_norm),
-        _cell(report.F),
-        _cell(report.f),
-        _cell(_eoc_value(report.eoc)),
-        _cell(deltas.delta_F),
-        _cell(deltas.delta_f),
-        _cell(deltas.delta),
-    ]
+def _csv_row(tree: dict[str, Any]) -> list[str]:
+    """One CSV row from a solve report's JSON tree; an absent key is an empty cell."""
+    return [_cell(tree.get(key)) for _, key in CSV_FIELDS]
 
 
 def _write_csv(rows: list[list[str]]) -> str:
@@ -142,12 +134,11 @@ def _write_csv(rows: list[list[str]]) -> str:
 
 
 def solve_report_to_csv(report: SolveReport, deltas: DeltaMetrics | None = None) -> str:
-    return _write_csv([_csv_row(report, deltas)])
+    return _write_csv([_csv_row(solve_report_to_dict(report, deltas))])
 
 
 def sweep_report_to_csv(report: SweepReport) -> str:
-    rows = [_csv_row(r, d) for r, d in zip(report.runs, report.deltas)]
-    return _write_csv(rows)
+    return _write_csv([_csv_row(solve_report_to_dict(r, d)) for r, d in zip(report.runs, report.deltas)])
 
 
 def to_json(tree: dict[str, Any]) -> str:

@@ -46,6 +46,8 @@ GRADIENT = "Gradient"
 
 # A point is merit-stationary when ||grad Psi|| <= GRAD_STALL_TOL.
 GRAD_STALL_TOL = 1e-12
+# A line search tries the steps rho**s for s = 0..MAX_BACKTRACKS, then stalls.
+MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ class SolverConfig:
     rho: float = 0.5
     sigma: float = 1e-4
     max_iter: int = 2000
-    max_backtracks: int = 60
 
     def __post_init__(self):
         for field in fields(self):
@@ -74,7 +75,6 @@ class SolverConfig:
             (0 < self.rho < 1, "rho must be in (0, 1)"),
             (0 < self.sigma < 0.5, "sigma must be in (0, 0.5)"),
             (self.max_iter >= 0, "max_iter must be >= 0"),
-            (self.max_backtracks >= 0, "max_backtracks must be >= 0"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -166,7 +166,7 @@ def _backtrack(
     if slope >= 0:
         raise ValueError(f"line search needs a descent direction, slope={slope}")
     zeta_vec = zeta.to_vector()
-    for s in range(config.max_backtracks + 1):
+    for s in range(MAX_BACKTRACKS + 1):
         alpha = config.rho**s
         trial = Iterate.from_vector(zeta_vec + alpha * d, problem.dims)
         threshold = merit0 + config.sigma * alpha * slope

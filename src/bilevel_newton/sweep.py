@@ -20,7 +20,7 @@ from .system import Iterate, valid_penalty
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID", "SweepConfig", "SweepReport", "DeltaMetrics",
-    "default_start", "delta_metrics", "resolve_start", "sweep",
+    "delta_metrics", "resolve_start", "sweep",
 ]
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(float(2.0**k) for k in range(-1, 8))
@@ -67,25 +67,6 @@ class SweepReport:
         return self.runs[self.best_index]
 
 
-def default_start(problem: BilevelProblem, x0: np.ndarray, y0: np.ndarray) -> Iterate:
-    """Lift a primal starting point to the full stacked variable.
-
-    z starts at y0, multipliers at the absolute constraint values:
-    u_i = |G_i(x0, y0)|, v_j = |g_j(x0, y0)|, w = v.  A start of the wrong
-    length raises ValueError before anything is evaluated.
-    """
-    d = problem.dims
-    x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
-    for name, part, size, dim in (("x0", x0, d.n, "n"), ("y0", y0, d.m, "m")):
-        if part.size != size:
-            raise ValueError(f"{name} has length {part.size}, expected {dim} = {size}")
-    x0, y0 = x0.reshape(d.n), y0.reshape(d.m)
-    bundle = evaluate_all(problem, x0, y0)
-    u0 = np.abs(bundle.G)
-    v0 = np.abs(bundle.g)
-    return Iterate(x=x0, y=y0.copy(), z=y0.copy(), u=u0, v=v0, w=v0.copy())
-
-
 def delta_metrics(
     F_val: float,
     f_val: float,
@@ -110,17 +91,26 @@ def delta_metrics(
 
 
 def resolve_start(problem: BilevelProblem, x0=None, y0=None) -> Iterate:
-    """The reference start, lifted via default_start.
+    """The reference start: a primal point lifted to the full stacked variable.
 
     x0 and y0 override the primal start.  Each of them that is not given
     comes from the problem's registered ``known_start`` if it has one, and
-    is all ones otherwise.
+    is all ones otherwise.  z starts at y0, multipliers at the absolute
+    constraint values: u_i = |G_i(x0, y0)|, v_j = |g_j(x0, y0)|, w = v.  A
+    start of the wrong length raises ValueError before anything is
+    evaluated.
     """
-    if problem.known_start is not None:
-        known_x, known_y = problem.known_start
-    else:
-        known_x, known_y = np.ones(problem.dims.n), np.ones(problem.dims.m)
-    return default_start(problem, known_x if x0 is None else x0, known_y if y0 is None else y0)
+    d = problem.dims
+    known_x, known_y = problem.known_start if problem.known_start is not None else (np.ones(d.n), np.ones(d.m))
+    x0 = np.asarray(known_x if x0 is None else x0, dtype=float)
+    y0 = np.asarray(known_y if y0 is None else y0, dtype=float)
+    for name, part, size, dim in (("x0", x0, d.n, "n"), ("y0", y0, d.m, "m")):
+        if part.size != size:
+            raise ValueError(f"{name} has length {part.size}, expected {dim} = {size}")
+    x0, y0 = x0.reshape(d.n), y0.reshape(d.m)
+    bundle = evaluate_all(problem, x0, y0)
+    v0 = np.abs(bundle.g)
+    return Iterate(x=x0, y=y0.copy(), z=y0.copy(), u=np.abs(bundle.G), v=v0, w=v0.copy())
 
 
 def sweep(

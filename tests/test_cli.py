@@ -4,12 +4,15 @@ import dataclasses
 import importlib
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import bilevel_newton as bn
 from bilevel_newton import cli, reporting
+from bilevel_newton import problem as problem_module
 from bilevel_newton.cli import main
 from bilevel_newton.system import VARIABLE_BLOCKS
 
@@ -98,8 +101,7 @@ def test_solver_flags_are_the_config_fields():
 
 
 # a non-default value for every solver flag
-FLAG_VALUES = {"beta": 2e-8, "eps": 1e-9, "t": 2.5, "rho": 0.4, "sigma": 1e-3, "max_iter": 5,
-               "max_backtracks": 7}
+FLAG_VALUES = {"beta": 2e-8, "eps": 1e-9, "t": 2.5, "rho": 0.4, "sigma": 1e-3, "max_iter": 5}
 
 
 @pytest.mark.parametrize("mode,module,lams", [
@@ -238,6 +240,39 @@ def test_check_derivatives_mode(tmp_path):
     tree = json.loads(out.read_text())
     assert tree["passed"] is True
     assert tree["worst_error"] <= 1e-4
+
+
+def test_check_derivatives_mode_reports_fd_tol(monkeypatch, tmp_path):
+    monkeypatch.setattr(problem_module, "FD_TOL", 1e-300)
+    out = tmp_path / "d.json"
+    assert main(["check-derivatives", "--problem", "xy-linear", "--out", str(out)]) == 1
+    tree = json.loads(out.read_text())
+    assert (tree["passed"], tree["tolerance"], tree["num_points"]) == (False, 1e-300, 10)
+
+
+@pytest.mark.parametrize("mode", ["check-derivatives", "diagnose"])
+def test_csv_format_of_a_json_only_mode_exits_one_before_any_evaluation(monkeypatch, capsys, tmp_path, mode):
+    calls = []
+    for name in ("run", "check_derivatives", "diagnose", "resolve_start"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    out = tmp_path / "out.csv"
+    argv = [mode, "--problem", "dempe-parabola", "--lambda", "4", "--format", "csv", "--out", str(out)]
+    assert main(argv) == 1
+    assert calls == [] and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: --format csv is for solve and sweep only, not {mode}\n")
+
+
+def test_readme_names_exactly_the_cli_options():
+    with open(pathlib.Path(__file__).parents[1] / "README.md") as fh:
+        readme = fh.read()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    options = {opt for action in cli.build_parser()._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+    assert len(options) == 13
+    assert named == options
 
 
 def test_diagnose_mode_dempe(tmp_path):

@@ -254,9 +254,127 @@ def test_check_derivatives_memory_is_per_coordinate():
     assert peak < 5 * 2**20
 
 
-def test_check_derivatives_rejects_bad_step(problems):
-    with pytest.raises(ValueError):
-        bn.check_derivatives(problems["xy-linear"], [(np.ones(1), np.ones(1))], h=-1.0)
+def test_check_derivatives_rejects_no_points(problems):
+    problem, calls = counting(problems["xy-linear"], "F", "f", "G", "g")
+    with pytest.raises(ValueError, match="^check_derivatives needs at least one point$"):
+        bn.check_derivatives(problem, [])
+    assert all(c == [] for c in calls.values())
+
+
+def test_check_derivatives_reads_its_constants_at_call_time(problems, monkeypatch):
+    p = problems["dempe-parabola"]
+    points = [(np.array([0.3]), np.array([-0.7]))]
+    report = bn.check_derivatives(p, points)
+    assert report.passed and report.worst > 0.0
+    monkeypatch.setattr(problem_module, "FD_TOL", report.worst / 2)
+    assert not report.passed
+    # ||(0.3, -0.7)|| < 1, so the step is FD_STEP itself
+    monkeypatch.setattr(problem_module, "FD_STEP", 0.25)
+    counted, calls = counting(p, "F")
+    bn.check_derivatives(counted, points)
+    assert [(x[0], y[0]) for x, y in calls["F"]] == [
+        (0.3, -0.7), (0.3 + 0.25, -0.7), (0.3 - 0.25, -0.7), (0.3, -0.7 + 0.25), (0.3, -0.7 - 0.25)]
+
+
+# check_derivatives as it was before every function's rows were filled at
+# once, kept verbatim as the reference: one closure per function, and each
+# function's errors reduced on their own.
+def _reference_rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
+    approx = np.atleast_1d(np.asarray(approx, dtype=float))
+    exact = np.atleast_1d(np.asarray(exact, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    return float(np.max(np.abs(approx - exact)) / scale)
+
+
+def _reference_check_derivatives(problem, points):
+    d = problem.dims
+    nm = d.n + d.m
+    grad_errors, hess_errors = {}, {}
+
+    for x0, y0 in points:
+        x0 = np.asarray(x0, dtype=float).reshape(d.n)
+        y0 = np.asarray(y0, dtype=float).reshape(d.m)
+        pt = np.concatenate([x0, y0])
+        step = 1e-6 * max(1.0, float(np.linalg.norm(pt)))
+
+        base = bn.evaluate_all(problem, x0, y0)
+        checks = [("F", lambda b: (b.F, b.dF), base.dF, base.d2F),
+                  ("f", lambda b: (b.f, b.df), base.df, base.d2f)]
+        for j in range(d.p):
+            checks.append((f"G[{j}]", lambda b, j=j: (b.G[j], b.dG[j]), base.dG[j], base.d2G[j]))
+        for j in range(d.q):
+            checks.append((f"g[{j}]", lambda b, j=j: (b.g[j], b.dg[j]), base.dg[j], base.d2g[j]))
+
+        grad_fd = np.empty((len(checks), nm))
+        hess_fd = np.empty((len(checks), nm, nm))
+        for i in range(nm):
+            e = np.zeros(nm)
+            e[i] = step
+            pp, pm = pt + e, pt - e
+            bp = bn.evaluate_all(problem, pp[: d.n], pp[d.n:])
+            bm = bn.evaluate_all(problem, pm[: d.n], pm[d.n:])
+            for c, (_, extract, _, _) in enumerate(checks):
+                vp, gp = extract(bp)
+                vm, gm = extract(bm)
+                grad_fd[c, i] = (vp - vm) / (2 * step)
+                hess_fd[c, i] = (gp - gm) / (2 * step)
+
+        for c, (name, _, grad_exact, hess_exact) in enumerate(checks):
+            ge = _reference_rel_err(grad_fd[c], grad_exact)
+            he = _reference_rel_err(problem_module._sym(hess_fd[c]), hess_exact)
+            grad_errors[name] = max(grad_errors.get(name, 0.0), ge)
+            hess_errors[name] = max(hess_errors.get(name, 0.0), he)
+
+    return grad_errors, hess_errors
+
+
+def _sine_quadratic(rng, k, nm):
+    """k functions b.s + s'Ss/2 + sin(w.s) with a gradient off by a constant
+    and an asymmetric Hessian A - sin(w.s) w w^T (A + A^T = 2S), stacked."""
+    b, w, off = rng.standard_normal((3, k, nm))
+    off *= rng.choice([0.0, 1e-6, 1e-2], size=(k, 1))
+    A = rng.standard_normal((k, nm, nm))
+    S = 0.5 * (A + A.transpose(0, 2, 1))
+
+    def evaluate(x, y):
+        s = np.concatenate([x, y])
+        ws = w @ s
+        vals = b @ s + 0.5 * (S @ s) @ s + np.sin(ws)
+        jac = b + S @ s + np.cos(ws)[:, None] * w + off
+        hess = A - np.sin(ws)[:, None, None] * w[:, :, None] * w[:, None, :]
+        return vals, jac, hess
+    return evaluate
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), p=st.integers(0, 3), q=st.integers(0, 3),
+       num_points=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_stacked_check_derivatives_matches_the_reference_bitwise(n, m, p, q, num_points, seed):
+    rng = np.random.default_rng(seed)
+    nm = n + m
+    upper, lower = _sine_quadratic(rng, 1 + p, nm), _sine_quadratic(rng, 1 + q, nm)
+
+    def scalar(fn):
+        def call(x, y):
+            vals, jac, hess = fn(x, y)
+            return vals[0], jac[0], hess[0]
+        return call
+
+    def vector(fn):
+        def call(x, y):
+            vals, jac, hess = fn(x, y)
+            return vals[1:], jac[1:], hess[1:]
+        return call
+    problem = bn.BilevelProblem(name="sine-quadratic", dims=bn.ProblemDims(n=n, m=m, p=p, q=q),
+                                F=scalar(upper), f=scalar(lower), G=vector(upper), g=vector(lower))
+    points = [(rng.uniform(-2, 2, n), rng.uniform(-2, 2, m)) for _ in range(num_points)]
+    report = bn.check_derivatives(problem, points)
+    grad_ref, hess_ref = _reference_check_derivatives(problem, points)
+
+    def bits(errors):
+        return [(name, np.float64(err).view(np.int64)) for name, err in errors.items()]
+    assert bits(report.grad_errors) == bits(grad_ref)
+    assert bits(report.hess_errors) == bits(hess_ref)
 
 
 def test_certified_points_residual_zero(entries):

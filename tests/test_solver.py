@@ -37,9 +37,9 @@ def test_config_defaults_match_protocol():
     cfg = bn.SolverConfig(lam=1.0)
     assert (cfg.beta, cfg.eps, cfg.t, cfg.rho, cfg.sigma) == (1e-8, 1e-8, 2.1, 0.5, 1e-4)
     assert cfg.max_iter == 2000
-    assert cfg.max_backtracks == 60
+    assert solver.MAX_BACKTRACKS == 60
     assert {f.name for f in dataclasses.fields(cfg)} == {
-        "lam", "beta", "eps", "t", "rho", "sigma", "max_iter", "max_backtracks"}
+        "lam", "beta", "eps", "t", "rho", "sigma", "max_iter"}
     assert (KINK_TOL, PIVOT_TOL, solver.GRAD_STALL_TOL) == (1e-12, 1e-12, 1e-12)
 
 
@@ -126,12 +126,13 @@ def test_line_search_tiny_gradient_direction(entries):
     d = -bn.merit_grad(entry.problem, 1.0, zeta)
     result = _backtrack_from(entry.problem, cfg, zeta, d)
     if result is not None:
-        assert result.backtracks <= cfg.max_backtracks
+        assert result.backtracks <= solver.MAX_BACKTRACKS
 
 
-def test_line_search_stall_on_tight_budget(entries):
+def test_line_search_stall_on_tight_budget(entries, monkeypatch):
     entry = entries["xy-linear"]
-    cfg = bn.SolverConfig(lam=1.0, max_backtracks=1)
+    cfg = bn.SolverConfig(lam=1.0)
+    monkeypatch.setattr(solver, "MAX_BACKTRACKS", 1)
     zeta = bn.resolve_start(entry.problem)
     # huge descent-scaled direction: the first two trial points overshoot
     d = -1e12 * bn.merit_grad(entry.problem, 1.0, zeta)
@@ -423,8 +424,9 @@ def test_run_reports_final_values_when_the_start_follower_point_fails(problems):
     assert (report.F, report.f) == (start.F, start.f)
 
 
-# The line search before the staged trial, verbatim: every trial assembles
-# the full residual.
+# The line search before the staged trial, verbatim but for the backtrack
+# cap, read from solver.MAX_BACKTRACKS: every trial assembles the full
+# residual.
 def _reference_backtrack(
     problem: BilevelProblem,
     config: SolverConfig,
@@ -436,7 +438,7 @@ def _reference_backtrack(
     if slope >= 0:
         raise ValueError(f"line search needs a descent direction, slope={slope}")
     zeta_vec = zeta.to_vector()
-    for s in range(config.max_backtracks + 1):
+    for s in range(solver.MAX_BACKTRACKS + 1):
         alpha = config.rho**s
         trial = Iterate.from_vector(zeta_vec + alpha * d, problem.dims)
         r_trial = assemble_residual(problem, config.lam, trial)
@@ -486,7 +488,7 @@ def _line_search_cases(entries):
     return named + [(entries["dempe-parabola"].problem, 128.0, 40), (_small_lq(), 2.0, 2000)]
 
 
-def test_staged_line_search_decides_as_the_full_one(entries):
+def test_staged_line_search_decides_as_the_full_one(entries, monkeypatch):
     early = 0
     for problem, lam, max_iter in _line_search_cases(entries):
         cfg = bn.SolverConfig(lam=lam, max_iter=max_iter)
@@ -498,9 +500,9 @@ def test_staged_line_search_decides_as_the_full_one(entries):
             assert _same_decision(solver._backtrack(*args), _reference_backtrack(*args))
             # a budget one short of the accepted trial stalls both
             if rec.backtracks > 0:
-                tight = dataclasses.replace(cfg, max_backtracks=rec.backtracks - 1)
-                args = (problem, tight, *args[2:])
-                assert solver._backtrack(*args) is None and _reference_backtrack(*args) is None
+                with monkeypatch.context() as tight:
+                    tight.setattr(solver, "MAX_BACKTRACKS", rec.backtracks - 1)
+                    assert solver._backtrack(*args) is None and _reference_backtrack(*args) is None
             trials = _leader_trials(problem, cfg, rec.zeta, rec.direction, rec.merit_before,
                                     rec.slope, rec.backtracks)
             early += rec.backtracks + 1 - trials

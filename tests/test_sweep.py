@@ -23,7 +23,7 @@ def test_sweep_config_validation():
 
 def test_default_start_xy_linear(problems):
     p = problems["xy-linear"]
-    zeta = bn.default_start(p, np.array([1.0]), np.array([1.0]))
+    zeta = bn.resolve_start(p, np.array([1.0]), np.array([1.0]))
     np.testing.assert_allclose(zeta.z, [1.0])
     np.testing.assert_allclose(zeta.u, [0.0])  # |1 + 1 - 2|
     np.testing.assert_allclose(zeta.v, [0.0])  # |1 - 1|
@@ -32,7 +32,7 @@ def test_default_start_xy_linear(problems):
 
 def test_default_start_multiplier_magnitudes(problems):
     p = problems["quadratic-projection"]
-    zeta = bn.default_start(p, np.array([0.5]), np.array([2.0, -1.0]))
+    zeta = bn.resolve_start(p, np.array([0.5]), np.array([2.0, -1.0]))
     assert zeta.u.size == 0  # p = 0
     np.testing.assert_allclose(zeta.v, [3.0, 1.0])  # |y1 - y2|, |-y1 - y2|
     np.testing.assert_allclose(zeta.w, zeta.v)
@@ -58,7 +58,7 @@ def test_resolve_start_overrides(problems):
         (plain, {"y0": y0}, np.ones(1), y0),
     ]
     for problem, overrides, x, y in cases:
-        assert _same_iterate(bn.resolve_start(problem, **overrides), bn.default_start(problem, x, y))
+        assert _same_iterate(bn.resolve_start(problem, **overrides), bn.resolve_start(problem, x, y))
 
 
 def test_delta_metrics_zero_gap():
