@@ -276,8 +276,8 @@ class DerivativeCheckReport:
 
     @property
     def worst(self) -> float:
-        errs = list(self.grad_errors.values()) + list(self.hess_errors.values())
-        return max(errs) if errs else 0.0
+        # np.max, unlike max, keeps a NaN error, which then fails the check
+        return float(np.max([*self.grad_errors.values(), *self.hess_errors.values()], initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -289,13 +289,13 @@ def _stacked(b: EvalBundle) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([b.F, b.f, b.G, b.g]), np.vstack([b.dF, b.df, b.dG, b.dg])
 
 
-def _row_rel_errors(approx: np.ndarray, exact: np.ndarray) -> list[float]:
+def _row_rel_errors(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
     """max |approx - exact| / max(1, max |exact|) for each row of the two
     stacks, which it overwrites."""
     axes = tuple(range(1, exact.ndim))
     approx -= exact
     err = np.abs(approx, out=approx).max(axis=axes)
-    return (err / np.maximum(1.0, np.abs(exact, out=exact).max(axis=axes))).tolist()
+    return err / np.maximum(1.0, np.abs(exact, out=exact).max(axis=axes))
 
 
 def check_derivatives(
@@ -314,7 +314,7 @@ def check_derivatives(
     d = problem.dims
     nm = d.n + d.m
     names = ["F", "f", *(f"G[{j}]" for j in range(d.p)), *(f"g[{j}]" for j in range(d.q))]
-    report = DerivativeCheckReport()
+    grad_worst, hess_worst = np.zeros(len(names)), np.zeros(len(names))  # np.maximum keeps a NaN
 
     for x0, y0 in points:
         x0 = np.asarray(x0, dtype=float).reshape(d.n)
@@ -338,11 +338,8 @@ def check_derivatives(
             s *= 0.5
             hess_fd[:, i, : i + 1] = hess_fd[:, : i + 1, i] = s
 
-        grad_errors = _row_rel_errors(grad_fd, _stacked(base)[1])
+        grad_worst = np.maximum(grad_worst, _row_rel_errors(grad_fd, _stacked(base)[1]))
         hess = np.concatenate([base.d2F[None], base.d2f[None], base.d2G, base.d2g])
-        hess_errors = _row_rel_errors(hess_fd, hess)
-        for name, ge, he in zip(names, grad_errors, hess_errors):
-            report.grad_errors[name] = max(report.grad_errors.get(name, 0.0), ge)
-            report.hess_errors[name] = max(report.hess_errors.get(name, 0.0), he)
+        hess_worst = np.maximum(hess_worst, _row_rel_errors(hess_fd, hess))
 
-    return report
+    return DerivativeCheckReport(dict(zip(names, grad_worst.tolist())), dict(zip(names, hess_worst.tolist())))

@@ -183,7 +183,7 @@ def _ssosc_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     # the one point diagnose, ssosc_matrices and check_ssosc all pass through
     lam = require_penalty(lam)
-    n, m = zeta.x.size, zeta.y.size
+    n, m = zeta.dims.n, zeta.dims.m
 
     def row(grad: np.ndarray, follower: slice) -> np.ndarray:
         r = np.zeros(n + 2 * m)

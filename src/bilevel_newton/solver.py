@@ -165,10 +165,9 @@ def _backtrack(
 ) -> LineSearchResult | None:
     if slope >= 0:
         raise ValueError(f"line search needs a descent direction, slope={slope}")
-    zeta_vec = zeta.to_vector()
     for s in range(MAX_BACKTRACKS + 1):
         alpha = config.rho**s
-        trial = Iterate.from_vector(zeta_vec + alpha * d, problem.dims)
+        trial = Iterate(zeta.vec + alpha * d, zeta.dims)
         threshold = merit0 + config.sigma * alpha * slope
         r_trial = assemble_residual(problem, config.lam, trial, merit_bound=threshold)
         if r_trial is not None and r_trial.merit() <= threshold:

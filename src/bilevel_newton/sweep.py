@@ -107,10 +107,9 @@ def resolve_start(problem: BilevelProblem, x0=None, y0=None) -> Iterate:
     for name, part, size, dim in (("x0", x0, d.n, "n"), ("y0", y0, d.m, "m")):
         if part.size != size:
             raise ValueError(f"{name} has length {part.size}, expected {dim} = {size}")
-    x0, y0 = x0.reshape(d.n), y0.reshape(d.m)
     bundle = evaluate_all(problem, x0, y0)
     v0 = np.abs(bundle.g)
-    return Iterate(x=x0, y=y0.copy(), z=y0.copy(), u=np.abs(bundle.G), v=v0, w=v0.copy())
+    return Iterate.of(d, x0, y0, y0, np.abs(bundle.G), v0, v0)
 
 
 def sweep(

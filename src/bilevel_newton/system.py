@@ -67,33 +67,36 @@ def block_slices(dims: ProblemDims) -> Mapping[str, slice]:
 
 @dataclass(frozen=True)
 class Iterate:
-    """One stacked point zeta = (x, y, z, u, v, w)."""
+    """One stacked point zeta = (x, y, z, u, v, w): the float N-vector
+    ``vec``, made read-only, and its six blocks as attributes holding
+    read-only views of it at ``block_slices(dims)``, made once.  The
+    constructor takes ``vec`` over; ``from_vector`` and ``of`` copy."""
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    vec: np.ndarray
+    dims: ProblemDims
+
+    def __post_init__(self):
+        if self.vec.shape != (self.dims.N,):
+            raise ValueError(f"a stacked point has shape (N,) = ({self.dims.N},), got {self.vec.shape}")
+        self.vec.flags.writeable = False
+        for name, s in block_slices(self.dims).items():
+            object.__setattr__(self, name, self.vec[s])
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y, self.z, self.u, self.v, self.w])
+        return self.vec
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, dims: ProblemDims) -> "Iterate":
-        vec = np.asarray(vec, dtype=float).reshape(dims.N)
-        s = block_slices(dims)
-        return cls(*(vec[s[name]].copy() for name in VARIABLE_BLOCKS))
+        return cls(np.array(vec, dtype=float), dims)
 
     @classmethod
     def of(cls, dims: ProblemDims, x, y, z, u=(), v=(), w=()) -> "Iterate":
         """Build from loose sequences, validating block lengths."""
-        parts = [np.atleast_1d(np.asarray(b, dtype=float)).ravel() for b in (x, y, z, u, v, w)]
-        sizes = (dims.n, dims.m, dims.m, dims.p, dims.q, dims.q)
-        for name, part, size in zip(VARIABLE_BLOCKS, parts, sizes):
-            if part.size != size:
-                raise ValueError(f"block {name} has length {part.size}, expected {size}")
-        return cls(*parts)
+        parts = [np.asarray(b, dtype=float).ravel() for b in (x, y, z, u, v, w)]
+        for (name, s), part in zip(block_slices(dims).items(), parts):
+            if part.size != s.stop - s.start:
+                raise ValueError(f"block {name} has length {part.size}, expected {s.stop - s.start}")
+        return cls(np.concatenate(parts), dims)
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,6 @@ class ResidualVector:
     penalty, point and evaluations it was assembled from."""
 
     vec: np.ndarray
-    dims: ProblemDims
     lam: float
     zeta: Iterate
     at_y: EvalBundle
@@ -166,7 +168,7 @@ def assemble_residual(
     vec[s["y"]] = lag_y
     vec[s["u"]] = _fb_rows(at_y.G, zeta.u)
     vec[s["v"]] = _fb_rows(at_y.g, zeta.v)
-    return ResidualVector(vec=vec, dims=d, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
+    return ResidualVector(vec=vec, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
 
 
 _U = 2.0**-53      # unit roundoff
@@ -251,11 +253,14 @@ def hessian_block(
     instance) may hold anything beforehand; it is returned.  Without
     ``out`` a new array is returned.
     """
-    n, m = zeta.x.size, zeta.y.size
+    n, m = zeta.dims.n, zeta.dims.m
     k = n + 2 * m
     K = np.empty((k, k)) if out is None else out
     x, y, z = slice(0, n), slice(n, n + m), slice(n + m, k)
-    H_lag = at_y.d2F + _contract(zeta.u, at_y.d2G) + _contract(zeta.v, at_y.d2g) + lam * at_y.d2f
+    # one new array each, summed left to right in place: no evaluator array is written
+    H_lag = at_y.d2F + _contract(zeta.u, at_y.d2G)
+    H_lag += _contract(zeta.v, at_y.d2g)
+    H_lag += lam * at_y.d2f
     H_ell = at_z.d2f + _contract(zeta.w, at_z.d2g)
 
     np.subtract(H_lag[:n, :n], lam * H_ell[:n, :n], out=K[x, x])
@@ -288,7 +293,7 @@ def assemble_jacobian(residual: ResidualVector, *, out: np.ndarray | None = None
     diagonal.  The coefficients (a, b) come from one scalar ``pair_coeffs``
     call per pair, gathered for all pairs in one pass.
     """
-    d, lam, zeta = residual.dims, residual.lam, residual.zeta
+    d, lam, zeta = residual.zeta.dims, residual.lam, residual.zeta
     at_y, at_z = residual.at_y, residual.at_z
     n, k, N = d.n, d.n + 2 * d.m, d.N
     s = block_slices(d)
@@ -307,11 +312,11 @@ def assemble_jacobian(residual: ResidualVector, *, out: np.ndarray | None = None
     np.multiply(-lam, at_z.dg[:, :n].T, out=W[s["x"], s["w"]])
     np.multiply(-lam, at_z.dg[:, n:].T, out=W[s["z"], s["w"]])
 
-    # complementarity rows, one per pair in row order (u, v, w): a times the
-    # constraint gradient on the point columns, b on the multiplier diagonal
+    # complementarity rows, one per pair in row order (u, v, w, the blocks
+    # that end zeta): a times the constraint gradient on the point columns,
+    # b on the multiplier diagonal
     cons = at_y.G.tolist() + at_y.g.tolist() + at_z.g.tolist()
-    mults = zeta.u.tolist() + zeta.v.tolist() + zeta.w.tolist()
-    coeffs = np.array([pair_coeffs(c, mu) for c, mu in zip(cons, mults)]).reshape(-1, 2)
+    coeffs = np.array([pair_coeffs(c, mu) for c, mu in zip(cons, zeta.vec[k:].tolist())]).reshape(-1, 2)
     rows = np.concatenate((at_y.dG, at_y.dg, at_z.dg))
     rows *= coeffs[:, :1]
     j = d.p + d.q  # rows u and v differentiate in y, rows w in z

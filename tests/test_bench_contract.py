@@ -64,9 +64,16 @@ def test_fields_and_calls_the_workloads_read():
     assert config.max_iter == 3
     sweep_config = bn.SweepConfig(lambda_grid=(0.5, 1.0), base=config)
     assert sweep_config.lambda_grid == (0.5, 1.0) and sweep_config.base is config
-    problem = bn.get_entry("xy-linear").problem
+    entry = bn.get_entry("xy-linear")
+    problem = entry.problem
     norm = bn.assemble_residual(problem, 1.0, bn.resolve_start(problem)).norm()
     assert isinstance(norm, float) and np.isfinite(norm)
+    # the certified gap and the sign check of y read a run's final point
+    report = bn.run(problem, config, bn.resolve_start(problem))
+    point = next(c for c in entry.certified_points if c.admissible(report.lam))
+    gap = report.final.to_vector() - point.build(report.lam).to_vector()
+    assert gap.shape == (problem.dims.N,) and np.isfinite(gap).all()
+    assert report.final.y.shape == (problem.dims.m,) and np.isfinite(np.min(report.final.y))
 
 
 def _counting_scalars(monkeypatch):

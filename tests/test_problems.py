@@ -214,6 +214,33 @@ def test_check_derivatives_detects_corrupted_gradient():
     assert not report.passed
 
 
+def test_check_derivatives_fails_a_non_finite_error():
+    # F's gradient jumps by 2e303 across each axis at (0, 0): the central
+    # differences of the gradient overflow to +inf and -inf in a symmetric
+    # pair, whose mean is NaN
+    dims = bn.ProblemDims(n=1, m=1, p=0, q=1)
+
+    def F(x, y):
+        return 0.0, 1e303 * np.array([np.sign(y[0]), -np.sign(x[0])]), np.zeros((2, 2))
+
+    def f(x, y):
+        return y[0], np.array([0.0, 1.0]), np.zeros((2, 2))
+
+    def g(x, y):
+        return np.array([x[0]]), np.array([[1.0, 0.0]]), np.zeros((1, 2, 2))
+
+    p = bn.BilevelProblem(name="jump", dims=dims, F=F, f=f, g=g)
+    jump, smooth = (np.array([0.0]), np.array([0.0])), (np.array([1.0]), np.array([1.0]))
+    # the NaN is kept whether a finite error comes before or after it
+    for points in ([jump], [jump, smooth], [smooth, jump]):
+        with pytest.warns(RuntimeWarning) as record:
+            report = bn.check_derivatives(p, points)
+        assert {str(w.message) for w in record} == {
+            "overflow encountered in divide", "invalid value encountered in add"}
+        assert math.isnan(report.hess_errors["F"]) and math.isnan(report.worst)
+        assert not report.passed
+
+
 def _quadratic_problem(rng, n):
     """n = m = q: quadratic F and f, q quadratic follower constraints."""
     k = 2 * n

@@ -265,7 +265,7 @@ def test_run_proceeds_when_F_fails_only_at_the_follower_copy(problems):
             return np.nan, np.zeros(nm), np.zeros((nm, nm))
         return base.F(x, y)
     zeta0 = bn.resolve_start(base)
-    zeta0 = dataclasses.replace(zeta0, z=zeta0.z + 9.0)
+    zeta0 = bn.Iterate.of(zeta0.dims, zeta0.x, zeta0.y, zeta0.z + 9.0, zeta0.u, zeta0.v, zeta0.w)
     report = bn.run(dataclasses.replace(base, F=F), bn.SolverConfig(lam=1.0), zeta0)
     assert report.status == bn.SOLVED and report.error is None
 
@@ -285,7 +285,7 @@ def _nonfinite_at(problem, name, point):
 def _first_trial(problem, cfg):
     """A start with z != y, and the first line-search trial point from it."""
     zeta0 = bn.resolve_start(problem)
-    zeta0 = dataclasses.replace(zeta0, z=zeta0.z + 0.5)
+    zeta0 = bn.Iterate.of(zeta0.dims, zeta0.x, zeta0.y, zeta0.z + 0.5, zeta0.u, zeta0.v, zeta0.w)
     d = _first_step(problem, cfg, zeta0).direction
     return zeta0, bn.Iterate.from_vector(zeta0.to_vector() + d, problem.dims)
 
@@ -417,7 +417,7 @@ def test_run_reports_final_values_when_the_start_follower_point_fails(problems):
     zeta0 = bn.resolve_start(base)
     p = dataclasses.replace(base, g=lambda x, y: (np.full(2, np.nan), np.zeros((2, 3)), np.zeros((2, 3, 3)))
                             if y[0] > 5 else base.g(x, y))
-    report = bn.run(p, bn.SolverConfig(lam=1.0), dataclasses.replace(zeta0, z=zeta0.z + 9.0))
+    report = bn.run(p, bn.SolverConfig(lam=1.0), bn.Iterate.of(zeta0.dims, zeta0.x, zeta0.y, zeta0.z + 9.0, zeta0.u, zeta0.v, zeta0.w))
     assert report.status == bn.EVALUATION_FAILED
     assert "while evaluating g at [1.0, 10.0, 10.0]" in report.error
     start = bn.evaluate_all(base, zeta0.x, zeta0.y)

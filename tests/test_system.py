@@ -31,6 +31,51 @@ def test_iterate_of_validates_lengths(problems):
         bn.Iterate.of(p.dims, x=[1.0, 2.0], y=[0.0], z=[0.0], u=[0.0], v=[0.0], w=[0.0])
 
 
+def test_iterate_blocks_are_read_only_views_of_vec(problems):
+    p = problems["quadratic-projection"]  # p = 0: one block is empty
+    zeta = bn.Iterate.from_vector(np.arange(p.dims.N, dtype=float), p.dims)
+    s = block_slices(p.dims)
+    for name in VARIABLE_BLOCKS:
+        block = getattr(zeta, name)
+        assert block.size == 0 or np.shares_memory(block, zeta.vec)
+        assert np.array_equal(block, zeta.vec[s[name]])
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 1.0
+    assert zeta.to_vector() is zeta.vec
+    with pytest.raises(ValueError, match="read-only"):
+        zeta.vec[0] = 1.0
+
+
+def test_iterate_from_vector_copies(problems):
+    p = problems["xy-linear"]
+    source = np.linspace(-1, 1, p.dims.N)
+    zeta = bn.Iterate.from_vector(source, p.dims)
+    source[:] = 7.0
+    assert np.array_equal(zeta.vec, np.linspace(-1, 1, p.dims.N))
+    assert zeta.x[0] == -1.0
+
+
+def test_iterate_rejects_a_vector_of_the_wrong_length(problems):
+    p = problems["dempe-parabola"]
+    assert p.dims.N == 5
+    for make in (bn.Iterate.from_vector, lambda vec, dims: bn.Iterate(vec, dims)):
+        for vec in (np.zeros(4), np.zeros(6), np.zeros((5, 1)), np.float64(0.0)):
+            with pytest.raises(ValueError, match=r"\(N,\) = \(5,\)"):
+                make(vec, p.dims)
+
+
+def test_run_outputs_cannot_be_written_through(entries):
+    entry = entries["dempe-parabola"]
+    records = []
+    report = bn.run(entry.problem, bn.SolverConfig(lam=1.0), bn.resolve_start(entry.problem),
+                    callback=records.append)
+    assert report.iterations > 0 and len(records) == report.iterations
+    for zeta in [report.final] + [rec.zeta for rec in records]:
+        for array in (zeta.vec, zeta.x, zeta.y, zeta.z, zeta.u, zeta.v, zeta.w):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+
 def test_block_slices_shared_and_read_only(problems):
     dims = problems["quadratic-projection"].dims
     s = block_slices(dims)
@@ -68,7 +113,7 @@ def _reference_hessian(lam, zeta, at_y, at_z):
 def _reference_jacobian(r):
     """W with its complementarity rows written one row at a time, with a
     pair_coeffs call per row: the loop assemble_jacobian replaced."""
-    d, lam, zeta, at_y, at_z = r.dims, r.lam, r.zeta, r.at_y, r.at_z
+    d, lam, zeta, at_y, at_z = r.zeta.dims, r.lam, r.zeta, r.at_y, r.at_z
     n, k = d.n, d.n + 2 * d.m
     s = block_slices(d)
     W = np.zeros((d.N, d.N))
@@ -101,7 +146,7 @@ def test_hessian_block_matches_tensordot_reference(k):
     rng = np.random.default_rng(k)
     n, m, lam = 3, 2, 2.5
     at_y, at_z = _random_bundle(rng, n, n + m, k), _random_bundle(rng, n, n + m, k)
-    zeta = bn.Iterate(*(rng.normal(size=size) for size in (n, m, m, k, k, k)))
+    zeta = bn.Iterate(rng.normal(size=n + 2 * m + 3 * k), bn.ProblemDims(n=n, m=m, p=k, q=k))
     assert np.array_equal(hessian_block(lam, zeta, at_y, at_z), _reference_hessian(lam, zeta, at_y, at_z))
 
 
@@ -128,9 +173,9 @@ def _jacobian_cases(draw):
                       g=cons[p:p + q], dg=rand(q, nm), d2g=rand(q, nm, nm))
     at_z = EvalBundle(n=n, F=None, dF=None, d2F=None, f=3.0, df=rand(nm), d2f=rand(nm, nm),
                       G=None, dG=None, d2G=None, g=cons[p + q:], dg=rand(q, nm), d2g=rand(q, nm, nm))
-    zeta = bn.Iterate(rand(n), rand(m), rand(m), mults[:p], mults[p:p + q], mults[p + q:])
     dims = bn.ProblemDims(n=n, m=m, p=p, q=q)
-    r = system.ResidualVector(vec=np.zeros(dims.N), dims=dims, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
+    zeta = bn.Iterate.of(dims, rand(n), rand(m), rand(m), mults[:p], mults[p:p + q], mults[p + q:])
+    r = system.ResidualVector(vec=np.zeros(dims.N), lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
     return r, draw(st.sampled_from("CF"))
 
 
@@ -140,10 +185,10 @@ def test_jacobian_matches_the_per_row_reference_bitwise(case):
     r, order = case
     reference = _reference_jacobian(r)
     assert np.array_equal(_bits(bn.assemble_jacobian(r)), _bits(reference))
-    buf = np.full((r.dims.N, r.dims.N), np.nan, order=order)
+    buf = np.full((r.zeta.dims.N, r.zeta.dims.N), np.nan, order=order)
     assert bn.assemble_jacobian(r, out=buf) is buf
     assert np.array_equal(_bits(buf), _bits(reference))
-    k = r.dims.n + 2 * r.dims.m
+    k = r.zeta.dims.n + 2 * r.zeta.dims.m
     corner = np.full((k, k), np.nan, order=order)
     assert hessian_block(r.lam, r.zeta, r.at_y, r.at_z, out=corner) is corner
     assert np.array_equal(_bits(corner), _bits(reference[:k, :k]))
