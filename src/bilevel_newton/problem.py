@@ -10,8 +10,10 @@ the leader variable x (dim n) and a follower variable (dim m):
 
 Each evaluator returns values together with exact first and second
 derivatives with respect to the stacked point (x, y) in R^{n+m}.  A
-Hessian that is exactly symmetric (bit for bit) is used as returned, without
-a copy; any other Hessian is symmetrized on ingestion as (H + H^T) / 2.
+returned array is scanned for non-finite entries only when its sum of
+squares is not finite.  A Hessian that is exactly symmetric (bit for bit)
+is used as returned, without a copy; any other Hessian is symmetrized on
+ingestion as (H + H^T) / 2.
 A large Hessian that an evaluator returns again from the same memory (as a
 quadratic objective or linear constraints often do) is checked once, not at
 every point: evaluators must not write into an array they have returned,
@@ -132,8 +134,8 @@ def _sym(h: np.ndarray) -> np.ndarray:
 # do not write into arrays they have returned, so such a region need not be
 # read again.  The references are weak: this keeps no array alive.
 _CHECKED: dict[tuple, tuple[weakref.ref, bool]] = {}
-# Smaller Hessians are checked again at every call: the check then costs
-# little more than the bookkeeping, and such arrays stay in cache.
+# Smaller Hessians are checked at every call, with one ddot and one compare
+# of their bytes to those of their transpose: cheaper than the bookkeeping.
 _CHECKED_MIN_BYTES = 1 << 16
 
 
@@ -173,10 +175,10 @@ def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
     sqrt(DBL_MAX), so h + h^T cannot overflow and the result is known
     finite without a scan; when h also equals its transpose bit for bit,
     0.5 * (h + h^T) = 0.5 * (2 h) is exactly h, and h is returned as it
-    is.  The bits are compared as integers so that a
-    -0.0/+0.0 pair, which symmetrization turns into +0.0, is not taken
-    as symmetric.  BLAS ddot, unlike ndarray.dot, does not warn on
-    overflow; an overflowing sum only sends h to the symmetrizing path.
+    is.  The bits are compared (as bytes for a small h, as integers for a
+    large one) so that a -0.0/+0.0 pair, which symmetrization turns into
+    +0.0, is not taken as symmetric.  An overflowing sum, on which ddot
+    does not warn, only sends h to the symmetrizing path.
 
     A large h read from memory that passed both checks before is returned
     without reading it again (``_CHECKED``).
@@ -187,14 +189,22 @@ def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
     flat = h.ravel(order="K")
     if not math.isfinite(ddot(flat, flat)):
         return _sym(h), False
+    if region is None:  # small: the bytes of h and of h^T, both in C order
+        return (h, True) if h.tobytes() == h.swapaxes(-1, -2).tobytes() else (_sym(h), True)
     bits = h.view(np.int64)
     if (bits == bits.swapaxes(-1, -2)).all():
-        if region is not None:
-            owner, key = region
-            _CHECKED[key] = (weakref.ref(owner, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)),
-                             not bits.any())
+        owner, key = region
+        _CHECKED[key] = (weakref.ref(owner, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)),
+                         not bits.any())
         return h, True
     return _sym(h), True
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite; a is scanned only when its sum of
+    squares is not.  BLAS ddot, unlike ndarray.dot, does not warn on overflow."""
+    flat = a.ravel(order="K")
+    return math.isfinite(ddot(flat, flat)) or bool(np.isfinite(flat).all())
 
 
 def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):
@@ -206,7 +216,7 @@ def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):
     except (TypeError, ValueError) as exc:
         raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
     hess, finite = _ingest_hessian(hess)
-    if not (math.isfinite(val) and np.isfinite(grad).all() and (finite or np.isfinite(hess).all())):
+    if not (math.isfinite(val) and _finite(grad) and (finite or np.isfinite(hess).all())):
         raise EvaluationError(name, np.concatenate(xy))
     return val, grad, hess
 
@@ -222,7 +232,7 @@ def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm:
     except (TypeError, ValueError) as exc:
         raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
     hessians, finite = _ingest_hessian(hessians)
-    if not (np.isfinite(vals).all() and np.isfinite(jac).all() and (finite or np.isfinite(hessians).all())):
+    if not (_finite(vals) and _finite(jac) and (finite or np.isfinite(hessians).all())):
         raise EvaluationError(name, np.concatenate(xy))
     return vals, jac, hessians
 
@@ -243,22 +253,13 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, upper
     nm = d.n + d.m
 
     # each evaluator's output is checked before the next one is called; a
-    # constraint evaluator with no components (p = 0 or q = 0) is not called
-    Fv = dF = d2F = Gv = dG = d2G = None
-    if upper:
-        Fv, dF, d2F = _check_scalar("F", xy, problem.F(x, y), nm)
-    fv, df, d2f = _check_scalar("f", xy, problem.f(x, y), nm)
-    if upper:
-        Gv, dG, d2G = _check_vector("G", xy, problem.G(x, y) if d.p else None, d.p, nm)
-    gv, dg, d2g = _check_vector("g", xy, problem.g(x, y) if d.q else None, d.q, nm)
-
-    return EvalBundle(
-        n=d.n,
-        F=Fv, dF=dF, d2F=d2F,
-        f=fv, df=df, d2f=d2f,
-        G=Gv, dG=dG, d2G=d2G,
-        g=gv, dg=dg, d2g=d2g,
-    )
+    # constraint evaluator with no components (p = 0 or q = 0) is not called.
+    # Each check gives (value, gradient, Hessian), the bundle's field order.
+    F = _check_scalar("F", xy, problem.F(x, y), nm) if upper else (None,) * 3
+    f = _check_scalar("f", xy, problem.f(x, y), nm)
+    G = _check_vector("G", xy, problem.G(x, y) if d.p else None, d.p, nm) if upper else (None,) * 3
+    g = _check_vector("g", xy, problem.g(x, y) if d.q else None, d.q, nm)
+    return EvalBundle(d.n, *F, *f, *G, *g)
 
 
 # check_derivatives' central-difference step, relative to max(1, ||point||),

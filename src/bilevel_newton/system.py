@@ -65,17 +65,20 @@ def block_slices(dims: ProblemDims) -> Mapping[str, slice]:
     return MappingProxyType(slices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iterate:
-    """One stacked point zeta = (x, y, z, u, v, w): the float N-vector
+    """One stacked point zeta = (x, y, z, u, v, w): the float64 N-vector
     ``vec``, made read-only, and its six blocks as attributes holding
     read-only views of it at ``block_slices(dims)``, made once.  The
-    constructor takes ``vec`` over; ``from_vector`` and ``of`` copy."""
+    constructor takes ``vec`` over; ``from_vector`` and ``of`` copy.
+    Iterates compare and hash by identity, not by value."""
 
     vec: np.ndarray
     dims: ProblemDims
 
     def __post_init__(self):
+        if self.vec.dtype != np.float64:
+            raise ValueError(f"a stacked point is float64, got {self.vec.dtype}")
         if self.vec.shape != (self.dims.N,):
             raise ValueError(f"a stacked point has shape (N,) = ({self.dims.N},), got {self.vec.shape}")
         self.vec.flags.writeable = False
@@ -111,7 +114,7 @@ class ResidualVector:
     at_z: EvalBundle
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return math.sqrt(self.vec.dot(self.vec))  # np.linalg.norm's arithmetic, same bits
 
     def merit(self) -> float:
         """The merit function Psi = 0.5 * ||Phi||^2, as the line search tests it."""
@@ -131,10 +134,6 @@ def require_penalty(lam: float) -> float:
     return lam
 
 
-def _split(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return vec[:n], vec[n:]
-
-
 def assemble_residual(
     problem: BilevelProblem, lam: float, zeta: Iterate, *, merit_bound: float | None = None
 ) -> ResidualVector | None:
@@ -148,26 +147,25 @@ def assemble_residual(
     is bitwise the same with or without the bound.
     """
     lam = require_penalty(lam)
-    d = problem.dims
-    s = block_slices(d)
+    d, s = problem.dims, block_slices(problem.dims)
     vec = np.empty(d.N)
+    rows_z, rows_w = vec[s["z"]], vec[s["w"]]
 
     at_z = evaluate_all(problem, zeta.x, zeta.z, upper=False)
-    # follower-Lagrangian gradient pieces at (x, z)
-    ell_grad = at_z.df + at_z.dg.T @ zeta.w  # over (x, z) coordinates
-    ell_x, ell_z = _split(ell_grad, d.n)
-    vec[s["z"]] = -lam * ell_z
-    vec[s["w"]] = _fb_rows(at_z.g, zeta.w)
-    if merit_bound is not None and _follower_rejects(vec[s["z"]], vec[s["w"]], d.N, merit_bound):
+    ell_grad = at_z.df + at_z.dg.T @ zeta.w  # the follower-Lagrangian gradient over (x, z)
+    np.multiply(-lam, ell_grad[d.n:], out=rows_z)
+    rows_w[:] = _fb_rows(at_z.g.tolist(), zeta.w)
+    if merit_bound is not None and _follower_rejects(rows_z, rows_w, d.N, merit_bound):
         return None
 
     at_y = evaluate_all(problem, zeta.x, zeta.y)
-    lag_grad = at_y.dF + at_y.dG.T @ zeta.u + at_y.dg.T @ zeta.v + lam * at_y.df
-    lag_x, lag_y = _split(lag_grad, d.n)
-    vec[s["x"]] = lag_x - lam * ell_x
-    vec[s["y"]] = lag_y
-    vec[s["u"]] = _fb_rows(at_y.G, zeta.u)
-    vec[s["v"]] = _fb_rows(at_y.g, zeta.v)
+    # rows x and y: the upper-Lagrangian gradient over (x, y), less lam ell_x in rows x
+    lag_grad = np.add(at_y.dF, at_y.dG.T @ zeta.u, out=vec[:s["z"].start])
+    lag_grad += at_y.dg.T @ zeta.v
+    lag_grad += lam * at_y.df
+    lag_grad[s["x"]] -= lam * ell_grad[s["x"]]
+    uv = slice(s["u"].start, s["v"].stop)  # rows u and v follow each other, as do G's and g's pairs
+    vec[uv] = _fb_rows(at_y.G.tolist() + at_y.g.tolist(), zeta.vec[uv])
     return ResidualVector(vec=vec, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
 
 
@@ -214,9 +212,9 @@ def _follower_rejects(rows_z: np.ndarray, rows_w: np.ndarray, N: int, bound: flo
     return math.isfinite(s_f) and 0.5 * s_f * (1.0 - 8 * (N + 4) * _U) - (N + 4) * _ETA > bound
 
 
-def _fb_rows(cons: np.ndarray, mults: np.ndarray) -> list[float]:
+def _fb_rows(cons: list[float], mults: np.ndarray) -> list[float]:
     # Python floats: fb on numpy scalars costs twice as much, same bits
-    return [fb(-c, mu) for c, mu in zip(cons.tolist(), mults.tolist())]
+    return [fb(-c, mu) for c, mu in zip(cons, mults.tolist())]
 
 
 def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray | float:

@@ -506,14 +506,20 @@ def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm:
 _X, _Y = np.array([0.5]), np.array([-1.5, 2.0])
 
 
+def _output_problem(**outputs):
+    """n = 1, m = 2, p = 1, q = 2: F, f, G and g return the given values,
+    gradients (Jacobians) and Hessians, keyed F, dF, d2F and so on; finite
+    values and gradients and identity Hessians for the others."""
+    o = {**dict(F=1.0, dF=np.ones(3), d2F=np.eye(3), f=2.0, df=np.ones(3), d2f=np.eye(3),
+                G=np.array([-1.0]), dG=np.ones((1, 3)), d2G=_stack(1),
+                g=np.array([-2.0, -3.0]), dg=np.ones((2, 3)), d2g=_stack(2)), **outputs}
+    return bn.BilevelProblem(name="outputs", dims=bn.ProblemDims(n=1, m=2, p=1, q=2),
+                             **{k: lambda x, y, k=k: (o[k], o["d" + k], o["d2" + k]) for k in "FfGg"})
+
+
 def _hessian_problem(d2F, d2f, d2G, d2g):
-    """n = 1, m = 2, p = 1, q = 2: finite values and gradients, the given Hessians."""
-    return bn.BilevelProblem(
-        name="hessians", dims=bn.ProblemDims(n=1, m=2, p=1, q=2),
-        F=lambda x, y: (1.0, np.ones(3), d2F),
-        f=lambda x, y: (2.0, np.ones(3), d2f),
-        G=lambda x, y: (np.array([-1.0]), np.ones((1, 3)), d2G),
-        g=lambda x, y: (np.array([-2.0, -3.0]), np.ones((2, 3)), d2g))
+    """Finite values and gradients, the given Hessians."""
+    return _output_problem(d2F=d2F, d2f=d2f, d2G=d2G, d2g=d2g)
 
 
 def _ingested(problem):
@@ -632,6 +638,48 @@ def test_hessian_ingestion_property(d2F, d2f, d2G, d2g):
     _assert_ingested_as_reference(_hessian_problem(d2F, d2f, d2G, d2g))
 
 
+@pytest.mark.parametrize("case,values,raises", [
+    ("squares overflow, entries finite", dict(dF=np.array([1e200, 1e200, 0.0])), None),
+    ("DBL_MAX in a Jacobian", dict(dg=_with(np.ones((2, 3)), {(1, 2): np.finfo(float).max})), None),
+    ("1e200 values", dict(g=np.array([1e200, -1e200])), None),
+    ("inf/-inf pair in a gradient", dict(df=np.array([np.inf, -np.inf, 0.0])), "f"),
+    ("inf/-inf pair in a Jacobian", dict(dG=np.array([[np.inf, -np.inf, 1.0]])), "G"),
+    ("NaN value", dict(G=np.array([np.nan])), "G"),
+    ("NaN among overflowing squares", dict(dg=_with(np.full((2, 3), 1e300), {(0, 1): np.nan})), "g"),
+    ("inf scalar value", dict(F=np.inf), "F"),
+    ("-inf in values", dict(g=np.array([-2.0, -np.inf])), "g"),
+    ("subnormal gradient", dict(dF=np.array([5e-324, -5e-324, 2.2250738585072014e-308])), None),
+    ("Jacobian as a transposed view", dict(dg=np.arange(6.0).reshape(3, 2).T), None),
+])
+def test_value_ingestion_matches_scanning_reference(case, values, raises):
+    result = _assert_ingested_as_reference(_output_problem(**values))
+    assert (result[1] if result[0] == "error" else None) == raises
+
+
+@st.composite
+def _values(draw, shape):
+    """float64 arrays (or a Python float, for shape ()) with special values,
+    in C, Fortran or transposed-view layout."""
+    small = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1.0)), st.floats(-1e6, 1e6))
+    anything = st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))
+    a = draw(hnp.arrays(np.float64, shape, elements=draw(st.sampled_from([small, anything]))))
+    if a.ndim == 0:
+        return float(a)
+    layout = draw(st.sampled_from(["C", "F", "T"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "T" and a.ndim == 2:
+        return np.ascontiguousarray(a.T).T
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(F=_values(()), dF=_values((3,)), f=_values(()), df=_values((3,)), G=_values((1,)), dG=_values((1, 3)),
+       g=_values((2,)), dg=_values((2, 3)))
+def test_value_ingestion_property(F, dF, f, df, G, dG, g, dg):
+    _assert_ingested_as_reference(_output_problem(F=F, dF=dF, f=f, df=df, G=G, dG=dG, g=g, dg=dg))
+
+
 def test_symmetric_hessians_are_not_copied():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 3, 3))
@@ -674,8 +722,10 @@ def _ddot_reads(problem, points):
 def test_repeated_large_hessian_is_checked_once():
     stack = _big_stack(np.random.default_rng(9))
     reads, bundles = _ddot_reads(_big_g_problem(stack), [(_X, _Y), (_X + 1.0, _Y), (_X, _Y - 1.0)])
-    # F's and f's 3 x 3 Hessians are checked at every point, g's stack at the first only
-    assert reads == [9, 9, stack.size, 9, 9, 9, 9]
+    # F's and f's 3 x 3 Hessians are checked at every point, g's stack at the
+    # first only; ddot also reads values, gradients and Jacobians (sizes 3,
+    # _BIG_Q and 3 _BIG_Q), which are not counted here
+    assert [size for size in reads if size in (9, stack.size)] == [9, 9, stack.size, 9, 9, 9, 9]
     for b in bundles:
         assert np.shares_memory(b.d2g, stack)
         assert np.array_equal(b.d2g.view(np.int64), stack.view(np.int64))

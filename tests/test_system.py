@@ -1,5 +1,6 @@
 """Residual, Jacobian, and merit-function assembly tests."""
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -62,6 +63,24 @@ def test_iterate_rejects_a_vector_of_the_wrong_length(problems):
         for vec in (np.zeros(4), np.zeros(6), np.zeros((5, 1)), np.float64(0.0)):
             with pytest.raises(ValueError, match=r"\(N,\) = \(5,\)"):
                 make(vec, p.dims)
+
+
+def test_iterate_rejects_a_vector_that_is_not_float64(problems):
+    p = problems["dempe-parabola"]
+    for vec in (np.arange(5), np.zeros(5, dtype=np.float32), np.zeros(5, dtype=">f8"), np.zeros(5, dtype=bool)):
+        with pytest.raises(ValueError, match=f"float64, got {vec.dtype}"):
+            bn.Iterate(vec, p.dims)
+    assert bn.Iterate.from_vector(np.arange(5), p.dims).x.dtype == np.float64
+    assert bn.Iterate.of(p.dims, [1], [2], [3], v=[4], w=[5]).vec.dtype == np.float64
+
+
+def test_iterates_compare_and_hash_by_identity(problems):
+    p = problems["dempe-parabola"]
+    a, b = bn.resolve_start(p), bn.resolve_start(p)
+    assert np.array_equal(a.vec, b.vec)
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_run_outputs_cannot_be_written_through(entries):
@@ -192,6 +211,112 @@ def test_jacobian_matches_the_per_row_reference_bitwise(case):
     corner = np.full((k, k), np.nan, order=order)
     assert hessian_block(r.lam, r.zeta, r.at_y, r.at_z, out=corner) is corner
     assert np.array_equal(_bits(corner), _bits(reference[:k, :k]))
+
+
+# assemble_residual as it was before its rows were written in place, with
+# its helpers, kept verbatim as the reference
+def _split(vec, n):
+    return vec[:n], vec[n:]
+
+
+def _reference_fb_rows(cons, mults):
+    return [complementarity.fb(-c, mu) for c, mu in zip(cons.tolist(), mults.tolist())]
+
+
+def _reference_follower_rejects(rows_z, rows_w, N, bound):
+    if bound < 0:
+        return True
+    s_f = float(rows_z.dot(rows_z)) + float(rows_w.dot(rows_w))
+    return math.isfinite(s_f) and 0.5 * s_f * (1.0 - 8 * (N + 4) * 2.0**-53) - (N + 4) * 2.0**-1074 > bound
+
+
+def _reference_assemble_residual(problem, lam, zeta, *, merit_bound=None):
+    lam = system.require_penalty(lam)
+    d = problem.dims
+    s = block_slices(d)
+    vec = np.empty(d.N)
+
+    at_z = bn.evaluate_all(problem, zeta.x, zeta.z, upper=False)
+    ell_grad = at_z.df + at_z.dg.T @ zeta.w
+    ell_x, ell_z = _split(ell_grad, d.n)
+    vec[s["z"]] = -lam * ell_z
+    vec[s["w"]] = _reference_fb_rows(at_z.g, zeta.w)
+    if merit_bound is not None and _reference_follower_rejects(vec[s["z"]], vec[s["w"]], d.N, merit_bound):
+        return None
+
+    at_y = bn.evaluate_all(problem, zeta.x, zeta.y)
+    lag_grad = at_y.dF + at_y.dG.T @ zeta.u + at_y.dg.T @ zeta.v + lam * at_y.df
+    lag_x, lag_y = _split(lag_grad, d.n)
+    vec[s["x"]] = lag_x - lam * ell_x
+    vec[s["y"]] = lag_y
+    vec[s["u"]] = _reference_fb_rows(at_y.G, zeta.u)
+    vec[s["v"]] = _reference_fb_rows(at_y.g, zeta.v)
+    return system.ResidualVector(vec=vec, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
+
+
+@st.composite
+def _residual_cases(draw):
+    """A problem whose evaluators return drawn data at the point's (x, y) and
+    (x, z), with p, q in 0..3; the point, a penalty and a merit bound kind."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    lam = draw(st.one_of(st.sampled_from([0.5, 1.0, 128.0]), st.floats(1e-3, 1e6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nm = n + m
+    kinds = draw(st.lists(st.integers(-1, len(_SPECIAL_PAIRS) - 1), min_size=p + 2 * q, max_size=p + 2 * q))
+    pairs = [tuple(rng.normal(size=2)) if kind < 0 else _SPECIAL_PAIRS[kind] for kind in kinds]
+    cons, mults = (np.array([pair[i] for pair in pairs], dtype=float).reshape(-1) for i in (0, 1))
+
+    def rand(*shape):
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        a[rng.random(shape) < 0.2] = -0.0  # signed zeros, which sums can turn into +0.0
+        return a
+    dims = bn.ProblemDims(n=n, m=m, p=p, q=q)
+    zeta = bn.Iterate.of(dims, rand(n), rand(m), rand(m), mults[:p], mults[p:p + q], mults[p + q:])
+    # f and g see the point's y or z; (y and z may be equal, and then z's data is returned)
+    f_at = {zeta.y.tobytes(): (1.0, rand(nm)), zeta.z.tobytes(): (2.0, rand(nm))}
+    g_at = {zeta.y.tobytes(): (cons[p:p + q], rand(q, nm)), zeta.z.tobytes(): (cons[p + q:], rand(q, nm))}
+    F_data, G_data = (3.0, rand(nm)), (cons[:p], rand(p, nm))
+    problem = bn.BilevelProblem(
+        name="drawn", dims=dims,
+        F=lambda x, y: (*F_data, np.zeros((nm, nm))),
+        f=lambda x, y: (*f_at[y.tobytes()], np.zeros((nm, nm))),
+        G=lambda x, y: (*G_data, np.zeros((p, nm, nm))),
+        g=lambda x, y: (*g_at[y.tobytes()], np.zeros((q, nm, nm))))
+    return problem, lam, zeta, draw(st.sampled_from([None, "negative", "zero", "follower", "full", "twice"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_residual_cases())
+def test_residual_matches_the_reference_bitwise(case):
+    problem, lam, zeta, bound_kind = case
+    full = _reference_assemble_residual(problem, lam, zeta)
+    s = block_slices(zeta.dims)
+    s_f = float(full.vec[s["z"]] @ full.vec[s["z"]] + full.vec[s["w"]] @ full.vec[s["w"]])
+    bound = {None: None, "negative": -1.0, "zero": 0.0, "follower": 0.4 * s_f,
+             "full": full.merit(), "twice": 2.0 * full.merit()}[bound_kind]
+    counted, calls = counting(problem, "F", "f", "G", "g")
+    reference = _reference_assemble_residual(counted, lam, zeta, merit_bound=bound)
+    reference_calls = {name: len(c) for name, c in calls.items()}
+    for c in calls.values():
+        c.clear()
+    r = bn.assemble_residual(counted, lam, zeta, merit_bound=bound)
+    assert {name: len(c) for name, c in calls.items()} == reference_calls
+    if bound_kind == "negative" or (bound_kind == "follower" and s_f > 1e-300):
+        assert reference is None
+    assert (r is None) == (reference is None)
+    if r is not None:
+        assert np.array_equal(_bits(r.vec), _bits(reference.vec))
+        assert r.lam == reference.lam and r.zeta is zeta
+        assert (r.at_y.F, r.at_y.f, r.at_z.f) == (reference.at_y.F, reference.at_y.f, reference.at_z.f)
+
+
+def test_residual_norm_is_the_bits_of_np_linalg_norm():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        vec = rng.normal(size=int(rng.integers(1, 40))) * 10.0 ** rng.integers(-150, 150)
+        r = system.ResidualVector(vec=vec, lam=1.0, zeta=None, at_y=None, at_z=None)
+        assert r.norm() == float(np.linalg.norm(vec)) and type(r.norm()) is float
 
 
 def test_residual_rejects_nonpositive_lambda(problems):
