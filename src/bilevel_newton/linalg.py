@@ -27,6 +27,9 @@ class SingularMatrixError(RuntimeError):
 # A pivot is tiny when its magnitude is <= PIVOT_TOL times the largest
 # absolute entry of the matrix.
 PIVOT_TOL = 1e-12
+# null_space_basis counts a singular value toward the rank when it exceeds
+# NULL_SPACE_TOL times the largest one.
+NULL_SPACE_TOL = 1e-10
 
 
 def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,19 +79,17 @@ def sym_eig_min(A: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(S)[0])
 
 
-def null_space_basis(A: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def null_space_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning {d : A d = 0}.
 
-    The numerical rank counts singular values above rank_tol times the
-    largest one, so a caller-controlled tolerance decides rank deterministically.
-    Returns a (k, k - rank) array for an r x k input.
+    The numerical rank counts singular values above NULL_SPACE_TOL times
+    the largest one, so rank is decided deterministically.  Returns a
+    (k, k - rank) array for an r x k input.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     k = A.shape[1]
     if A.shape[0] == 0 or k == 0:
         return np.eye(k)
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > NULL_SPACE_TOL * s[0])) if s.size and s[0] > 0 else 0
     return vt[rank:].T.copy()

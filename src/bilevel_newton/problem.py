@@ -89,7 +89,6 @@ class BilevelProblem:
     G: VectorEval | None = None
     known_F: float | None = None
     known_f: float | None = None
-    known_start: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dims.p > 0 and self.G is None:

@@ -26,7 +26,6 @@ from .system import Iterate, hessian_block, require_penalty
 # exceeds EIG_TOL.
 ACTIVE_TOL = MULT_TOL = 1e-6
 RANK_TOL = EIG_TOL = 1e-8
-_NS_TOL = 1e-10  # rank tolerance for the feasible-direction null space
 
 
 class InconsistentPoint(ValueError):
@@ -134,8 +133,9 @@ def _licq_families(
 def _independent(columns: np.ndarray) -> tuple[bool, float | None]:
     """(family linearly independent?, smallest singular value or None if empty).
 
-    The rule is the one ``null_space_basis(columns, RANK_TOL)`` applies
-    for a trivial null space, decided from the singular values alone.
+    The rule is the one ``null_space_basis(columns)`` applies for a trivial
+    null space with ``linalg.NULL_SPACE_TOL`` at RANK_TOL, decided from the
+    singular values alone.
     """
     rows, k = columns.shape
     if k == 0:
@@ -215,7 +215,7 @@ def check_ssosc(
     condition then holds vacuously.
     """
     C, M = ssosc_matrices(problem, zeta, lam, partition)
-    min_eig, holds, _ = _reduced_min_eig(null_space_basis(C, _NS_TOL), M)
+    min_eig, holds, _ = _reduced_min_eig(null_space_basis(C), M)
     return min_eig, holds
 
 
@@ -243,7 +243,7 @@ def diagnose(problem: BilevelProblem, zeta: Iterate, lam: float) -> RegularityRe
     llicq_xz, m_z = _independent(fams["llicq_at_xz"])
 
     C, M = _ssosc_matrices(lam, zeta, at_y, at_z, partition)
-    Z = null_space_basis(C, _NS_TOL)
+    Z = null_space_basis(C)
     min_eig, holds, dim = _reduced_min_eig(Z, M)
 
     star_eig, _, _ = _reduced_min_eig(Z, _unperturbed_variant(M, problem.dims.n, problem.dims.m))

@@ -4,18 +4,19 @@ One run keeps the penalty parameter fixed and iterates
 
     step:        solve W d = -Phi for a selected generalized-Jacobian
                  element W; accept d only if the merit-descent test
-                 grad_Psi . d <= -beta * ||d||^t holds, otherwise fall
+                 grad_Psi . d <= -BETA * ||d||^T holds, otherwise fall
                  back to the steepest-descent direction -grad_Psi;
-    line search: Armijo backtracking with ratio rho and slope fraction
-                 sigma on the merit function Psi = 0.5*||Phi||^2;
+    line search: Armijo backtracking with ratio RHO and slope fraction
+                 SIGMA on the merit function Psi = 0.5*||Phi||^2;
     update:      zeta <- zeta + alpha d,
 
-until ||Phi|| <= eps, the iteration cap, a merit-stationary point, or a
-stalled line search.
+until ||Phi|| <= EPS, the iteration cap, a merit-stationary point, or a
+stalled line search.  BETA, T, RHO, SIGMA and EPS are the reference
+protocol's values, module constants read at call time.
 
 A line-search trial is staged.  It evaluates the follower point (x, z)
 first, with f and g only; when the follower rows of Phi alone already put
-Psi above the Armijo threshold merit0 + sigma*alpha*slope (with a proven
+Psi above the Armijo threshold merit0 + SIGMA*alpha*slope (with a proven
 rounding margin), the trial is rejected without evaluating the leader
 point (x, y).  Every other trial is assembled in full and tested exactly as
 before, so iterates and step sizes do not depend on the staging.  A run's
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,41 +45,33 @@ EVALUATION_FAILED = "EvaluationFailed"
 NEWTON = "Newton"
 GRADIENT = "Gradient"
 
+# A Newton direction d is kept when grad Psi . d <= -BETA * ||d||**T
+# (De Luca, Facchinei & Kanzow, 1996).
+BETA = 1e-8
+T = 2.1
+# A line search tries the steps RHO**s for s = 0..MAX_BACKTRACKS, then stalls;
+# it accepts the first with Psi <= Psi0 + SIGMA * RHO**s * slope.
+RHO = 0.5
+SIGMA = 1e-4
+MAX_BACKTRACKS = 60
+# A run is Solved when ||Phi|| <= EPS.
+EPS = 1e-8
 # A point is merit-stationary when ||grad Psi|| <= GRAD_STALL_TOL.
 GRAD_STALL_TOL = 1e-12
-# A line search tries the steps rho**s for s = 0..MAX_BACKTRACKS, then stalls.
-MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Algorithm parameters; defaults follow the reference protocol."""
+    """The penalty of one run and its iteration cap (reference protocol: 2000)."""
 
     lam: float
-    beta: float = 1e-8
-    eps: float = 1e-8
-    t: float = 2.1
-    rho: float = 0.5
-    sigma: float = 1e-4
     max_iter: int = 2000
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
-        checks = [
-            (valid_penalty(self.lam), "lam must be finite and > 0"),
-            (self.beta > 0, "beta must be > 0"),
-            (self.eps >= 0, "eps must be >= 0"),
-            (self.t > 2, "t must be > 2"),
-            (0 < self.rho < 1, "rho must be in (0, 1)"),
-            (0 < self.sigma < 0.5, "sigma must be in (0, 0.5)"),
-            (self.max_iter >= 0, "max_iter must be >= 0"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ValueError(msg)
+        if not valid_penalty(self.lam):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -143,21 +136,19 @@ def eoc(residual_norms: list[float]) -> float | None:
     return max(ratios) if ratios else None
 
 
-def _direction(
-    config: SolverConfig, W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, str]:
+def _direction(W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, str]:
     try:
         d = lu_solve(W, -resid_vec)
     except SingularMatrixError:
         return -grad, GRADIENT
-    if float(grad @ d) <= -config.beta * float(np.linalg.norm(d)) ** config.t:
+    if float(grad @ d) <= -BETA * float(np.linalg.norm(d)) ** T:
         return d, NEWTON
     return -grad, GRADIENT
 
 
 def _backtrack(
     problem: BilevelProblem,
-    config: SolverConfig,
+    lam: float,
     zeta: Iterate,
     d: np.ndarray,
     merit0: float,
@@ -166,10 +157,10 @@ def _backtrack(
     if slope >= 0:
         raise ValueError(f"line search needs a descent direction, slope={slope}")
     for s in range(MAX_BACKTRACKS + 1):
-        alpha = config.rho**s
+        alpha = RHO**s
         trial = Iterate(zeta.vec + alpha * d, zeta.dims)
-        threshold = merit0 + config.sigma * alpha * slope
-        r_trial = assemble_residual(problem, config.lam, trial, merit_bound=threshold)
+        threshold = merit0 + SIGMA * alpha * slope
+        r_trial = assemble_residual(problem, lam, trial, merit_bound=threshold)
         if r_trial is not None and r_trial.merit() <= threshold:
             return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
     return None
@@ -198,7 +189,7 @@ def run(
         norms.append(resid.norm())
         k = 0
         while True:
-            if norms[-1] <= config.eps:
+            if norms[-1] <= EPS:
                 status = SOLVED
                 break
             if k >= config.max_iter:
@@ -211,9 +202,9 @@ def run(
             if float(np.linalg.norm(grad)) <= GRAD_STALL_TOL:
                 status = MERIT_STATIONARY
                 break
-            d, dtype = _direction(config, W, phi, grad)
+            d, dtype = _direction(W, phi, grad)
             slope = float(grad @ d)
-            ls = _backtrack(problem, config, zeta, d, merit0, slope)
+            ls = _backtrack(problem, config.lam, zeta, d, merit0, slope)
             if ls is None:
                 status = LINE_SEARCH_STALL
                 break

@@ -93,17 +93,14 @@ def delta_metrics(
 def resolve_start(problem: BilevelProblem, x0=None, y0=None) -> Iterate:
     """The reference start: a primal point lifted to the full stacked variable.
 
-    x0 and y0 override the primal start.  Each of them that is not given
-    comes from the problem's registered ``known_start`` if it has one, and
-    is all ones otherwise.  z starts at y0, multipliers at the absolute
-    constraint values: u_i = |G_i(x0, y0)|, v_j = |g_j(x0, y0)|, w = v.  A
-    start of the wrong length raises ValueError before anything is
-    evaluated.
+    x0 and y0 override the primal start; each of them that is not given
+    is all ones.  z starts at y0, multipliers at the absolute constraint
+    values: u_i = |G_i(x0, y0)|, v_j = |g_j(x0, y0)|, w = v.  A start of
+    the wrong length raises ValueError before anything is evaluated.
     """
     d = problem.dims
-    known_x, known_y = problem.known_start if problem.known_start is not None else (np.ones(d.n), np.ones(d.m))
-    x0 = np.asarray(known_x if x0 is None else x0, dtype=float)
-    y0 = np.asarray(known_y if y0 is None else y0, dtype=float)
+    x0 = np.ones(d.n) if x0 is None else np.asarray(x0, dtype=float)
+    y0 = np.ones(d.m) if y0 is None else np.asarray(y0, dtype=float)
     for name, part, size, dim in (("x0", x0, d.n, "n"), ("y0", y0, d.m, "m")):
         if part.size != size:
             raise ValueError(f"{name} has length {part.size}, expected {dim} = {size}")

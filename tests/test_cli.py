@@ -73,9 +73,20 @@ def test_sweep_rejects_an_empty_lambda_grid(monkeypatch, capsys):
 def test_solve_rejects_a_non_finite_solver_parameter(monkeypatch, capsys):
     runs = []
     monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
-    assert main(["solve", "--problem", "dempe-parabola", "--lambda", "1", "--eps", "inf"]) == 1
+    assert main(["solve", "--problem", "dempe-parabola", "--lambda", "inf"]) == 1
     assert runs == []
-    assert "eps must be finite" in capsys.readouterr().err
+    assert "lam must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--eps", "--t", "--rho", "--sigma"])
+def test_protocol_constants_have_no_flag(monkeypatch, capsys, flag):
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    monkeypatch.setattr(importlib.import_module("bilevel_newton.sweep"), "run", lambda *args: runs.append(args))
+    for mode in ("solve", "sweep", "diagnose"):
+        assert main([mode, "--problem", "dempe-parabola", "--lambda", "2", flag, "0.4"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert runs == []
 
 
 @pytest.mark.parametrize("lam", ["inf", "nan", "0", "-1"])
@@ -101,7 +112,7 @@ def test_solver_flags_are_the_config_fields():
 
 
 # a non-default value for every solver flag
-FLAG_VALUES = {"beta": 2e-8, "eps": 1e-9, "t": 2.5, "rho": 0.4, "sigma": 1e-3, "max_iter": 5}
+FLAG_VALUES = {"max_iter": 5}
 
 
 @pytest.mark.parametrize("mode,module,lams", [
@@ -271,7 +282,7 @@ def test_readme_names_exactly_the_cli_options():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
     options = {opt for action in cli.build_parser()._actions for opt in action.option_strings
                if opt.startswith("--") and opt != "--help"}
-    assert len(options) == 13
+    assert len(options) == 8
     assert named == options
 
 

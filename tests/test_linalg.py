@@ -200,6 +200,13 @@ def test_null_space_zero_matrix_full_basis():
     np.testing.assert_allclose(Z.T @ Z, np.eye(3), atol=1e-12)
 
 
-def test_null_space_requires_positive_tol():
-    with pytest.raises(ValueError):
-        null_space_basis(np.eye(2), rank_tol=0.0)
+def test_null_space_rank_reads_the_module_tolerance(monkeypatch):
+    # singular values 1 and 1e-9: full rank at 1e-10, rank one at 1e-8
+    A = np.diag([1.0, 1e-9])
+    assert linalg.NULL_SPACE_TOL == 1e-10
+    assert null_space_basis(A).shape == (2, 0)
+    monkeypatch.setattr(linalg, "NULL_SPACE_TOL", 1e-8)
+    Z = null_space_basis(A)
+    assert Z.shape == (2, 1) and abs(Z[1, 0]) == 1.0
+    with pytest.raises(TypeError):
+        null_space_basis(A, rank_tol=1e-8)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bilevel_newton as bn
+from bilevel_newton import linalg
 from bilevel_newton.linalg import null_space_basis, sym_eig_min
 from bilevel_newton.regularity import RANK_TOL, _independent, ssosc_matrices
 from bilevel_newton.system import hessian_block
@@ -120,10 +121,11 @@ _RANK_EDGE = np.nextafter(RANK_TOL, 1.0)
     (np.zeros((3, 0)), True),  # empty family: vacuously independent
     (np.random.default_rng(3).normal(size=(5, 3)), True),
 ])
-def test_independent_decides_as_the_null_space(columns, independent):
+def test_independent_decides_as_the_null_space(monkeypatch, columns, independent):
     holds, margin = _independent(columns)
     assert holds is independent
-    assert holds == (null_space_basis(columns, RANK_TOL).shape[1] == 0)
+    monkeypatch.setattr(linalg, "NULL_SPACE_TOL", RANK_TOL)
+    assert holds == (null_space_basis(columns).shape[1] == 0)
     if columns.shape[1] == 0:
         assert margin is None
     else:

@@ -10,7 +10,7 @@ from bilevel_newton import solver
 from bilevel_newton.complementarity import KINK_TOL
 from bilevel_newton.linalg import PIVOT_TOL
 from bilevel_newton.problem import BilevelProblem
-from bilevel_newton.solver import GRADIENT, NEWTON, LineSearchResult, SolverConfig, StepRecord
+from bilevel_newton.solver import GRADIENT, NEWTON, LineSearchResult, StepRecord
 from bilevel_newton.system import Iterate, assemble_jacobian, assemble_residual
 
 from conftest import counting
@@ -35,22 +35,37 @@ def make_duplicated_constraint_problem():
 
 def test_config_defaults_match_protocol():
     cfg = bn.SolverConfig(lam=1.0)
-    assert (cfg.beta, cfg.eps, cfg.t, cfg.rho, cfg.sigma) == (1e-8, 1e-8, 2.1, 0.5, 1e-4)
+    assert (solver.BETA, solver.EPS, solver.T, solver.RHO, solver.SIGMA) == (1e-8, 1e-8, 2.1, 0.5, 1e-4)
     assert cfg.max_iter == 2000
     assert solver.MAX_BACKTRACKS == 60
-    assert {f.name for f in dataclasses.fields(cfg)} == {
-        "lam", "beta", "eps", "t", "rho", "sigma", "max_iter"}
+    assert {f.name for f in dataclasses.fields(cfg)} == {"lam", "max_iter"}
     assert (KINK_TOL, PIVOT_TOL, solver.GRAD_STALL_TOL) == (1e-12, 1e-12, 1e-12)
+
+
+# The protocol's step and stopping parameters are solver constants, not
+# SolverConfig fields: a value for one is refused whatever it is.
+PROTOCOL_CONSTANTS = ("beta", "eps", "t", "rho", "sigma")
 
 
 @pytest.mark.parametrize("field,value", [
     ("lam", 0.0), ("lam", math.nan), ("lam", math.inf),
     ("beta", 0.0), ("t", 2.0), ("rho", 1.0), ("sigma", 0.5), ("eps", -1.0),
-] + [(f.name, math.inf) for f in dataclasses.fields(bn.SolverConfig) if isinstance(f.default, float)])
+    ("max_iter", -1), ("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", math.inf), ("max_iter", math.nan),
+] + [(name, math.inf) for name in PROTOCOL_CONSTANTS])
 def test_config_validates_ranges(field, value):
     kwargs = {"lam": 1.0, field: value}
-    with pytest.raises(ValueError, match=rf"^{field} "):
-        bn.SolverConfig(**kwargs)
+    if field in PROTOCOL_CONSTANTS:
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            bn.SolverConfig(**kwargs)
+    else:
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            bn.SolverConfig(**kwargs)
+
+
+def test_config_takes_a_numpy_integer_cap(entries):
+    entry = entries["dempe-parabola"]
+    report = bn.run(entry.problem, bn.SolverConfig(lam=0.5, max_iter=np.int64(3)), bn.resolve_start(entry.problem))
+    assert (report.status, report.iterations) == (bn.MAX_ITER, 3)
 
 
 def _merit(problem, lam, zeta):
@@ -69,7 +84,7 @@ def _backtrack_from(problem, cfg, zeta, d):
     """solver._backtrack along d, with zeta's merit and slope as run computes them."""
     r = assemble_residual(problem, cfg.lam, zeta)
     slope = float((assemble_jacobian(r).T @ r.vec) @ d)
-    return solver._backtrack(problem, cfg, zeta, d, r.merit(), slope)
+    return solver._backtrack(problem, cfg.lam, zeta, d, r.merit(), slope)
 
 
 def test_step_newton_near_solution(entries):
@@ -82,7 +97,7 @@ def test_step_newton_near_solution(entries):
     assert rec.direction_type == NEWTON
     slope = float(bn.merit_grad(entry.problem, 1.0, zeta) @ rec.direction)
     assert slope == rec.slope
-    assert slope <= -cfg.beta * np.linalg.norm(rec.direction) ** cfg.t
+    assert slope <= -solver.BETA * np.linalg.norm(rec.direction) ** solver.T
 
 
 def test_step_gradient_fallback_on_singular_jacobian():
@@ -114,7 +129,7 @@ def test_line_search_replays_armijo_inequality(entries):
     slope = float(bn.merit_grad(entry.problem, 2.0, zeta) @ rec.direction)
     assert (psi0, slope) == (rec.merit_before, rec.slope)
     trial = bn.Iterate.from_vector(zeta.to_vector() + rec.alpha * rec.direction, entry.problem.dims)
-    assert _merit(entry.problem, 2.0, trial) <= psi0 + cfg.sigma * rec.alpha * slope
+    assert _merit(entry.problem, 2.0, trial) <= psi0 + solver.SIGMA * rec.alpha * slope
 
 
 def test_line_search_tiny_gradient_direction(entries):
@@ -192,7 +207,7 @@ def test_run_solved_status_sound(entries):
     report = bn.run(entry.problem, cfg, bn.resolve_start(entry.problem))
     assert report.status == bn.SOLVED
     replay = bn.assemble_residual(entry.problem, 4.0, report.final)
-    assert replay.norm() <= cfg.eps
+    assert replay.norm() <= solver.EPS
     assert replay.norm() == report.final_residual_norm
 
 
@@ -201,6 +216,50 @@ def test_run_max_iter_status(entries):
     report = bn.run(entry.problem, bn.SolverConfig(lam=1.0, max_iter=1), bn.resolve_start(entry.problem))
     assert report.status == bn.MAX_ITER
     assert report.iterations == 1
+
+
+def _first_step_from_start(entry, lam):
+    return _first_step(entry.problem, bn.SolverConfig(lam=lam), bn.resolve_start(entry.problem))
+
+
+# Each protocol constant is read when a run uses it, so patching it on the
+# module changes the next run.
+def test_rho_is_read_at_call_time(entries, monkeypatch):
+    entry = entries["dempe-parabola"]
+    default = bn.run(entry.problem, bn.SolverConfig(lam=1.0), bn.resolve_start(entry.problem))
+    monkeypatch.setattr(solver, "RHO", 0.25)
+    records: list[StepRecord] = []
+    patched = bn.run(entry.problem, bn.SolverConfig(lam=1.0), bn.resolve_start(entry.problem),
+                     callback=records.append)
+    assert any(rec.backtracks > 0 for rec in records)
+    assert all(rec.alpha == 0.25**rec.backtracks for rec in records)
+    assert patched.step_sizes != default.step_sizes
+
+
+def test_eps_is_read_at_call_time(entries, monkeypatch):
+    entry = entries["quadratic-projection"]
+    default = bn.run(entry.problem, bn.SolverConfig(lam=1.0), bn.resolve_start(entry.problem))
+    monkeypatch.setattr(solver, "EPS", 1e-3)
+    patched = bn.run(entry.problem, bn.SolverConfig(lam=1.0), bn.resolve_start(entry.problem))
+    assert patched.status == default.status == bn.SOLVED
+    assert patched.iterations == default.iterations - 1
+    assert 1e-8 < patched.final_residual_norm <= 1e-3
+
+
+@pytest.mark.parametrize("name,value", [("BETA", 1e3), ("T", 30.0)])
+def test_descent_test_constants_are_read_at_call_time(entries, monkeypatch, name, value):
+    # the first Newton direction from the start has norm about 3.5
+    entry = entries["quadratic-projection"]
+    assert _first_step_from_start(entry, 1.0).direction_type == NEWTON
+    monkeypatch.setattr(solver, name, value)
+    assert _first_step_from_start(entry, 1.0).direction_type == GRADIENT
+
+
+def test_sigma_is_read_at_call_time(entries, monkeypatch):
+    entry = entries["xy-linear"]
+    assert _first_step_from_start(entry, 1.0).alpha == 0.5
+    monkeypatch.setattr(solver, "SIGMA", 0.3)
+    assert _first_step_from_start(entry, 1.0).alpha == 0.25
 
 
 def test_run_deterministic(entries):
@@ -225,12 +284,12 @@ def test_run_armijo_contract_replay(entries):
         base = rec.zeta.to_vector()
         trial = bn.Iterate.from_vector(base + rec.alpha * rec.direction, entry.problem.dims)
         psi_trial = _merit(entry.problem, cfg.lam, trial)
-        assert psi_trial <= rec.merit_before + cfg.sigma * rec.alpha * rec.slope
+        assert psi_trial <= rec.merit_before + solver.SIGMA * rec.alpha * rec.slope
         if rec.backtracks > 0:
-            alpha_prev = rec.alpha / cfg.rho
+            alpha_prev = rec.alpha / solver.RHO
             prev = bn.Iterate.from_vector(base + alpha_prev * rec.direction, entry.problem.dims)
             psi_prev = _merit(entry.problem, cfg.lam, prev)
-            assert psi_prev > rec.merit_before + cfg.sigma * alpha_prev * rec.slope
+            assert psi_prev > rec.merit_before + solver.SIGMA * alpha_prev * rec.slope
 
 
 def test_run_reports_evaluation_failure():
@@ -331,16 +390,16 @@ def _counted_start(entry):
     return p, calls, zeta
 
 
-def _leader_trials(problem, config, zeta, d, merit0, slope, backtracks):
+def _leader_trials(problem, lam, zeta, d, merit0, slope, backtracks):
     """How many of the first backtracks + 1 trials along d evaluate their
     leader point: those whose follower rows do not reject them."""
     vec = zeta.to_vector()
     count = 0
     for s in range(backtracks + 1):
-        alpha = config.rho**s
+        alpha = solver.RHO**s
         trial = bn.Iterate.from_vector(vec + alpha * d, problem.dims)
-        bound = merit0 + config.sigma * alpha * slope
-        count += bn.assemble_residual(problem, config.lam, trial, merit_bound=bound) is not None
+        bound = merit0 + solver.SIGMA * alpha * slope
+        count += bn.assemble_residual(problem, lam, trial, merit_bound=bound) is not None
     return count
 
 
@@ -366,7 +425,7 @@ def test_line_search_evaluates_the_start_once(entries):
     cfg = bn.SolverConfig(lam=2.0)
     p, calls, zeta = _counted_start(entry)
     rec = _first_step(p, cfg, zeta)
-    leader = 1 + _leader_trials(entry.problem, cfg, zeta, rec.direction, rec.merit_before,
+    leader = 1 + _leader_trials(entry.problem, cfg.lam, zeta, rec.direction, rec.merit_before,
                                 rec.slope, rec.backtracks)
     assert len(calls["F"]) == leader
     assert len(calls["f"]) == leader + 1 + rec.backtracks + 1
@@ -379,7 +438,7 @@ def _assert_run_evaluates_each_point_once(entry, cfg):
     records: list[StepRecord] = []
     report = bn.run(p, cfg, zeta, callback=records.append)
     assert records
-    leader = 1 + sum(_leader_trials(entry.problem, cfg, rec.zeta, rec.direction, rec.merit_before,
+    leader = 1 + sum(_leader_trials(entry.problem, cfg.lam, rec.zeta, rec.direction, rec.merit_before,
                                     rec.slope, rec.backtracks) for rec in records)
     trials = sum(rec.backtracks + 1 for rec in records)
     assert len(calls["F"]) == leader
@@ -425,11 +484,11 @@ def test_run_reports_final_values_when_the_start_follower_point_fails(problems):
 
 
 # The line search before the staged trial, verbatim but for the backtrack
-# cap, read from solver.MAX_BACKTRACKS: every trial assembles the full
-# residual.
+# cap and the Armijo constants, read from solver: every trial assembles the
+# full residual.
 def _reference_backtrack(
     problem: BilevelProblem,
-    config: SolverConfig,
+    lam: float,
     zeta: Iterate,
     d: np.ndarray,
     merit0: float,
@@ -439,11 +498,11 @@ def _reference_backtrack(
         raise ValueError(f"line search needs a descent direction, slope={slope}")
     zeta_vec = zeta.to_vector()
     for s in range(solver.MAX_BACKTRACKS + 1):
-        alpha = config.rho**s
+        alpha = solver.RHO**s
         trial = Iterate.from_vector(zeta_vec + alpha * d, problem.dims)
-        r_trial = assemble_residual(problem, config.lam, trial)
+        r_trial = assemble_residual(problem, lam, trial)
         psi = 0.5 * r_trial.norm() ** 2
-        if psi <= merit0 + config.sigma * alpha * slope:
+        if psi <= merit0 + solver.SIGMA * alpha * slope:
             return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
     return None
 
@@ -496,14 +555,14 @@ def test_staged_line_search_decides_as_the_full_one(entries, monkeypatch):
         bn.run(problem, cfg, bn.resolve_start(problem), callback=records.append)
         assert records
         for rec in records:
-            args = (problem, cfg, rec.zeta, rec.direction, rec.merit_before, rec.slope)
+            args = (problem, lam, rec.zeta, rec.direction, rec.merit_before, rec.slope)
             assert _same_decision(solver._backtrack(*args), _reference_backtrack(*args))
             # a budget one short of the accepted trial stalls both
             if rec.backtracks > 0:
                 with monkeypatch.context() as tight:
                     tight.setattr(solver, "MAX_BACKTRACKS", rec.backtracks - 1)
                     assert solver._backtrack(*args) is None and _reference_backtrack(*args) is None
-            trials = _leader_trials(problem, cfg, rec.zeta, rec.direction, rec.merit_before,
+            trials = _leader_trials(problem, lam, rec.zeta, rec.direction, rec.merit_before,
                                     rec.slope, rec.backtracks)
             early += rec.backtracks + 1 - trials
     assert early > 0  # the follower rows alone rejected some trials
