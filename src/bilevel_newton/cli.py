@@ -43,6 +43,7 @@ def _float_list(text: str) -> list[float]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bilevel-newton",
+        allow_abbrev=False,
         description="Semismooth Newton solver for optimistic bilevel programs "
                     "via value-function penalization.",
     )

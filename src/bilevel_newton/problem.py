@@ -14,11 +14,11 @@ returned array is scanned for non-finite entries only when its sum of
 squares is not finite.  A Hessian that is exactly symmetric (bit for bit)
 is used as returned, without a copy; any other Hessian is symmetrized on
 ingestion as (H + H^T) / 2.
-A large Hessian that an evaluator returns again from the same memory (as a
-quadratic objective or linear constraints often do) is checked once, not at
-every point: evaluators must not write into an array they have returned,
-so its bits cannot have changed.  One that is exactly zero is recognised
-then, and the Hessian contraction of the system skips it.
+A Hessian returned again (as a quadratic objective or linear constraints
+often do) is checked once when it is the same read-only float64 array, or a
+large one read from the same memory: evaluators must not write into an array
+they have returned, so its bits cannot have changed; so return constant
+derivatives read-only.  The Hessian contraction skips a large zero one.
 
 The leader functions F and G are evaluated only at the leader point (x, y).
 At the follower copy (x, z) the system reads f and g alone, so a follower
@@ -27,10 +27,11 @@ None in their fields.
 """
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.blas import ddot
@@ -63,9 +64,12 @@ class ProblemDims:
         if self.p < 0 or self.q < 0:
             raise ValueError(f"need p >= 0 and q >= 0, got p={self.p}, q={self.q}")
 
-    @property
+    @functools.cached_property
     def N(self) -> int:
         return self.n + 2 * self.m + self.p + 2 * self.q
+
+    def __reduce__(self):  # a copy does not take what N and block_slices keep in __dict__
+        return type(self), (self.n, self.m, self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -95,8 +99,7 @@ class BilevelProblem:
             raise ValueError(f"problem {self.name!r} has p={self.dims.p} but no G evaluator")
 
 
-@dataclass(frozen=True)
-class EvalBundle:
+class EvalBundle(NamedTuple):
     """All problem data at one point (x, y): values, gradients, Hessians.
 
     Gradients are stored over the stacked (x, y) coordinates; the leading
@@ -127,14 +130,14 @@ def _sym(h: np.ndarray) -> np.ndarray:
     return s
 
 
-# Large Hessians found finite and exactly symmetric, by the memory they were
-# read from: (id of the array owning it, first byte, shape, strides) ->
-# (weak reference to that owner, whether every entry is +0.0).  Evaluators
-# do not write into arrays they have returned, so such a region need not be
-# read again.  The references are weak: this keeps no array alive.
+# Hessians found finite and exactly symmetric, not read again when they come
+# back.  Keys: (id, shape) of a read-only float64 array an evaluator returned
+# (a writable one, likely new at every call, would pay for an entry it never
+# hits); for large ones also (id of the array owning the memory, first byte,
+# shape, strides), so that a new view of it hits too.  Values: a weak reference
+# to the array the key names (none is kept alive), and whether all are +0.0.
 _CHECKED: dict[tuple, tuple[weakref.ref, bool]] = {}
-# Smaller Hessians are checked at every call, with one ddot and one compare
-# of their bytes to those of their transpose: cheaper than the bookkeeping.
+# Smaller Hessians have no memory key: reading them again costs less.
 _CHECKED_MIN_BYTES = 1 << 16
 
 
@@ -199,6 +202,18 @@ def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
     return _sym(h), True
 
 
+def _hessian(raw, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
+    """``_ingest_hessian`` of raw read at shape; records a read-only float64 raw found finite and symmetric."""
+    entry = _CHECKED.get(key := (id(raw), shape))
+    if entry is not None and entry[0]() is raw:
+        return raw.reshape(shape), True
+    h = np.asarray(raw, dtype=float).reshape(shape)
+    ingested, finite = _ingest_hessian(h)
+    if ingested is h and type(raw) is np.ndarray and raw.dtype == np.float64 and not raw.flags.writeable:
+        _CHECKED[key] = (weakref.ref(raw, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)), False)
+    return ingested, finite
+
+
 def _finite(a: np.ndarray) -> bool:
     """Whether every entry of a is finite; a is scanned only when its sum of
     squares is not.  BLAS ddot, unlike ndarray.dot, does not warn on overflow."""
@@ -211,26 +226,29 @@ def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):
         val, grad, hess = out
         val = float(val)
         grad = np.asarray(grad, dtype=float).reshape(nm)
-        hess = np.asarray(hess, dtype=float).reshape(nm, nm)
+        hess, finite = _hessian(hess, (nm, nm))
     except (TypeError, ValueError) as exc:
         raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
-    hess, finite = _ingest_hessian(hess)
     if not (math.isfinite(val) and _finite(grad) and (finite or np.isfinite(hess).all())):
         raise EvaluationError(name, np.concatenate(xy))
     return val, grad, hess
 
 
+@functools.cache
+def _no_components(nm: int) -> tuple[np.ndarray, ...]:  # read-only, shared by every bundle
+    return tuple(np.broadcast_to(0.0, shape) for shape in ((0,), (0, nm), (0, nm, nm)))
+
+
 def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm: int):
     if k == 0:
-        return (np.zeros(0), np.zeros((0, nm)), np.zeros((0, nm, nm)))
+        return _no_components(nm)
     try:
         vals, jac, hessians = out
         vals = np.asarray(vals, dtype=float).reshape(k)
         jac = np.asarray(jac, dtype=float).reshape(k, nm)
-        hessians = np.asarray(hessians, dtype=float).reshape(k, nm, nm)
+        hessians, finite = _hessian(hessians, (k, nm, nm))
     except (TypeError, ValueError) as exc:
         raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
-    hessians, finite = _ingest_hessian(hessians)
     if not (_finite(vals) and _finite(jac) and (finite or np.isfinite(hessians).all())):
         raise EvaluationError(name, np.concatenate(xy))
     return vals, jac, hessians

@@ -70,7 +70,7 @@ class SolverConfig:
     def __post_init__(self):
         if not valid_penalty(self.lam):
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool) or self.max_iter < 0:
             raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 

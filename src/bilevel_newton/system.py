@@ -37,11 +37,11 @@ line-search trial need not evaluate (x, y) at all.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,30 +51,33 @@ from .problem import BilevelProblem, EvalBundle, ProblemDims, evaluate_all, is_z
 VARIABLE_BLOCKS = ("x", "y", "z", "u", "v", "w")
 
 
-@functools.cache
 def block_slices(dims: ProblemDims) -> Mapping[str, slice]:
     """Offsets of the six variable blocks inside a stacked N-vector.
 
-    Computed once per dimension set (a process sees only a few) and
+    Computed once per dims object and kept in it, so no call hashes dims;
     shared by every caller, hence read-only.
     """
-    slices, start = {}, 0
-    for name, size in zip(VARIABLE_BLOCKS, (dims.n, dims.m, dims.m, dims.p, dims.q, dims.q)):
-        slices[name] = slice(start, start + size)
-        start += size
-    return MappingProxyType(slices)
+    slices = dims.__dict__.get("block_slices")
+    if slices is None:
+        slices, start = {}, 0
+        for name, size in zip(VARIABLE_BLOCKS, (dims.n, dims.m, dims.m, dims.p, dims.q, dims.q)):
+            slices[name] = slice(start, start + size)
+            start += size
+        slices = dims.__dict__["block_slices"] = MappingProxyType(slices)
+    return slices
 
 
 @dataclass(frozen=True, eq=False)
 class Iterate:
     """One stacked point zeta = (x, y, z, u, v, w): the float64 N-vector
-    ``vec``, made read-only, and its six blocks as attributes holding
-    read-only views of it at ``block_slices(dims)``, made once.  The
-    constructor takes ``vec`` over; ``from_vector`` and ``of`` copy.
-    Iterates compare and hash by identity, not by value."""
+    ``vec``, made read-only, and its six blocks as properties returning
+    read-only views of it at ``block_slices(dims)``.  The constructor takes
+    ``vec`` over; ``from_vector`` and ``of`` copy.  Iterates compare and
+    hash by identity, not by value."""
 
     vec: np.ndarray
     dims: ProblemDims
+    x, y, z, u, v, w = (property(lambda zeta, b=b: zeta.vec[block_slices(zeta.dims)[b]]) for b in VARIABLE_BLOCKS)
 
     def __post_init__(self):
         if self.vec.dtype != np.float64:
@@ -82,8 +85,6 @@ class Iterate:
         if self.vec.shape != (self.dims.N,):
             raise ValueError(f"a stacked point has shape (N,) = ({self.dims.N},), got {self.vec.shape}")
         self.vec.flags.writeable = False
-        for name, s in block_slices(self.dims).items():
-            object.__setattr__(self, name, self.vec[s])
 
     def to_vector(self) -> np.ndarray:
         return self.vec
@@ -102,8 +103,7 @@ class Iterate:
         return cls(np.concatenate(parts), dims)
 
 
-@dataclass(frozen=True)
-class ResidualVector:
+class ResidualVector(NamedTuple):
     """Dense residual of length N, rows in ``block_slices`` order, with the
     penalty, point and evaluations it was assembled from."""
 
@@ -151,16 +151,17 @@ def assemble_residual(
     vec = np.empty(d.N)
     rows_z, rows_w = vec[s["z"]], vec[s["w"]]
 
-    at_z = evaluate_all(problem, zeta.x, zeta.z, upper=False)
-    ell_grad = at_z.df + at_z.dg.T @ zeta.w  # the follower-Lagrangian gradient over (x, z)
+    x, z, w = zeta.vec[s["x"]], zeta.vec[s["z"]], zeta.vec[s["w"]]
+    at_z = evaluate_all(problem, x, z, upper=False)
+    ell_grad = at_z.df + at_z.dg.T @ w  # the follower-Lagrangian gradient over (x, z)
     np.multiply(-lam, ell_grad[d.n:], out=rows_z)
-    rows_w[:] = _fb_rows(at_z.g.tolist(), zeta.w)
+    rows_w[:] = _fb_rows(at_z.g.tolist(), w)
     if merit_bound is not None and _follower_rejects(rows_z, rows_w, d.N, merit_bound):
         return None
 
-    at_y = evaluate_all(problem, zeta.x, zeta.y)
-    # rows x and y: the upper-Lagrangian gradient over (x, y), less lam ell_x in rows x
-    lag_grad = np.add(at_y.dF, at_y.dG.T @ zeta.u, out=vec[:s["z"].start])
+    at_y = evaluate_all(problem, x, zeta.y)
+    # rows x and y: the upper-Lagrangian gradient over (x, y), less lam ell_x in rows x (p = 0: + 0.0, same bits)
+    lag_grad = np.add(at_y.dF, at_y.dG.T @ zeta.u if d.p else 0.0, out=vec[:s["z"].start])
     lag_grad += at_y.dg.T @ zeta.v
     lag_grad += lam * at_y.df
     lag_grad[s["x"]] -= lam * ell_grad[s["x"]]

@@ -89,6 +89,16 @@ def test_protocol_constants_have_no_flag(monkeypatch, capsys, flag):
     assert runs == []
 
 
+def test_a_flag_prefix_is_not_taken_for_the_flag(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    assert main(["solve", "--problem", "xy-linear", "--max", "1"]) == 1
+    assert "unrecognized arguments: --max 1" in capsys.readouterr().err
+    assert runs == []
+    args = cli.build_parser().parse_args(["sweep", "--problem", "xy-linear", "--lambda", "2", "--lambda-grid", "1,4"])
+    assert (args.lam, args.lambda_grid) == (2.0, [1.0, 4.0])
+
+
 @pytest.mark.parametrize("lam", ["inf", "nan", "0", "-1"])
 def test_diagnose_rejects_an_invalid_penalty(monkeypatch, capsys, lam):
     runs = []

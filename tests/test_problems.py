@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -448,6 +448,11 @@ def test_an_empty_constraint_block_is_not_evaluated(p, q, empty):
     assert report.status == bn.SOLVED
     assert calls[empty] == []
     assert len(calls["F"]) >= 1 and len(calls["G" if empty == "g" else "g"]) >= len(calls["F"])
+    # its values, Jacobian and Hessians are empty arrays shared by every bundle, read-only
+    first, second = (bn.evaluate_all(problem, np.ones(1), np.ones(1)) for _ in range(2))
+    for name in (empty, "d" + empty, "d2" + empty):
+        assert getattr(first, name) is getattr(second, name)
+        assert getattr(first, name).size == 0 and not getattr(first, name).flags.writeable
 
 
 def test_missing_G_with_positive_p_rejected():
@@ -531,8 +536,8 @@ def _ingested(problem):
         except bn.EvaluationError as exc:
             result = ("error", exc.function, str(exc))
         else:
-            result = [np.asarray(getattr(b, field.name), dtype=float).view(np.int64).tolist()
-                      for field in dataclasses.fields(b) if field.name != "n"]
+            result = [np.asarray(getattr(b, name), dtype=float).view(np.int64).tolist()
+                      for name in b._fields if name != "n"]
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -778,6 +783,10 @@ def test_zero_hessians_are_recognised_once_and_skipped():
     assert not problem_module.is_zero_hessian(np.zeros((1, 3, 3)))  # below the recorded size
     dense = bn.evaluate_all(_big_g_problem(_big_stack(np.random.default_rng(14))), _X, _Y).d2g
     assert not problem_module.is_zero_hessian(dense)
+    # a read-only stack is found by identity from its second call on, and still recognised
+    read_only = _read_only(np.zeros((_BIG_Q, 3, 3)))
+    for _ in range(2):
+        assert problem_module.is_zero_hessian(bn.evaluate_all(_big_g_problem(read_only), _X, _Y).d2g)
 
 
 def test_hessian_check_record_keeps_no_array_alive():
@@ -789,6 +798,123 @@ def test_hessian_check_record_keeps_no_array_alive():
     del stack
     gc.collect()
     assert ref() is None and keys[0] not in problem_module._CHECKED
+
+
+def _read_only(h):
+    h = np.array(h, dtype=float, order="K")
+    h.flags.writeable = False
+    return h
+
+
+def _recorded_problem(d2F):
+    """_hessian_problem with the given F Hessian; f's, G's and g's are read-only and symmetric."""
+    return _hessian_problem(d2F, _read_only(np.eye(3)), _read_only(_stack(1)), _read_only(_stack(2)))
+
+
+def _hessian_reads(problem, calls):
+    """The sizes of the arrays ddot read in each of `calls` evaluations at (_X, _Y), and each
+    evaluation's bundle or error."""
+    reads, results, blas_ddot = [], [], problem_module.ddot
+
+    def ddot(a, b):
+        reads[-1].append(a.size)
+        return blas_ddot(a, b)
+    with mock.patch.object(problem_module, "ddot", ddot):
+        for _ in range(calls):
+            reads.append([])
+            try:
+                results.append(bn.evaluate_all(problem, _X, _Y))
+            except bn.EvaluationError as exc:
+                results.append(exc)
+    return reads, results
+
+
+def test_a_read_only_hessian_returned_again_is_not_read_again():
+    d2F = _read_only(2.0 * np.eye(3))
+    reads, bundles = _hessian_reads(_recorded_problem(d2F), 3)
+    # the Hessians (sizes 9, 9, 9 and 18) are read at the first call only; the
+    # values, gradients and Jacobians (sizes 1, 2, 3 and 6) at every call
+    assert [[size for size in call if size in (9, 18)] for call in reads] == [[9, 9, 9, 18], [], []]
+    for b in bundles:
+        assert np.shares_memory(b.d2F, d2F) and np.array_equal(b.d2F, 2.0 * np.eye(3))
+    assert (id(d2F), (3, 3)) in problem_module._CHECKED
+
+
+@pytest.mark.parametrize("case,d2F", [
+    ("asymmetric", _read_only(_asym())),
+    ("NaN", _read_only(_with(np.eye(3), {(1, 1): np.nan}))),
+    ("squares overflow", _read_only(_with(np.eye(3), {(0, 2): 1e200, (2, 0): 1e200}))),
+    ("signed zero pair", _read_only(_signed_zero_pair())),
+    ("writable", np.eye(3)),
+])
+def test_a_hessian_that_is_not_recorded_is_read_at_every_call(case, d2F):
+    reads, results = _hessian_reads(_recorded_problem(d2F), 3)
+    # F's Hessian is read at every call, f's and G's at the first only (none
+    # is read when F fails first)
+    assert [call.count(9) for call in reads] == ([1, 1, 1] if case == "NaN" else [3, 1, 1])
+    assert (id(d2F), (3, 3)) not in problem_module._CHECKED
+    if case == "NaN":
+        assert all(isinstance(r, bn.EvaluationError) and r.function == "F" for r in results)
+    else:
+        assert all(np.array_equal(b.d2F, 0.5 * (d2F + d2F.T)) for b in results)
+
+
+def test_a_recorded_hessian_is_checked_again_at_another_shape():
+    # four symmetric 2 x 2 blocks; read as one 4 x 4 matrix they are not symmetric
+    a = np.random.default_rng(15).standard_normal((4, 2, 2))
+    blocks = _read_only(a + a.transpose(0, 2, 1))
+    for _ in range(2):
+        ingested, finite = problem_module._hessian(blocks, (4, 2, 2))
+        assert finite and ingested.base is blocks
+    assert (id(blocks), (4, 2, 2)) in problem_module._CHECKED
+    as_one = blocks.reshape(1, 4, 4)
+    for _ in range(2):
+        ingested, finite = problem_module._hessian(blocks, (1, 4, 4))
+        assert finite and np.array_equal(ingested, 0.5 * (as_one + as_one.transpose(0, 2, 1)))
+    assert (id(blocks), (1, 4, 4)) not in problem_module._CHECKED
+
+
+def test_the_identity_record_keeps_no_array_alive():
+    d2F = _read_only(np.eye(3))
+    bn.evaluate_all(_recorded_problem(d2F), _X, _Y)
+    key = (id(d2F), (3, 3))
+    assert key in problem_module._CHECKED
+    ref = weakref.ref(d2F)
+    del d2F
+    gc.collect()
+    assert ref() is None and key not in problem_module._CHECKED
+
+
+def _same_or_new(d2F, d2g, new):
+    """n = 1, m = 2, p = 0, q = len(d2g).  F and f return d2F, and g returns
+    d2g, as the same read-only objects at every call, or, with new, as a new
+    writable copy at every call."""
+    d2F, d2g = _read_only(d2F), _read_only(d2g)
+    give = (lambda h: h.copy(order="K")) if new else (lambda h: h)
+    q = d2g.shape[0]
+    return bn.BilevelProblem(
+        name="same-or-new", dims=bn.ProblemDims(n=1, m=2, p=0, q=q),
+        F=lambda x, y: (1.0, np.ones(3), give(d2F)), f=lambda x, y: (2.0, np.ones(3), give(d2F)),
+        g=lambda x, y: (np.full(q, -1.0), np.ones((q, 3)), give(d2g)))
+
+
+_SIGNED_ZERO_STACK = _stack(2, _signed_zero_pair())
+_NAN_STACK = _with(_stack(2), {(1, 0, 0): np.nan})
+
+
+@settings(max_examples=100, deadline=None)
+@given(d2F=_hessians((3, 3)), d2g=_hessians((2, 3, 3)), large=st.booleans())
+@example(d2F=np.eye(3), d2g=_stack(2), large=True)
+@example(d2F=_signed_zero_pair(), d2g=_SIGNED_ZERO_STACK, large=False)
+@example(d2F=np.eye(3), d2g=_SIGNED_ZERO_STACK, large=True)
+@example(d2F=_asym(), d2g=_stack(2, _asym()), large=True)
+@example(d2F=_with(np.eye(3), {(2, 2): np.nan}), d2g=_stack(2), large=False)
+@example(d2F=np.eye(3), d2g=_NAN_STACK, large=True)
+def test_a_hessian_returned_again_is_ingested_as_a_new_one(d2F, d2g, large):
+    if large:  # _BIG_Q 3 x 3 matrices: 72,000 bytes, above _CHECKED_MIN_BYTES
+        d2g = np.concatenate([d2g] * (_BIG_Q // 2))
+    same, new = _same_or_new(d2F, d2g, new=False), _same_or_new(d2F, d2g, new=True)
+    assert [_ingested(same) for _ in range(3)] == [_ingested(new) for _ in range(3)]
 
 
 def _returning_copies(problem, writable):

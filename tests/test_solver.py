@@ -51,6 +51,7 @@ PROTOCOL_CONSTANTS = ("beta", "eps", "t", "rho", "sigma")
     ("lam", 0.0), ("lam", math.nan), ("lam", math.inf),
     ("beta", 0.0), ("t", 2.0), ("rho", 1.0), ("sigma", 0.5), ("eps", -1.0),
     ("max_iter", -1), ("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", math.inf), ("max_iter", math.nan),
+    ("max_iter", True), ("max_iter", False),
 ] + [(name, math.inf) for name in PROTOCOL_CONSTANTS])
 def test_config_validates_ranges(field, value):
     kwargs = {"lam": 1.0, field: value}
@@ -60,6 +61,11 @@ def test_config_validates_ranges(field, value):
     else:
         with pytest.raises(ValueError, match=rf"^{field} "):
             bn.SolverConfig(**kwargs)
+
+
+def test_config_names_a_bool_cap():
+    with pytest.raises(ValueError, match=r"^max_iter must be an integer >= 0, got True$"):
+        bn.SolverConfig(lam=1.0, max_iter=True)
 
 
 def test_config_takes_a_numpy_integer_cap(entries):
@@ -580,6 +586,8 @@ def test_eoc_formula_examples():
 
 def _bits_of(value):
     """value with every float and array replaced by its bits, for exact comparison."""
+    if isinstance(value, bn.Iterate):
+        return _bits_of(value.vec), value.dims
     if dataclasses.is_dataclass(value):
         return tuple((f.name, _bits_of(getattr(value, f.name))) for f in dataclasses.fields(value))
     if isinstance(value, (list, tuple)):

@@ -1,6 +1,8 @@
 """Residual, Jacobian, and merit-function assembly tests."""
+import copy
 import dataclasses
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -93,6 +95,25 @@ def test_run_outputs_cannot_be_written_through(entries):
         for array in (zeta.vec, zeta.x, zeta.y, zeta.z, zeta.u, zeta.v, zeta.w):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+
+def test_per_point_objects_cannot_be_assigned(entries):
+    problem = entries["xy-linear"].problem
+    r = bn.assemble_residual(problem, 1.0, bn.resolve_start(problem))
+    for obj, names in [(r.at_y, r.at_y._fields), (r.at_z, r.at_z._fields), (r, r._fields),
+                       (r.zeta, ("vec", "dims", *VARIABLE_BLOCKS))]:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+
+
+def test_iterates_copy_and_pickle(entries):
+    problem = entries["dempe-parabola"].problem
+    zeta = bn.run(problem, bn.SolverConfig(lam=1.0, max_iter=3), bn.resolve_start(problem)).final
+    for clone in (copy.copy(zeta), copy.deepcopy(zeta), pickle.loads(pickle.dumps(zeta))):
+        assert clone.dims == zeta.dims and clone.dims.N == zeta.dims.N
+        assert np.array_equal(clone.vec, zeta.vec)
+        assert np.array_equal(clone.w, zeta.w) and block_slices(clone.dims) == block_slices(zeta.dims)
 
 
 def test_block_slices_shared_and_read_only(problems):
