@@ -21,13 +21,15 @@ they have returned, so its bits cannot have changed; so return constant
 derivatives read-only.  The Hessian contraction skips a large zero one.
 
 The leader functions F and G are evaluated only at the leader point (x, y).
-At the follower copy (x, z) the system reads f and g alone, so a follower
-bundle (``evaluate_all(..., upper=False)``) calls neither F nor G and holds
-None in their fields.
+At the follower copy (x, z) the system reads f and g alone.  ``evaluate_all``
+calls the functions its ``functions`` keyword names, and its bundle holds
+None in the fields of the others: a follower bundle holds None in the F and
+G fields.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -104,9 +106,10 @@ class EvalBundle(NamedTuple):
 
     Gradients are stored over the stacked (x, y) coordinates; the leading
     n entries are the derivatives w.r.t. the upper-level variable and the
-    trailing m entries w.r.t. the lower-level one.  A follower bundle, at
-    a point (x, z), holds None in the six F and G fields: F and G are
-    never evaluated there.
+    trailing m entries w.r.t. the lower-level one.  The three fields of a
+    function that was not called hold None.  A follower bundle, at a point
+    (x, z), holds None in the six F and G fields: F and G are never
+    evaluated there.
     """
 
     n: int
@@ -254,29 +257,46 @@ def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm:
     return vals, jac, hessians
 
 
-def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, upper: bool = True) -> EvalBundle:
-    """Evaluate F, G, f, g with derivatives at one point (x, y).
+# every string of distinct letters of "FfGg": the selections evaluate_all takes
+_SELECTIONS = frozenset("".join(names) for k in range(5) for names in itertools.permutations("FfGg", k))
+_NOT_CALLED = (None,) * 3
 
-    With ``upper=False`` the point is a follower point (x, z): only f and g
-    are called, and the bundle's F and G fields are None.  Raises
-    EvaluationError (carrying the function name and point) when an
-    evaluator returns a non-finite entry.  Deterministic: repeated calls at
-    the same point return bitwise-equal arrays.
+
+def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, functions: str = "FfGg") -> EvalBundle:
+    """Evaluate F, f, G, g with derivatives at one point (x, y).
+
+    ``functions`` names the evaluators to call, as distinct letters of
+    "FfGg" in any order; they are called in the order F, f, G, g, and the
+    bundle holds None in the fields of the others (``functions="fg"`` at a
+    follower point (x, z), say).  Raises EvaluationError (carrying the
+    function name and point) when an evaluator returns a non-finite entry.
+    Deterministic: repeated calls at the same point return bitwise-equal
+    arrays.
     """
+    if functions not in _SELECTIONS:
+        raise ValueError(f"functions must be distinct letters of 'FfGg', got {functions!r}")
+    # a line-search trial calls this once per stage, up to four times: a
+    # point of the right shape is not reshaped, and the bundle is built
+    # without EvalBundle's argument parsing
     d = problem.dims
-    x = np.asarray(x, dtype=float).reshape(d.n)
-    y = np.asarray(y, dtype=float).reshape(d.m)
+    n, m = d.n, d.m
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        x = x.reshape(n)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (m,):
+        y = y.reshape(m)
     xy = (x, y)  # concatenated only for an error report
-    nm = d.n + d.m
+    nm = n + m
 
     # each evaluator's output is checked before the next one is called; a
     # constraint evaluator with no components (p = 0 or q = 0) is not called.
     # Each check gives (value, gradient, Hessian), the bundle's field order.
-    F = _check_scalar("F", xy, problem.F(x, y), nm) if upper else (None,) * 3
-    f = _check_scalar("f", xy, problem.f(x, y), nm)
-    G = _check_vector("G", xy, problem.G(x, y) if d.p else None, d.p, nm) if upper else (None,) * 3
-    g = _check_vector("g", xy, problem.g(x, y) if d.q else None, d.q, nm)
-    return EvalBundle(d.n, *F, *f, *G, *g)
+    F = _check_scalar("F", xy, problem.F(x, y), nm) if "F" in functions else _NOT_CALLED
+    f = _check_scalar("f", xy, problem.f(x, y), nm) if "f" in functions else _NOT_CALLED
+    G = _check_vector("G", xy, problem.G(x, y) if d.p else None, d.p, nm) if "G" in functions else _NOT_CALLED
+    g = _check_vector("g", xy, problem.g(x, y) if d.q else None, d.q, nm) if "g" in functions else _NOT_CALLED
+    return tuple.__new__(EvalBundle, (n, *F, *f, *G, *g))
 
 
 # check_derivatives' central-difference step, relative to max(1, ||point||),

@@ -92,7 +92,7 @@ def _classify_block(name: str, cons: np.ndarray, mults: np.ndarray, flagged: lis
 
 def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBundle]:
     """The leader bundle at (x, y) and the follower bundle (f and g only) at (x, z)."""
-    return evaluate_all(problem, zeta.x, zeta.y), evaluate_all(problem, zeta.x, zeta.z, upper=False)
+    return evaluate_all(problem, zeta.x, zeta.y), evaluate_all(problem, zeta.x, zeta.z, functions="fg")
 
 
 def _partition(zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle) -> IndexSetPartition:

@@ -14,12 +14,15 @@ until ||Phi|| <= EPS, the iteration cap, a merit-stationary point, or a
 stalled line search.  BETA, T, RHO, SIGMA and EPS are the reference
 protocol's values, module constants read at call time.
 
-A line-search trial is staged.  It evaluates the follower point (x, z)
-first, with f and g only; when the follower rows of Phi alone already put
-Psi above the Armijo threshold merit0 + SIGMA*alpha*slope (with a proven
-rounding margin), the trial is rejected without evaluating the leader
-point (x, y).  Every other trial is assembled in full and tested exactly as
-before, so iterates and step sizes do not depend on the staging.  A run's
+A line-search trial is staged (``assemble_residual``): it calls g at the
+follower point (x, z), then f there, then G and g at the leader point
+(x, y), then F and f there, and builds the rows of Phi each stage gives.
+Once the rows built so far put Psi above the Armijo threshold
+merit0 + SIGMA*alpha*slope (with a proven rounding margin), the trial is
+rejected and no later stage is evaluated.  Every other trial is assembled
+in full and its merit tested against the threshold exactly, so iterates
+and step sizes do not depend on the staging.  A start that kept its
+evaluations (as ``resolve_start``'s does) is not evaluated again.  A run's
 final F and f come from the last leader evaluation.
 """
 from __future__ import annotations
@@ -161,7 +164,7 @@ def _backtrack(
         trial = Iterate(zeta.vec + alpha * d, zeta.dims)
         threshold = merit0 + SIGMA * alpha * slope
         r_trial = assemble_residual(problem, lam, trial, merit_bound=threshold)
-        if r_trial is not None and r_trial.merit() <= threshold:
+        if r_trial is not None:  # its merit is at most the threshold
             return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
     return None
 
@@ -197,7 +200,6 @@ def run(
                 break
             W = assemble_jacobian(resid, out=W_buf)
             phi, merit0 = resid.vec, resid.merit()
-            resid = ls = None  # this point's evaluations are not needed past W
             grad = W.T @ phi
             if float(np.linalg.norm(grad)) <= GRAD_STALL_TOL:
                 status = MERIT_STATIONARY

@@ -3,9 +3,9 @@
 The stationarity system depends on the penalty parameter, for which there
 is no a-priori best value; the driver therefore runs the Newton iteration
 over a grid of penalties (default 2^-1 .. 2^7), starts each run from the
-same transformed starting point, picks the best converged run by
-upper-level objective value, and reports normalized gaps against the best
-known objective values where available.
+same transformed starting point (evaluated once for the whole grid), picks
+the best converged run by upper-level objective value, and reports
+normalized gaps against the best known objective values where available.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .problem import BilevelProblem, evaluate_all
 from .solver import SOLVED, SolveReport, SolverConfig, run
-from .system import Iterate, valid_penalty
+from .system import Iterate, keep_evaluations, valid_penalty
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID", "SweepConfig", "SweepReport", "DeltaMetrics",
@@ -96,7 +96,10 @@ def resolve_start(problem: BilevelProblem, x0=None, y0=None) -> Iterate:
     x0 and y0 override the primal start; each of them that is not given
     is all ones.  z starts at y0, multipliers at the absolute constraint
     values: u_i = |G_i(x0, y0)|, v_j = |g_j(x0, y0)|, w = v.  A start of
-    the wrong length raises ValueError before anything is evaluated.
+    the wrong length raises ValueError before anything is evaluated.  The
+    one evaluation at (x0, y0) is kept with the start (``keep_evaluations``)
+    for both its points, since z0 = y0: a run from it, or every run of a
+    sweep, calls no evaluator there again.
     """
     d = problem.dims
     x0 = np.ones(d.n) if x0 is None else np.asarray(x0, dtype=float)
@@ -106,7 +109,9 @@ def resolve_start(problem: BilevelProblem, x0=None, y0=None) -> Iterate:
             raise ValueError(f"{name} has length {part.size}, expected {dim} = {size}")
     bundle = evaluate_all(problem, x0, y0)
     v0 = np.abs(bundle.g)
-    return Iterate.of(d, x0, y0, y0, np.abs(bundle.G), v0, v0)
+    zeta0 = Iterate.of(d, x0, y0, y0, np.abs(bundle.G), v0, v0)
+    keep_evaluations(zeta0, problem, bundle, bundle._replace(F=None, dF=None, d2F=None, G=None, dG=None, d2G=None))
+    return zeta0
 
 
 def sweep(

@@ -25,15 +25,20 @@ plus b on the matching multiplier diagonal, with (a, b) from
 
 Each point is evaluated once: the residual carries its evaluations at
 (x, y) and (x, z), and W is built from them, in ``assemble_jacobian`` alone.
+A point keeps the evaluations of its last completed residual
+(``keep_evaluations``), so a residual at the same point of the same
+problem, at any penalty, calls no evaluator again.
 ``hessian_block`` builds the Hessian super-block; W and the second-order
 form of the regularity diagnostics share it.  Both take an optional
 ``out=`` array to build into: the solver passes one (N, N) buffer per run,
 so a step allocates no new W.  Either way the bits are the same.
 
-The rows z and w read only f and g at the follower point (x, z), which is
-evaluated first.  Given a merit bound, ``assemble_residual`` stops there
-when those rows alone prove 0.5 * ||Phi||^2 above the bound, so a rejected
-line-search trial need not evaluate (x, y) at all.
+``assemble_residual`` builds Phi in four stages, each from the evaluators
+it needs: rows w from g at the follower point (x, z), rows z from f there,
+rows u and v from G and g at the leader point (x, y), and rows x and y from
+F and f there.  Given a merit bound, it stops after the first stage whose
+rows so far prove 0.5 * ||Phi||^2 above the bound, so a rejected
+line-search trial calls only the evaluators of the stages it reached.
 """
 from __future__ import annotations
 
@@ -86,6 +91,9 @@ class Iterate:
             raise ValueError(f"a stacked point has shape (N,) = ({self.dims.N},), got {self.vec.shape}")
         self.vec.flags.writeable = False
 
+    def __reduce__(self):  # through the constructor: a copy's vec is read-only, and it keeps no evaluations
+        return type(self), (self.vec, self.dims)
+
     def to_vector(self) -> np.ndarray:
         return self.vec
 
@@ -118,7 +126,11 @@ class ResidualVector(NamedTuple):
 
     def merit(self) -> float:
         """The merit function Psi = 0.5 * ||Phi||^2, as the line search tests it."""
-        return 0.5 * self.norm() ** 2
+        return _merit(self.vec)
+
+
+def _merit(vec: np.ndarray) -> float:
+    return 0.5 * math.sqrt(vec.dot(vec)) ** 2  # 0.5 * ResidualVector.norm() ** 2
 
 
 def valid_penalty(lam: float) -> bool:
@@ -134,39 +146,93 @@ def require_penalty(lam: float) -> float:
     return lam
 
 
+def keep_evaluations(zeta: Iterate, problem: BilevelProblem, at_y: EvalBundle, at_z: EvalBundle) -> None:
+    """Keep problem's evaluations at zeta's leader point (x, y) and follower
+    point (x, z) with zeta, in place of any it kept.
+
+    ``assemble_residual`` reads them back for the same problem object
+    instead of calling the evaluators; ``at_z`` holds None in its F and G
+    fields.  They are kept in zeta's ``__dict__``, which a copy or pickle of
+    zeta does not take.
+    """
+    zeta.__dict__["evaluations"] = (problem, at_y, at_z)
+
+
 def assemble_residual(
     problem: BilevelProblem, lam: float, zeta: Iterate, *, merit_bound: float | None = None
 ) -> ResidualVector | None:
     """Stationarity residual Phi at zeta for penalty lam, with the two
     evaluations it was built from.
 
-    The follower point (x, z) is evaluated first, with f and g only.  When
-    ``merit_bound`` is given and the follower rows alone prove that the
-    residual's ``merit() <= merit_bound`` fails (see ``_follower_rejects``),
-    None is returned and (x, y) is not evaluated.  Any returned residual
-    is bitwise the same with or without the bound.
+    The rows are built in four stages, in this order, each calling only the
+    evaluators it needs:
+
+    1. rows w, from g at the follower point (x, z);
+    2. rows z, from f at (x, z);
+    3. rows u and v, from G and g at the leader point (x, y);
+    4. rows x and y, from F and f at (x, y).
+
+    When ``merit_bound`` is given, None is returned unless the residual's
+    ``merit() <= merit_bound``: after stage 4 by that test, and after an
+    earlier stage as soon as the rows built so far prove that it fails (see
+    ``_rows_reject``); no later stage then calls an evaluator.  Any
+    returned residual is bitwise the same with or without the bound.
+    A completed residual's two evaluations are kept with zeta
+    (``keep_evaluations``); a later call at zeta for the same problem
+    object reads them instead, and applies a bound stage by stage just the
+    same.
     """
     lam = require_penalty(lam)
     d, s = problem.dims, block_slices(problem.dims)
+    kept = zeta.__dict__.get("evaluations")
+    at_y, at_z = kept[1:] if kept is not None and kept[0] is problem else (None, None)
     vec = np.empty(d.N)
-    rows_z, rows_w = vec[s["z"]], vec[s["w"]]
-
     x, z, w = zeta.vec[s["x"]], zeta.vec[s["z"]], zeta.vec[s["w"]]
-    at_z = evaluate_all(problem, x, z, upper=False)
-    ell_grad = at_z.df + at_z.dg.T @ w  # the follower-Lagrangian gradient over (x, z)
-    np.multiply(-lam, ell_grad[d.n:], out=rows_z)
-    rows_w[:] = _fb_rows(at_z.g.tolist(), w)
-    if merit_bound is not None and _follower_rejects(rows_z, rows_w, d.N, merit_bound):
-        return None
+    bounded = merit_bound is not None
 
-    at_y = evaluate_all(problem, x, zeta.y)
-    # rows x and y: the upper-Lagrangian gradient over (x, y), less lam ell_x in rows x (p = 0: + 0.0, same bits)
-    lag_grad = np.add(at_y.dF, at_y.dG.T @ zeta.u if d.p else 0.0, out=vec[:s["z"].start])
-    lag_grad += at_y.dg.T @ zeta.v
-    lag_grad += lam * at_y.df
-    lag_grad[s["x"]] -= lam * ell_grad[s["x"]]
+    # each stage's bundle holds the fields of the evaluators it called; a
+    # completed residual joins them into at_z and at_y
+    # stage 1: rows w
+    g_z = at_z if at_z is not None else evaluate_all(problem, x, z, functions="g")
+    rows_w = vec[s["w"]]
+    rows_w[:] = _fb_rows(g_z.g.tolist(), w)
+    if bounded:
+        partial = float(rows_w.dot(rows_w))
+        if _rows_reject(partial, d.N, merit_bound):
+            return None
+
+    # stage 2: rows z
+    f_z = at_z if at_z is not None else evaluate_all(problem, x, z, functions="f")
+    ell_grad = f_z.df + g_z.dg.T @ w  # the follower-Lagrangian gradient over (x, z)
+    rows_z = np.multiply(-lam, ell_grad[d.n:], out=vec[s["z"]])
+    if bounded:
+        partial += float(rows_z.dot(rows_z))
+        if _rows_reject(partial, d.N, merit_bound):
+            return None
+
+    # stage 3: rows u and v
+    y = zeta.vec[s["y"]]
+    Gg_y = at_y if at_y is not None else evaluate_all(problem, x, y, functions="Gg")
     uv = slice(s["u"].start, s["v"].stop)  # rows u and v follow each other, as do G's and g's pairs
-    vec[uv] = _fb_rows(at_y.G.tolist() + at_y.g.tolist(), zeta.vec[uv])
+    rows_uv = vec[uv]
+    rows_uv[:] = _fb_rows(Gg_y.G.tolist() + Gg_y.g.tolist(), zeta.vec[uv])
+    if bounded:
+        partial += float(rows_uv.dot(rows_uv))
+        if _rows_reject(partial, d.N, merit_bound):
+            return None
+
+    # stage 4: rows x and y, the upper-Lagrangian gradient over (x, y), less lam ell_x in
+    # rows x (p = 0: + 0.0, same bits)
+    Ff_y = at_y if at_y is not None else evaluate_all(problem, x, y, functions="Ff")
+    lag_grad = np.add(Ff_y.dF, Gg_y.dG.T @ zeta.u if d.p else 0.0, out=vec[:s["z"].start])
+    lag_grad += Gg_y.dg.T @ zeta.v
+    lag_grad += lam * Ff_y.df
+    lag_grad[s["x"]] -= lam * ell_grad[s["x"]]
+    if bounded and not _merit(vec) <= merit_bound:
+        return None
+    if at_y is None:
+        at_z, at_y = EvalBundle._make(f_z[:10] + g_z[10:]), EvalBundle._make(Ff_y[:7] + Gg_y[7:])
+        keep_evaluations(zeta, problem, at_y, at_z)
     return ResidualVector(vec=vec, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
 
 
@@ -174,43 +240,44 @@ _U = 2.0**-53      # unit roundoff
 _ETA = 2.0**-1074  # smallest subnormal
 
 
-def _follower_rejects(rows_z: np.ndarray, rows_w: np.ndarray, N: int, bound: float) -> bool:
-    """Whether rows z and w of Phi alone prove that the full Armijo test
+def _rows_reject(s_p: float, N: int, bound: float) -> bool:
+    """Whether rows of Phi whose sum of squares, computed as a few dot
+    products added, is s_p prove that the full Armijo test
     ``0.5 * norm(vec) ** 2 <= bound`` on the N-vector ``vec`` fails.
 
     Derivation.  Let S be the exact sum of squares of vec (whose entries
-    are floats), S_f <= S that of the follower rows, u = 2^-53 and
+    are floats), S_p <= S that of the rows summed, u = 2^-53 and
     eta = 2^-1074.  A floating-point sum of k <= N squares, in any order
     and with or without FMA, is within gamma S' + N eta of its exact value
     S', where gamma = N u / (1 - N u) <= 2 N u; the eta term covers squares
-    that round in the subnormal range (a subnormal sum is exact).  s_f,
-    two dot products added, is such a sum, and so is D = fl(vec . vec):
+    that round in the subnormal range (a subnormal sum is exact).  s_p, the
+    squares of any subset of the rows summed as a few dot products added,
+    is such a sum, and so is D = fl(vec . vec):
 
-        s_f <= (1 + gamma) S_f + N eta,    D >= (1 - gamma) S - N eta.
+        s_p <= (1 + gamma) S_p + N eta,    D >= (1 - gamma) S - N eta.
 
     ``norm`` is fl(sqrt(D)) >= sqrt(D) (1 - u); ``** 2`` (libm pow, within
     one ulp) and the product with 0.5 lose at most a factor (1 - 2 u) and
-    eta in all.  With S >= S_f the full test therefore computes
+    eta in all.  With S >= S_p the full test therefore computes
 
         psi >= 0.5 c D - eta,           c = (1 - u)^2 (1 - 2 u) >= 1 - 4 u,
-            >= 0.5 K (s_f - N eta) - 0.5 N eta - eta,
+            >= 0.5 K (s_p - N eta) - 0.5 N eta - eta,
                                         K = c (1 - gamma) / (1 + gamma)
                                           >= (1 - 4 u)(1 - 4 N u) >= 1 - 4 (N + 1) u,
-            >= 0.5 K s_f - (N + 1) eta  when s_f >= N eta.
+            >= 0.5 K s_p - (N + 1) eta  when s_p >= N eta.
 
-    The test computes e = fl(fl(fl(0.5 s_f) k) - E) with the exact
+    The test computes e = fl(fl(fl(0.5 s_p) k) - E) with the exact
     constants k = 1 - 8 (N + 4) u and E = (N + 4) eta.  Its own roundings
-    give e <= 0.5 s_f k (1 + u)^2 + (1.01 - N - 4) eta when e > 0, and
+    give e <= 0.5 s_p k (1 + u)^2 + (1.01 - N - 4) eta when e > 0, and
     k (1 + u)^2 <= 1 - 4 (N + 1) u <= K.  So for a bound >= 0, e > bound
-    forces s_f >= N eta and psi >= 0.5 K s_f - (N + 1) eta > e' >= bound,
+    forces s_p >= N eta and psi >= 0.5 K s_p - (N + 1) eta > e' >= bound,
     with e' the right-hand side above: the full test fails.  A negative
-    bound fails the full test outright (psi >= 0).  A non-finite s_f
-    decides nothing; the full test then runs.
+    bound fails the full test outright (psi >= 0).  A non-finite s_p
+    decides nothing; the later stages then run.
     """
     if bound < 0:
         return True
-    s_f = float(rows_z.dot(rows_z)) + float(rows_w.dot(rows_w))
-    return math.isfinite(s_f) and 0.5 * s_f * (1.0 - 8 * (N + 4) * _U) - (N + 4) * _ETA > bound
+    return math.isfinite(s_p) and 0.5 * s_p * (1.0 - 8 * (N + 4) * _U) - (N + 4) * _ETA > bound
 
 
 def _fb_rows(cons: list[float], mults: np.ndarray) -> list[float]:

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import bilevel_newton as bn
+from bilevel_newton.system import block_slices
 
 
 def fd_jacobian(problem, lam, zeta, h=1e-6):
@@ -57,7 +59,7 @@ def sample_kink_free(problem, rng, margin=1e-3, box=2.0):
 
 def counting(problem, *names):
     """The problem with the named evaluators wrapped to record their calls,
-    and the records by name."""
+    and the records by name (an absent G stays absent)."""
     calls = {name: [] for name in names}
 
     def wrap(name):
@@ -67,7 +69,42 @@ def counting(problem, *names):
             calls[name].append((x, y))
             return fn(x, y)
         return call
-    return dataclasses.replace(problem, **{name: wrap(name) for name in names}), calls
+    return dataclasses.replace(problem, **{name: wrap(name) for name in names
+                                          if getattr(problem, name) is not None}), calls
+
+
+# assemble_residual's stages, in order: the evaluators each calls and the
+# row blocks it builds
+STAGES = (("g", "w"), ("f", "z"), ("Gg", "uv"), ("Ff", "xy"))
+
+
+def staged_calls(problem, residual, bound):
+    """A replay of assemble_residual's staged rule at a point whose full
+    residual is ``residual``, under merit bound ``bound`` (None: no bound,
+    and then ``residual`` is not read).
+
+    Returns the evaluator calls it makes, by name (a constraint evaluator
+    with no components is not called), and whether it returns the residual.
+    After each of the first three stages the squares of the rows built so
+    far are summed, one dot product per stage, and the trial is rejected
+    when that sum proves the merit above the bound; after the last one the
+    merit itself is tested.
+    """
+    d, s = problem.dims, block_slices(problem.dims)
+    components = {"F": 1, "f": 1, "G": d.p, "g": d.q}
+    calls = dict.fromkeys("FfGg", 0)
+    partial = 0.0
+    for names, blocks in STAGES:
+        for name in names:
+            calls[name] += components[name] > 0
+        if bound is None or blocks == "xy":
+            continue
+        rows = residual.vec[s[blocks[0]].start:s[blocks[-1]].stop]
+        partial += float(rows.dot(rows))
+        if bound < 0 or (math.isfinite(partial) and
+                         0.5 * partial * (1.0 - 8 * (d.N + 4) * 2.0**-53) - (d.N + 4) * 2.0**-1074 > bound):
+            return calls, False
+    return calls, bound is None or residual.merit() <= bound
 
 
 def growth_matrix(n):

@@ -123,17 +123,35 @@ def test_follower_bundle_calls_only_f_and_g():
     calls = []
     p = _logged_problem(calls, F=(np.nan, np.zeros(2), np.zeros((2, 2))),
                         G=(np.array([np.inf]), np.ones((1, 2)), np.zeros((1, 2, 2))))
-    b = bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]), upper=False)
+    b = bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]), functions="fg")
     assert calls == ["f", "g"]
     assert (b.F, b.dF, b.d2F, b.G, b.dG, b.d2G) == (None,) * 6
     assert b.f == 2.0 and np.array_equal(b.g, [-2.0])
+
+
+@pytest.mark.parametrize("functions", ["", "F", "g", "gf", "Gg", "Ff", "FfGg", "gGfF"])
+def test_evaluate_all_calls_the_selected_functions_in_order(functions):
+    calls = []
+    b = bn.evaluate_all(_logged_problem(calls), np.array([0.5]), np.array([-1.5]), functions=functions)
+    assert calls == [name for name in "FfGg" if name in functions]
+    for name in "FfGg":
+        values = (getattr(b, name), getattr(b, "d" + name), getattr(b, "d2" + name))
+        assert (values == (None,) * 3) == (name not in functions)
+
+
+@pytest.mark.parametrize("functions", ["x", "FF", "fgf", "FfGgg", "f,g"])
+def test_evaluate_all_rejects_an_unknown_selection_before_any_call(functions):
+    calls = []
+    with pytest.raises(ValueError, match="distinct letters of 'FfGg'"):
+        bn.evaluate_all(_logged_problem(calls), np.array([0.5]), np.array([-1.5]), functions=functions)
+    assert calls == []
 
 
 def test_follower_bundle_names_the_nonfinite_follower_evaluator():
     calls = []
     p = _logged_problem(calls, f=(np.nan, np.ones(2), np.eye(2)))
     with pytest.raises(bn.EvaluationError) as exc:
-        bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]), upper=False)
+        bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]), functions="fg")
     assert exc.value.function == "f" and calls == ["f"]
 
 

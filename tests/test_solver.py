@@ -13,7 +13,7 @@ from bilevel_newton.problem import BilevelProblem
 from bilevel_newton.solver import GRADIENT, NEWTON, LineSearchResult, StepRecord
 from bilevel_newton.system import Iterate, assemble_jacobian, assemble_residual
 
-from conftest import counting
+from conftest import counting, staged_calls
 
 
 def make_duplicated_constraint_problem():
@@ -391,22 +391,35 @@ def test_run_reports_malformed_evaluator_output(problems, malform):
 
 
 def _counted_start(entry):
-    p, calls = counting(entry.problem, "F", "f")
+    """The problem with its evaluators counted, the record of their calls,
+    and the reference start.  The start keeps the evaluations of
+    entry.problem, not of the counted problem, so a run of the counted
+    problem evaluates it once."""
+    p, calls = counting(entry.problem, "F", "f", "G", "g")
     zeta = bn.resolve_start(entry.problem)
     return p, calls, zeta
 
 
-def _leader_trials(problem, lam, zeta, d, merit0, slope, backtracks):
-    """How many of the first backtracks + 1 trials along d evaluate their
-    leader point: those whose follower rows do not reject them."""
-    vec = zeta.to_vector()
-    count = 0
+def _counts(calls):
+    return {name: len(c) for name, c in calls.items()}
+
+
+def _add(total, calls):
+    for name, count in calls.items():
+        total[name] += count
+    return total
+
+
+def _trial_calls(problem, lam, zeta, d, merit0, slope, backtracks):
+    """The evaluator calls, by name, of the first backtracks + 1
+    line-search trials along d, from a replay of the staged rule at each."""
+    total = dict.fromkeys("FfGg", 0)
     for s in range(backtracks + 1):
         alpha = solver.RHO**s
-        trial = bn.Iterate.from_vector(vec + alpha * d, problem.dims)
+        trial = bn.Iterate(zeta.vec + alpha * d, problem.dims)
         bound = merit0 + solver.SIGMA * alpha * slope
-        count += bn.assemble_residual(problem, lam, trial, merit_bound=bound) is not None
-    return count
+        _add(total, staged_calls(problem, assemble_residual(problem, lam, trial), bound)[0])
+    return total
 
 
 def test_step_evaluates_the_point_once(entries, monkeypatch):
@@ -424,32 +437,30 @@ def test_step_evaluates_the_point_once(entries, monkeypatch):
 
 
 def test_line_search_evaluates_the_start_once(entries):
-    # run's first iteration: the start's two points, then every trial's
-    # follower point and the leader point of each trial its follower rows
-    # do not reject; the line search does not evaluate the start again
+    # run's first iteration: every stage at the start, then the stages each
+    # trial reaches; the line search does not evaluate the start again
     entry = entries["xy-linear"]
     cfg = bn.SolverConfig(lam=2.0)
     p, calls, zeta = _counted_start(entry)
     rec = _first_step(p, cfg, zeta)
-    leader = 1 + _leader_trials(entry.problem, cfg.lam, zeta, rec.direction, rec.merit_before,
-                                rec.slope, rec.backtracks)
-    assert len(calls["F"]) == leader
-    assert len(calls["f"]) == leader + 1 + rec.backtracks + 1
+    expected = _add(staged_calls(entry.problem, None, None)[0], _trial_calls(
+        entry.problem, cfg.lam, zeta, rec.direction, rec.merit_before, rec.slope, rec.backtracks))
+    assert _counts(calls) == expected
 
 
 def _assert_run_evaluates_each_point_once(entry, cfg):
-    # leader points: the start and every fully assembled trial, the last of
-    # which gives the report's F/f; follower points: the start and every trial
+    # every stage at the start, then the stages each trial reaches; the
+    # last trial is complete and gives the report's F/f
     p, calls, zeta = _counted_start(entry)
     records: list[StepRecord] = []
     report = bn.run(p, cfg, zeta, callback=records.append)
     assert records
-    leader = 1 + sum(_leader_trials(entry.problem, cfg.lam, rec.zeta, rec.direction, rec.merit_before,
-                                    rec.slope, rec.backtracks) for rec in records)
-    trials = sum(rec.backtracks + 1 for rec in records)
-    assert len(calls["F"]) == leader
-    assert len(calls["f"]) == leader + 1 + trials
-    return report, leader, trials
+    expected = staged_calls(entry.problem, None, None)[0]
+    for rec in records:
+        _add(expected, _trial_calls(entry.problem, cfg.lam, rec.zeta, rec.direction, rec.merit_before,
+                                    rec.slope, rec.backtracks))
+    assert _counts(calls) == expected
+    return report, expected, sum(rec.backtracks + 1 for rec in records)
 
 
 @pytest.mark.parametrize("name,lam", [("quadratic-projection", 1.0), ("dempe-parabola", 4.0)])
@@ -459,13 +470,14 @@ def test_run_evaluates_each_point_once(entries, name, lam):
 
 
 def test_run_skips_the_leader_point_of_rejected_trials(entries):
-    # dempe at lam = 128 stalls: most trials are rejected, most of those by
-    # their follower rows alone
+    # dempe at lam = 128 stalls: most trials are rejected, most of those
+    # before their leader point, some by their rows w alone
     entry = entries["dempe-parabola"]
-    report, leader, trials = _assert_run_evaluates_each_point_once(
+    report, calls, trials = _assert_run_evaluates_each_point_once(
         entry, bn.SolverConfig(lam=128.0, max_iter=30))
     assert report.status == bn.MAX_ITER
-    assert leader < 1 + trials // 2
+    assert calls["F"] < 1 + trials // 2
+    assert calls["f"] - calls["F"] < 1 + trials  # f at (x, z): the start and the trials rows w do not reject
 
 
 def test_run_reads_final_values_from_the_last_leader_point(entries):
@@ -568,10 +580,10 @@ def test_staged_line_search_decides_as_the_full_one(entries, monkeypatch):
                 with monkeypatch.context() as tight:
                     tight.setattr(solver, "MAX_BACKTRACKS", rec.backtracks - 1)
                     assert solver._backtrack(*args) is None and _reference_backtrack(*args) is None
-            trials = _leader_trials(problem, lam, rec.zeta, rec.direction, rec.merit_before,
-                                    rec.slope, rec.backtracks)
-            early += rec.backtracks + 1 - trials
-    assert early > 0  # the follower rows alone rejected some trials
+            complete = _trial_calls(problem, lam, rec.zeta, rec.direction, rec.merit_before,
+                                    rec.slope, rec.backtracks)["F"]
+            early += rec.backtracks + 1 - complete
+    assert early > 0  # some trials were rejected before their leader point was complete
 
 
 def test_eoc_formula_examples():

@@ -1,9 +1,12 @@
 """Penalty-grid driver tests: starts, metrics, aggregation, determinism."""
+import dataclasses
 
 import numpy as np
 import pytest
 
 import bilevel_newton as bn
+
+from conftest import counting
 
 
 def test_default_lambda_grid():
@@ -146,3 +149,52 @@ def test_sweep_best_requires_solved(entries):
     assert all(r.status == bn.MAX_ITER for r in report.runs)
     best_norms = [r.final_residual_norm for r in report.runs]
     assert report.best.final_residual_norm == min(best_norms)
+
+
+# the default grid, with a cap that keeps dempe's failing penalties short
+_CAPPED = bn.SweepConfig(base=bn.SolverConfig(lam=1.0, max_iter=30))
+
+
+def _calls_at(calls, x, y):
+    """How many of the recorded calls were made at the point (x, y)."""
+    return {name: sum(np.array_equal(cx, x) and np.array_equal(cy, y) for cx, cy in c) for name, c in calls.items()}
+
+
+@pytest.mark.parametrize("name", ["quadratic-projection", "xy-linear", "dempe-parabola"])
+def test_sweep_evaluates_its_resolved_start_once(entries, name):
+    # resolve_start's one evaluation at (x0, y0) = (x0, z0) serves every run
+    p, calls = counting(entries[name].problem, "F", "f", "G", "g")
+    report = bn.sweep(p, _CAPPED)
+    assert len(report.runs) == len(bn.DEFAULT_LAMBDA_GRID)
+    d = p.dims
+    start = bn.resolve_start(entries[name].problem)
+    assert _calls_at(calls, start.x, start.y) == {"F": 1, "f": 1, "G": int(d.p > 0), "g": int(d.q > 0)}
+
+
+def test_sweep_evaluates_a_start_it_is_given_once(entries):
+    entry = entries["xy-linear"]
+    p, calls = counting(entry.problem, "F", "f", "G", "g")
+    zeta0 = bn.resolve_start(entry.problem)
+    start = bn.Iterate.of(p.dims, zeta0.x, zeta0.y, zeta0.z + 0.25, zeta0.u, zeta0.v, zeta0.w)
+    report = bn.sweep(p, _CAPPED, start=start)
+    assert all(r.status == bn.SOLVED for r in report.runs)
+    assert _calls_at(calls, start.x, start.y) == {"F": 1, "f": 1, "G": 1, "g": 1}
+    assert _calls_at(calls, start.x, start.z) == {"F": 0, "f": 1, "G": 0, "g": 1}
+
+
+def test_a_start_that_fails_fails_every_run(entries):
+    # F fails at the start's leader point, after g and f at (x, z) and G and
+    # g at (x, y) succeeded: nothing of a failed evaluation is kept, so every
+    # run evaluates the start again, and each run's report tries F once more
+    entry = entries["xy-linear"]
+    zeta0 = bn.resolve_start(entry.problem)
+    start = bn.Iterate.of(entry.problem.dims, zeta0.x, zeta0.y, zeta0.z + 0.25, zeta0.u, zeta0.v, zeta0.w)
+    nm = entry.problem.dims.n + entry.problem.dims.m
+    nan_F = dataclasses.replace(entry.problem, F=lambda x, y: (np.nan, np.zeros(nm), np.zeros((nm, nm))))
+    p, calls = counting(nan_F, "F", "f", "G", "g")
+    report = bn.sweep(p, _CAPPED, start=start)
+    runs = len(report.runs)
+    assert [r.status for r in report.runs] == [bn.EVALUATION_FAILED] * runs
+    assert all("while evaluating F" in r.error for r in report.runs)
+    assert _calls_at(calls, start.x, start.z) == {"F": 0, "f": runs, "G": 0, "g": runs}
+    assert _calls_at(calls, start.x, start.y) == {"F": 2 * runs, "f": 0, "G": runs, "g": runs}

@@ -17,7 +17,7 @@ from bilevel_newton.complementarity import KINK_A, KINK_B
 from bilevel_newton.problem import EvalBundle
 from bilevel_newton.system import VARIABLE_BLOCKS, block_slices, hessian_block
 
-from conftest import counting, fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
+from conftest import counting, fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free, staged_calls
 
 
 def test_iterate_round_trip(problems):
@@ -108,12 +108,26 @@ def test_per_point_objects_cannot_be_assigned(entries):
 
 
 def test_iterates_copy_and_pickle(entries):
-    problem = entries["dempe-parabola"].problem
-    zeta = bn.run(problem, bn.SolverConfig(lam=1.0, max_iter=3), bn.resolve_start(problem)).final
-    for clone in (copy.copy(zeta), copy.deepcopy(zeta), pickle.loads(pickle.dumps(zeta))):
-        assert clone.dims == zeta.dims and clone.dims.N == zeta.dims.N
-        assert np.array_equal(clone.vec, zeta.vec)
-        assert np.array_equal(clone.w, zeta.w) and block_slices(clone.dims) == block_slices(zeta.dims)
+    # the points keep evaluations of a problem whose evaluators are closures,
+    # which cannot be pickled: a clone takes neither them nor a writable vec
+    problem, calls = counting(entries["dempe-parabola"].problem, "F", "f", "g")
+    start = bn.resolve_start(problem)
+    final = bn.run(problem, bn.SolverConfig(lam=1.0, max_iter=3), start).final
+    for zeta in (start, final):
+        for c in calls.values():
+            c.clear()
+        bn.assemble_residual(problem, 1.0, zeta)
+        assert not any(calls.values())  # zeta holds problem's evaluations
+        for clone in (copy.copy(zeta), copy.deepcopy(zeta), pickle.loads(pickle.dumps(zeta))):
+            assert clone.dims == zeta.dims and clone.dims.N == zeta.dims.N
+            assert np.array_equal(clone.vec, zeta.vec)
+            assert np.array_equal(clone.w, zeta.w) and block_slices(clone.dims) == block_slices(zeta.dims)
+            with pytest.raises(ValueError, match="read-only"):
+                clone.vec[0] = 1.0
+            bn.assemble_residual(problem, 1.0, clone)
+            assert {name: len(c) for name, c in calls.items()} == {"F": 1, "f": 2, "g": 2}
+            for c in calls.values():
+                c.clear()
 
 
 def test_block_slices_shared_and_read_only(problems):
@@ -244,26 +258,17 @@ def _reference_fb_rows(cons, mults):
     return [complementarity.fb(-c, mu) for c, mu in zip(cons.tolist(), mults.tolist())]
 
 
-def _reference_follower_rejects(rows_z, rows_w, N, bound):
-    if bound < 0:
-        return True
-    s_f = float(rows_z.dot(rows_z)) + float(rows_w.dot(rows_w))
-    return math.isfinite(s_f) and 0.5 * s_f * (1.0 - 8 * (N + 4) * 2.0**-53) - (N + 4) * 2.0**-1074 > bound
-
-
-def _reference_assemble_residual(problem, lam, zeta, *, merit_bound=None):
+def _reference_assemble_residual(problem, lam, zeta):
     lam = system.require_penalty(lam)
     d = problem.dims
     s = block_slices(d)
     vec = np.empty(d.N)
 
-    at_z = bn.evaluate_all(problem, zeta.x, zeta.z, upper=False)
+    at_z = bn.evaluate_all(problem, zeta.x, zeta.z, functions="fg")
     ell_grad = at_z.df + at_z.dg.T @ zeta.w
     ell_x, ell_z = _split(ell_grad, d.n)
     vec[s["z"]] = -lam * ell_z
     vec[s["w"]] = _reference_fb_rows(at_z.g, zeta.w)
-    if merit_bound is not None and _reference_follower_rejects(vec[s["z"]], vec[s["w"]], d.N, merit_bound):
-        return None
 
     at_y = bn.evaluate_all(problem, zeta.x, zeta.y)
     lag_grad = at_y.dF + at_y.dG.T @ zeta.u + at_y.dg.T @ zeta.v + lam * at_y.df
@@ -304,7 +309,18 @@ def _residual_cases(draw):
         f=lambda x, y: (*f_at[y.tobytes()], np.zeros((nm, nm))),
         G=lambda x, y: (*G_data, np.zeros((p, nm, nm))),
         g=lambda x, y: (*g_at[y.tobytes()], np.zeros((q, nm, nm))))
-    return problem, lam, zeta, draw(st.sampled_from([None, "negative", "zero", "follower", "full", "twice"]))
+    stage_kinds = [f"stage {k}" for k in range(1, 4)]
+    return problem, lam, zeta, draw(st.sampled_from([None, "negative", "zero", *stage_kinds, "full", "twice"]))
+
+
+def _stage_sums(problem, vec):
+    """The sums of squares of the rows built by the end of stages 1, 2 and 3."""
+    s, sums, partial = block_slices(problem.dims), [], 0.0
+    for blocks in ("w", "z", "uv"):
+        rows = vec[s[blocks[0]].start:s[blocks[-1]].stop]
+        partial += float(rows @ rows)
+        sums.append(partial)
+    return sums
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,24 +328,32 @@ def _residual_cases(draw):
 def test_residual_matches_the_reference_bitwise(case):
     problem, lam, zeta, bound_kind = case
     full = _reference_assemble_residual(problem, lam, zeta)
-    s = block_slices(zeta.dims)
-    s_f = float(full.vec[s["z"]] @ full.vec[s["z"]] + full.vec[s["w"]] @ full.vec[s["w"]])
-    bound = {None: None, "negative": -1.0, "zero": 0.0, "follower": 0.4 * s_f,
-             "full": full.merit(), "twice": 2.0 * full.merit()}[bound_kind]
+    sums = _stage_sums(problem, full.vec)
+    bound = {None: None, "negative": -1.0, "zero": 0.0, "full": full.merit(), "twice": 2.0 * full.merit(),
+             **{f"stage {k}": 0.4 * sums[k - 1] for k in range(1, 4)}}[bound_kind]
+    expected_calls, returned = staged_calls(problem, full, bound)
     counted, calls = counting(problem, "F", "f", "G", "g")
-    reference = _reference_assemble_residual(counted, lam, zeta, merit_bound=bound)
-    reference_calls = {name: len(c) for name, c in calls.items()}
+    r = bn.assemble_residual(counted, lam, zeta, merit_bound=bound)
+    assert {name: len(c) for name, c in calls.items()} == expected_calls
+    assert (r is not None) == returned
+    if bound_kind == "negative" or (bound_kind in ("stage 1", "stage 2", "stage 3") and sums[int(bound_kind[-1]) - 1] > 1e-300):
+        assert r is None  # rejected by that stage at the latest
+    if bound_kind in ("full", "twice"):
+        assert r is not None
+    if r is None:
+        return
+    assert np.array_equal(_bits(r.vec), _bits(full.vec))
+    assert r.lam == full.lam and r.zeta is zeta
+    assert (r.at_y.F, r.at_y.f, r.at_z.f) == (full.at_y.F, full.at_y.f, full.at_z.f)
+    # zeta now keeps its evaluations: a residual there calls no evaluator,
+    # under any bound, and decides as the staged rule does
     for c in calls.values():
         c.clear()
-    r = bn.assemble_residual(counted, lam, zeta, merit_bound=bound)
-    assert {name: len(c) for name, c in calls.items()} == reference_calls
-    if bound_kind == "negative" or (bound_kind == "follower" and s_f > 1e-300):
-        assert reference is None
-    assert (r is None) == (reference is None)
-    if r is not None:
-        assert np.array_equal(_bits(r.vec), _bits(reference.vec))
-        assert r.lam == reference.lam and r.zeta is zeta
-        assert (r.at_y.F, r.at_y.f, r.at_z.f) == (reference.at_y.F, reference.at_y.f, reference.at_z.f)
+    for again_bound in (None, -1.0, 0.0, *(0.4 * v for v in sums), full.merit()):
+        again = bn.assemble_residual(counted, lam, zeta, merit_bound=again_bound)
+        assert (again is not None) == staged_calls(problem, full, again_bound)[1]
+        assert again is None or np.array_equal(_bits(again.vec), _bits(full.vec))
+    assert not any(calls.values())
 
 
 def test_residual_norm_is_the_bits_of_np_linalg_norm():
@@ -559,15 +583,33 @@ def test_merit_bound_at_the_full_merit_returns_the_residual(problems):
 
 
 def test_follower_rows_above_the_bound_skip_the_leader_point(problems):
-    p, calls = counting(problems["dempe-parabola"], "F", "f")
+    raw = problems["dempe-parabola"]
+    p, calls = counting(raw, "F", "f", "g")
     zeta = bn.Iterate.of(p.dims, x=[1.0], y=[1.0], z=[3.0], v=[1.0], w=[1.0])
-    full = bn.assemble_residual(p, 8.0, zeta)
+    full = bn.assemble_residual(raw, 8.0, zeta)  # kept for raw, not for p
     s = block_slices(p.dims)
-    rows = np.r_[full.vec[s["z"]], full.vec[s["w"]]]
-    calls["F"].clear()
-    calls["f"].clear()
-    assert bn.assemble_residual(p, 8.0, zeta, merit_bound=0.49 * float(rows @ rows)) is None
-    assert (len(calls["F"]), len(calls["f"])) == (0, 1)
+    w_rows, rows = full.vec[s["w"]], np.r_[full.vec[s["z"]], full.vec[s["w"]]]
+    # rows w alone prove the first bound exceeded, rows z and w the second
+    for bound, follower in ((0.49 * float(w_rows @ w_rows), {"g": 1}), (0.49 * float(rows @ rows), {"g": 1, "f": 1})):
+        for c in calls.values():
+            c.clear()
+        assert bn.assemble_residual(p, 8.0, zeta, merit_bound=bound) is None
+        expected, returned = staged_calls(raw, full, bound)
+        assert {name: len(c) for name, c in calls.items()} == {k: expected[k] for k in calls}
+        assert not returned and expected == {"F": 0, "f": 0, "G": 0, "g": 0, **follower}
+
+
+def test_kept_evaluations_serve_only_their_problem(problems):
+    # a point keeps the evaluations of its last completed residual, keyed by
+    # the problem object: another problem, even an equal one, evaluates again
+    raw = problems["xy-linear"]
+    p, calls = counting(raw, "F", "f", "G", "g")
+    zeta = bn.Iterate.from_vector(np.linspace(-1, 1, p.dims.N), p.dims)
+    full = {"F": 1, "f": 2, "G": 1, "g": 2}
+    for problem, lam, expected in ((p, 1.0, full), (p, 4.0, full), (raw, 1.0, full),
+                                   (dataclasses.replace(raw), 1.0, full), (p, 2.0, {k: 2 * v for k, v in full.items()})):
+        bn.assemble_residual(problem, lam, zeta)
+        assert {name: len(c) for name, c in calls.items()} == expected
 
 
 def test_negative_merit_bound_rejects_even_a_zero_residual(entries):
