@@ -19,6 +19,8 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
+from .problem import _finite
+
 
 class SingularMatrixError(RuntimeError):
     """Linear system flagged as (numerically) singular; expected control flow."""
@@ -60,7 +62,7 @@ def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     d, info = dgetrs(lu, piv, b)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
-    if not np.isfinite(d).all():
+    if not _finite(d):  # one ddot; d is scanned only when its sum of squares is not finite
         raise SingularMatrixError("non-finite solution")
     # sqrt(r.r) is the arithmetic np.linalg.norm does for a real vector
     r = A @ d - b

@@ -21,10 +21,14 @@ they have returned, so its bits cannot have changed; so return constant
 derivatives read-only.  The Hessian contraction skips a large zero one.
 
 The leader functions F and G are evaluated only at the leader point (x, y).
-At the follower copy (x, z) the system reads f and g alone.  ``evaluate_all``
-calls the functions its ``functions`` keyword names, and its bundle holds
-None in the fields of the others: a follower bundle holds None in the F and
-G fields.
+At the follower copy (x, z) the system reads f and g alone.
+``evaluate_function`` is the per-function step: it calls one evaluator and
+checks its output, giving a (value, gradient, Hessian) triple.  The staged
+residual of ``system`` calls it for each stage's evaluators and builds its
+bundles (``EvalBundle.of``) only once the residual completes.
+``evaluate_all`` calls the functions its ``functions`` keyword names
+through the same step, and its bundle holds None in the fields of the
+others: a follower bundle holds None in the F and G fields.
 """
 from __future__ import annotations
 
@@ -101,6 +105,9 @@ class BilevelProblem:
             raise ValueError(f"problem {self.name!r} has p={self.dims.p} but no G evaluator")
 
 
+_NOT_CALLED = (None,) * 3
+
+
 class EvalBundle(NamedTuple):
     """All problem data at one point (x, y): values, gradients, Hessians.
 
@@ -125,6 +132,18 @@ class EvalBundle(NamedTuple):
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, F=_NOT_CALLED, f=_NOT_CALLED, G=_NOT_CALLED, g=_NOT_CALLED) -> "EvalBundle":
+        """The bundle of checked (value, gradient, Hessian) triples, as
+        ``evaluate_function`` gives them; a function not given was not
+        called.  Built without the constructor's argument parsing."""
+        return tuple.__new__(cls, (n, *F, *f, *G, *g))
+
+    def triple(self, name: str) -> tuple:
+        """The (value, gradient, Hessian) fields of F, f, G or g."""
+        i = 3 * "FfGg".index(name) + 1
+        return self[i:i + 3]
 
 
 def _sym(h: np.ndarray) -> np.ndarray:
@@ -259,25 +278,40 @@ def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm:
 
 # every string of distinct letters of "FfGg": the selections evaluate_all takes
 _SELECTIONS = frozenset("".join(names) for k in range(5) for names in itertools.permutations("FfGg", k))
-_NOT_CALLED = (None,) * 3
+
+
+def evaluate_function(problem: BilevelProblem, name: str, x: np.ndarray, y: np.ndarray) -> tuple:
+    """The checked (value, gradient, Hessian) of the evaluator ``name``
+    ("F", "f", "G" or "g") at (x, y), given as float64 arrays of shapes
+    (n,) and (m,).
+
+    Raises EvaluationError (carrying the function name and point) when the
+    output is malformed or has a non-finite entry.  A constraint evaluator
+    with no components (p = 0 or q = 0) is not called; it gives empty
+    read-only arrays.
+    """
+    d = problem.dims
+    nm = d.n + d.m
+    if name == "F" or name == "f":
+        return _check_scalar(name, (x, y), getattr(problem, name)(x, y), nm)
+    k = d.p if name == "G" else d.q
+    return _check_vector(name, (x, y), getattr(problem, name)(x, y) if k else None, k, nm)
 
 
 def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, functions: str = "FfGg") -> EvalBundle:
     """Evaluate F, f, G, g with derivatives at one point (x, y).
 
     ``functions`` names the evaluators to call, as distinct letters of
-    "FfGg" in any order; they are called in the order F, f, G, g, and the
-    bundle holds None in the fields of the others (``functions="fg"`` at a
-    follower point (x, z), say).  Raises EvaluationError (carrying the
-    function name and point) when an evaluator returns a non-finite entry.
-    Deterministic: repeated calls at the same point return bitwise-equal
-    arrays.
+    "FfGg" in any order; they are called in the order F, f, G, g, each
+    through ``evaluate_function`` and checked before the next is called,
+    and the bundle holds None in the fields of the others
+    (``functions="fg"`` at a follower point (x, z), say).  Raises
+    EvaluationError (carrying the function name and point) when an
+    evaluator returns a non-finite entry.  Deterministic: repeated calls at
+    the same point return bitwise-equal arrays.
     """
     if functions not in _SELECTIONS:
         raise ValueError(f"functions must be distinct letters of 'FfGg', got {functions!r}")
-    # a line-search trial calls this once per stage, up to four times: a
-    # point of the right shape is not reshaped, and the bundle is built
-    # without EvalBundle's argument parsing
     d = problem.dims
     n, m = d.n, d.m
     x = np.asarray(x, dtype=float)
@@ -286,17 +320,11 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, funct
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
         y = y.reshape(m)
-    xy = (x, y)  # concatenated only for an error report
-    nm = n + m
-
-    # each evaluator's output is checked before the next one is called; a
-    # constraint evaluator with no components (p = 0 or q = 0) is not called.
-    # Each check gives (value, gradient, Hessian), the bundle's field order.
-    F = _check_scalar("F", xy, problem.F(x, y), nm) if "F" in functions else _NOT_CALLED
-    f = _check_scalar("f", xy, problem.f(x, y), nm) if "f" in functions else _NOT_CALLED
-    G = _check_vector("G", xy, problem.G(x, y) if d.p else None, d.p, nm) if "G" in functions else _NOT_CALLED
-    g = _check_vector("g", xy, problem.g(x, y) if d.q else None, d.q, nm) if "g" in functions else _NOT_CALLED
-    return tuple.__new__(EvalBundle, (n, *F, *f, *G, *g))
+    F = evaluate_function(problem, "F", x, y) if "F" in functions else _NOT_CALLED
+    f = evaluate_function(problem, "f", x, y) if "f" in functions else _NOT_CALLED
+    G = evaluate_function(problem, "G", x, y) if "G" in functions else _NOT_CALLED
+    g = evaluate_function(problem, "g", x, y) if "g" in functions else _NOT_CALLED
+    return EvalBundle.of(n, F, f, G, g)
 
 
 # check_derivatives' central-difference step, relative to max(1, ||point||),

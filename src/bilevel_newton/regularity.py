@@ -17,7 +17,7 @@ import numpy as np
 from .complementarity import KINK_A, KINK_B
 from .linalg import null_space_basis, sym_eig_min
 from .problem import BilevelProblem, EvalBundle, evaluate_all
-from .system import Iterate, hessian_block, require_penalty
+from .system import Iterate, hessian_block, kept_evaluations, require_penalty
 
 # A constraint is active when |c| <= ACTIVE_TOL, a multiplier zero when
 # |mu| <= MULT_TOL.  A family of gradients is independent when its smallest
@@ -91,7 +91,12 @@ def _classify_block(name: str, cons: np.ndarray, mults: np.ndarray, flagged: lis
 
 
 def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBundle]:
-    """The leader bundle at (x, y) and the follower bundle (f and g only) at (x, z)."""
+    """The leader bundle at (x, y) and the follower bundle (f and g only) at
+    (x, z): the ones zeta keeps for problem (a run's final point, say), or
+    new evaluations."""
+    kept = kept_evaluations(zeta, problem)
+    if kept is not None:
+        return kept
     return evaluate_all(problem, zeta.x, zeta.y), evaluate_all(problem, zeta.x, zeta.z, functions="fg")
 
 

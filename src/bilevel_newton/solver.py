@@ -14,16 +14,20 @@ until ||Phi|| <= EPS, the iteration cap, a merit-stationary point, or a
 stalled line search.  BETA, T, RHO, SIGMA and EPS are the reference
 protocol's values, module constants read at call time.
 
-A line-search trial is staged (``assemble_residual``): it calls g at the
-follower point (x, z), then f there, then G and g at the leader point
-(x, y), then F and f there, and builds the rows of Phi each stage gives.
+A line-search trial is staged (``assemble_residual``): through the
+per-function step ``evaluate_function`` it calls g at the follower point
+(x, z), then f there, then G and g at the leader point (x, y), then F and
+f there, and builds the rows of Phi each stage gives.
 Once the rows built so far put Psi above the Armijo threshold
 merit0 + SIGMA*alpha*slope (with a proven rounding margin), the trial is
 rejected and no later stage is evaluated.  Every other trial is assembled
 in full and its merit tested against the threshold exactly, so iterates
-and step sizes do not depend on the staging.  A start that kept its
-evaluations (as ``resolve_start``'s does) is not evaluated again.  A run's
-final F and f come from the last leader evaluation.
+and step sizes do not depend on the staging; the evaluation bundles are
+built only for a trial that completes.  A start that kept its evaluations
+(as ``resolve_start``'s does) is not evaluated again.  A run's final F and
+f come from the last leader evaluation; when a run fails before its start's
+leader point completes, the report calls F and f alone there, and not at
+all when F itself failed (F and f are then NaN).
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -111,8 +115,7 @@ class SolveReport:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class LineSearchResult:
+class LineSearchResult(NamedTuple):
     alpha: float
     backtracks: int
     zeta_next: Iterate
@@ -139,14 +142,19 @@ def eoc(residual_norms: list[float]) -> float | None:
     return max(ratios) if ratios else None
 
 
-def _direction(W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, str]:
+def _direction(W: np.ndarray, resid_vec: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, str, float]:
+    """The direction, its type and its slope grad . d."""
     try:
         d = lu_solve(W, -resid_vec)
     except SingularMatrixError:
-        return -grad, GRADIENT
-    if float(grad @ d) <= -BETA * float(np.linalg.norm(d)) ** T:
-        return d, NEWTON
-    return -grad, GRADIENT
+        pass
+    else:
+        slope = float(grad @ d)
+        # sqrt(d.d) is np.linalg.norm's arithmetic for a real vector, same bits
+        if slope <= -BETA * math.sqrt(d.dot(d)) ** T:
+            return d, NEWTON, slope
+    d = -grad
+    return d, GRADIENT, float(grad @ d)
 
 
 def _backtrack(
@@ -182,7 +190,7 @@ def run(
     dtypes: list[str] = []
     zeta = zeta0
     status = None
-    error = None
+    error = failed = None  # the message and the function of an EvaluationError
     F_val = f_val = None  # at zeta's leader point, once evaluated
     W_buf = np.empty((problem.dims.N,) * 2)  # W is rebuilt here at every step
 
@@ -199,13 +207,12 @@ def run(
                 status = MAX_ITER
                 break
             W = assemble_jacobian(resid, out=W_buf)
-            phi, merit0 = resid.vec, resid.merit()
+            phi, merit0 = resid.vec, 0.5 * norms[-1] ** 2  # resid.merit() from its norm, the same bits
             grad = W.T @ phi
-            if float(np.linalg.norm(grad)) <= GRAD_STALL_TOL:
+            if math.sqrt(grad.dot(grad)) <= GRAD_STALL_TOL:
                 status = MERIT_STATIONARY
                 break
-            d, dtype = _direction(W, phi, grad)
-            slope = float(grad @ d)
+            d, dtype, slope = _direction(W, phi, grad)
             ls = _backtrack(problem, config.lam, zeta, d, merit0, slope)
             if ls is None:
                 status = LINE_SEARCH_STALL
@@ -224,17 +231,20 @@ def run(
     except EvaluationError as exc:
         status = EVALUATION_FAILED
         error = str(exc)
+        failed = exc.function
 
     if norms:
         final_norm = norms[-1]
     else:
         final_norm = math.nan
     if F_val is None:  # the start failed before its leader point was evaluated
-        try:
-            bundle = evaluate_all(problem, zeta.x, zeta.y)
-            F_val, f_val = bundle.F, bundle.f
-        except EvaluationError:
-            F_val = f_val = math.nan
+        F_val = f_val = math.nan
+        if failed != "F":  # F failing there would fail again
+            try:
+                bundle = evaluate_all(problem, zeta.x, zeta.y, functions="Ff")
+                F_val, f_val = bundle.F, bundle.f
+            except EvaluationError:
+                pass
 
     return SolveReport(
         problem=problem.name,

@@ -33,12 +33,14 @@ form of the regularity diagnostics share it.  Both take an optional
 ``out=`` array to build into: the solver passes one (N, N) buffer per run,
 so a step allocates no new W.  Either way the bits are the same.
 
-``assemble_residual`` builds Phi in four stages, each from the evaluators
-it needs: rows w from g at the follower point (x, z), rows z from f there,
-rows u and v from G and g at the leader point (x, y), and rows x and y from
-F and f there.  Given a merit bound, it stops after the first stage whose
-rows so far prove 0.5 * ||Phi||^2 above the bound, so a rejected
-line-search trial calls only the evaluators of the stages it reached.
+``assemble_residual`` builds Phi in four stages, each calling the
+evaluators it needs through the per-function step ``evaluate_function``:
+rows w from g at the follower point (x, z), rows z from f there, rows u
+and v from G and g at the leader point (x, y), and rows x and y from F and
+f there.  Given a merit bound, it stops after the first stage whose rows
+so far prove 0.5 * ||Phi||^2 above the bound, so a rejected line-search
+trial calls only the evaluators of the stages it reached.  The two
+evaluation bundles are built only for a residual that completes.
 """
 from __future__ import annotations
 
@@ -51,7 +53,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .complementarity import fb, pair_coeffs
-from .problem import BilevelProblem, EvalBundle, ProblemDims, evaluate_all, is_zero_hessian
+from .problem import BilevelProblem, EvalBundle, ProblemDims, evaluate_function, is_zero_hessian
+# evaluate_all is not called here: bench/probe.py traces calls through this binding
+from .problem import evaluate_all  # noqa: F401
 
 VARIABLE_BLOCKS = ("x", "y", "z", "u", "v", "w")
 
@@ -158,6 +162,13 @@ def keep_evaluations(zeta: Iterate, problem: BilevelProblem, at_y: EvalBundle, a
     zeta.__dict__["evaluations"] = (problem, at_y, at_z)
 
 
+def kept_evaluations(zeta: Iterate, problem: BilevelProblem) -> tuple[EvalBundle, EvalBundle] | None:
+    """The evaluations (at_y, at_z) kept with zeta for this problem object
+    (``keep_evaluations``), or None when zeta keeps none for it."""
+    kept = zeta.__dict__.get("evaluations")
+    return kept[1:] if kept is not None and kept[0] is problem else None
+
+
 def assemble_residual(
     problem: BilevelProblem, lam: float, zeta: Iterate, *, merit_bound: float | None = None
 ) -> ResidualVector | None:
@@ -165,7 +176,7 @@ def assemble_residual(
     evaluations it was built from.
 
     The rows are built in four stages, in this order, each calling only the
-    evaluators it needs:
+    evaluators it needs, through ``evaluate_function``:
 
     1. rows w, from g at the follower point (x, z);
     2. rows z, from f at (x, z);
@@ -177,33 +188,33 @@ def assemble_residual(
     earlier stage as soon as the rows built so far prove that it fails (see
     ``_rows_reject``); no later stage then calls an evaluator.  Any
     returned residual is bitwise the same with or without the bound.
-    A completed residual's two evaluations are kept with zeta
-    (``keep_evaluations``); a later call at zeta for the same problem
-    object reads them instead, and applies a bound stage by stage just the
-    same.
+    The stages keep the checked (value, gradient, Hessian) triples; the two
+    evaluation bundles are built from them only for a completed residual,
+    and kept with zeta (``keep_evaluations``).  A later call at zeta for
+    the same problem object reads them instead, and applies a bound stage
+    by stage just the same.
     """
     lam = require_penalty(lam)
     d, s = problem.dims, block_slices(problem.dims)
-    kept = zeta.__dict__.get("evaluations")
-    at_y, at_z = kept[1:] if kept is not None and kept[0] is problem else (None, None)
+    kept = kept_evaluations(zeta, problem)
     vec = np.empty(d.N)
     x, z, w = zeta.vec[s["x"]], zeta.vec[s["z"]], zeta.vec[s["w"]]
     bounded = merit_bound is not None
 
-    # each stage's bundle holds the fields of the evaluators it called; a
-    # completed residual joins them into at_z and at_y
+    # each stage reads (value, gradient, Hessian) triples, from the kept
+    # bundles or from its own evaluator calls
     # stage 1: rows w
-    g_z = at_z if at_z is not None else evaluate_all(problem, x, z, functions="g")
+    g_z = kept[1].triple("g") if kept else evaluate_function(problem, "g", x, z)
     rows_w = vec[s["w"]]
-    rows_w[:] = _fb_rows(g_z.g.tolist(), w)
+    rows_w[:] = _fb_rows(g_z[0].tolist(), w)
     if bounded:
         partial = float(rows_w.dot(rows_w))
         if _rows_reject(partial, d.N, merit_bound):
             return None
 
     # stage 2: rows z
-    f_z = at_z if at_z is not None else evaluate_all(problem, x, z, functions="f")
-    ell_grad = f_z.df + g_z.dg.T @ w  # the follower-Lagrangian gradient over (x, z)
+    f_z = kept[1].triple("f") if kept else evaluate_function(problem, "f", x, z)
+    ell_grad = f_z[1] + g_z[1].T @ w  # the follower-Lagrangian gradient over (x, z)
     rows_z = np.multiply(-lam, ell_grad[d.n:], out=vec[s["z"]])
     if bounded:
         partial += float(rows_z.dot(rows_z))
@@ -212,10 +223,11 @@ def assemble_residual(
 
     # stage 3: rows u and v
     y = zeta.vec[s["y"]]
-    Gg_y = at_y if at_y is not None else evaluate_all(problem, x, y, functions="Gg")
+    G_y = kept[0].triple("G") if kept else evaluate_function(problem, "G", x, y)
+    g_y = kept[0].triple("g") if kept else evaluate_function(problem, "g", x, y)
     uv = slice(s["u"].start, s["v"].stop)  # rows u and v follow each other, as do G's and g's pairs
     rows_uv = vec[uv]
-    rows_uv[:] = _fb_rows(Gg_y.G.tolist() + Gg_y.g.tolist(), zeta.vec[uv])
+    rows_uv[:] = _fb_rows(G_y[0].tolist() + g_y[0].tolist(), zeta.vec[uv])
     if bounded:
         partial += float(rows_uv.dot(rows_uv))
         if _rows_reject(partial, d.N, merit_bound):
@@ -223,15 +235,19 @@ def assemble_residual(
 
     # stage 4: rows x and y, the upper-Lagrangian gradient over (x, y), less lam ell_x in
     # rows x (p = 0: + 0.0, same bits)
-    Ff_y = at_y if at_y is not None else evaluate_all(problem, x, y, functions="Ff")
-    lag_grad = np.add(Ff_y.dF, Gg_y.dG.T @ zeta.u if d.p else 0.0, out=vec[:s["z"].start])
-    lag_grad += Gg_y.dg.T @ zeta.v
-    lag_grad += lam * Ff_y.df
-    lag_grad[s["x"]] -= lam * ell_grad[s["x"]]
+    F_y = kept[0].triple("F") if kept else evaluate_function(problem, "F", x, y)
+    f_y = kept[0].triple("f") if kept else evaluate_function(problem, "f", x, y)
+    lag_grad = np.add(F_y[1], G_y[1].T @ zeta.vec[s["u"]] if d.p else 0.0, out=vec[:s["z"].start])
+    lag_grad += g_y[1].T @ zeta.vec[s["v"]]
+    lag_grad += lam * f_y[1]
+    rows_x = lag_grad[:d.n]
+    rows_x -= lam * ell_grad[:d.n]
     if bounded and not _merit(vec) <= merit_bound:
         return None
-    if at_y is None:
-        at_z, at_y = EvalBundle._make(f_z[:10] + g_z[10:]), EvalBundle._make(Ff_y[:7] + Gg_y[7:])
+    if kept:
+        at_y, at_z = kept
+    else:
+        at_y, at_z = EvalBundle.of(d.n, F_y, f_y, G_y, g_y), EvalBundle.of(d.n, f=f_z, g=g_z)
         keep_evaluations(zeta, problem, at_y, at_z)
     return ResidualVector(vec=vec, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
 
@@ -320,24 +336,26 @@ def hessian_block(
     ``out`` a new array is returned.
     """
     n, m = zeta.dims.n, zeta.dims.m
-    k = n + 2 * m
+    nm, k = n + m, n + 2 * m
     K = np.empty((k, k)) if out is None else out
-    x, y, z = slice(0, n), slice(n, n + m), slice(n + m, k)
-    # one new array each, summed left to right in place: no evaluator array is written
+    x, y, z = slice(0, n), slice(n, nm), slice(nm, k)
+    # H_lag and -lam H_ell, one new array each, summed left to right in
+    # place: no evaluator array is written.  K[x, x] adds fl(-lam b) where
+    # the formula subtracts fl(lam b): the same bits, signed zeros included,
+    # since a - c is a + (-c) in IEEE arithmetic
     H_lag = at_y.d2F + _contract(zeta.u, at_y.d2G)
     H_lag += _contract(zeta.v, at_y.d2g)
     H_lag += lam * at_y.d2f
-    H_ell = at_z.d2f + _contract(zeta.w, at_z.d2g)
+    E = at_z.d2f + _contract(zeta.w, at_z.d2g)
+    E *= -lam
 
-    np.subtract(H_lag[:n, :n], lam * H_ell[:n, :n], out=K[x, x])
-    K[x, y] = H_lag[:n, n:]
-    K[y, x] = H_lag[n:, :n]
-    K[y, y] = H_lag[n:, n:]
+    K[:nm, :nm] = H_lag
+    K[x, x] += E[:n, :n]
+    K[x, z] = E[:n, n:]
+    K[z, x] = E[n:, :n]
+    K[z, z] = E[n:, n:]
     K[y, z] = 0.0
     K[z, y] = 0.0
-    np.multiply(-lam, H_ell[:n, n:], out=K[x, z])
-    np.multiply(-lam, H_ell[n:, :n], out=K[z, x])
-    np.multiply(-lam, H_ell[n:, n:], out=K[z, z])
     return K
 
 
@@ -375,8 +393,9 @@ def assemble_jacobian(residual: ResidualVector, *, out: np.ndarray | None = None
     # the (x, y) coordinates of the leader-point constraint gradients
     W[:n + d.m, s["u"]] = at_y.dG.T
     W[:n + d.m, s["v"]] = at_y.dg.T
-    np.multiply(-lam, at_z.dg[:, :n].T, out=W[s["x"], s["w"]])
-    np.multiply(-lam, at_z.dg[:, n:].T, out=W[s["z"], s["w"]])
+    cols_w = at_z.dg.T * -lam
+    W[s["x"], s["w"]] = cols_w[:n]
+    W[s["z"], s["w"]] = cols_w[n:]
 
     # complementarity rows, one per pair in row order (u, v, w, the blocks
     # that end zeta): a times the constraint gradient on the point columns,

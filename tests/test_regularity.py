@@ -234,3 +234,41 @@ def test_ssosc_form_is_the_jacobian_hessian_block(entries):
     W = bn.assemble_jacobian(r)
     assert np.array_equal(M, W[: n + 2 * m, : n + 2 * m])
     assert np.array_equal(M, hessian_block(2.0, zeta, r.at_y, r.at_z))
+
+
+def _diagnostics(problem, zeta, lam):
+    part = bn.classify(problem, zeta)
+    return (bn.diagnose(problem, zeta, lam), part, bn.check_licq(problem, zeta, part),
+            bn.check_ssosc(problem, zeta, lam, part), ssosc_matrices(problem, zeta, lam, part))
+
+
+def _same_diagnostics(a, b):
+    report_a, *rest_a = a
+    report_b, *rest_b = b
+    (C_a, M_a), (C_b, M_b) = rest_a.pop(), rest_b.pop()
+    return (report_a == report_b and rest_a == rest_b
+            and np.array_equal(C_a, C_b) and np.array_equal(M_a.view(np.int64), M_b.view(np.int64)))
+
+
+@pytest.mark.parametrize("name,lam", [("quadratic-projection", 2.0), ("xy-linear", 2.0), ("dempe-parabola", 4.0)])
+def test_diagnostics_read_the_evaluations_a_run_final_point_keeps(entries, name, lam):
+    raw = entries[name].problem
+    p, calls = counting(raw, "F", "f", "G", "g")
+    report = bn.run(p, bn.SolverConfig(lam=lam), bn.resolve_start(p))
+    assert report.status == bn.SOLVED
+    for c in calls.values():
+        c.clear()
+    kept = _diagnostics(p, report.final, lam)
+    assert not any(calls.values())
+    # a copy keeps no evaluations, and another problem object, even an
+    # equal one, does not read them: both are evaluated as before, with the
+    # same results
+    per_point = {"F": 1, "f": 2, "G": 1 if raw.dims.p else 0, "g": 2 if raw.dims.q else 0}
+    copy = bn.Iterate.from_vector(report.final.vec, raw.dims)
+    other, other_calls = counting(raw, "F", "f", "G", "g")
+    for problem, zeta, counted in ((p, copy, calls), (other, report.final, other_calls)):
+        assert _same_diagnostics(_diagnostics(problem, zeta, lam), kept)
+        # diagnose, classify, check_licq, check_ssosc and ssosc_matrices each evaluate both points once
+        assert {k: len(c) for k, c in counted.items()} == {k: 5 * v for k, v in per_point.items()}
+        for c in counted.values():
+            c.clear()

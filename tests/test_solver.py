@@ -494,11 +494,28 @@ def test_run_reports_final_values_when_the_start_follower_point_fails(problems):
     zeta0 = bn.resolve_start(base)
     p = dataclasses.replace(base, g=lambda x, y: (np.full(2, np.nan), np.zeros((2, 3)), np.zeros((2, 3, 3)))
                             if y[0] > 5 else base.g(x, y))
-    report = bn.run(p, bn.SolverConfig(lam=1.0), bn.Iterate.of(zeta0.dims, zeta0.x, zeta0.y, zeta0.z + 9.0, zeta0.u, zeta0.v, zeta0.w))
+    counted, calls = counting(p, "F", "f", "g")
+    report = bn.run(counted, bn.SolverConfig(lam=1.0),
+                    bn.Iterate.of(zeta0.dims, zeta0.x, zeta0.y, zeta0.z + 9.0, zeta0.u, zeta0.v, zeta0.w))
     assert report.status == bn.EVALUATION_FAILED
     assert "while evaluating g at [1.0, 10.0, 10.0]" in report.error
     start = bn.evaluate_all(base, zeta0.x, zeta0.y)
     assert (report.F, report.f) == (start.F, start.f)
+    # g at (x, z) failed; the report then calls F and f alone
+    assert {name: len(c) for name, c in calls.items()} == {"F": 1, "f": 1, "g": 1}
+
+
+def test_run_reports_nan_without_calling_F_again_when_F_fails_at_the_start(problems):
+    base = problems["quadratic-projection"]
+    nm = base.dims.n + base.dims.m
+    p, calls = counting(dataclasses.replace(base, F=lambda x, y: (np.inf, np.zeros(nm), np.zeros((nm, nm)))),
+                        "F", "f", "g")
+    zeta0 = bn.resolve_start(base)
+    report = bn.run(p, bn.SolverConfig(lam=1.0), bn.Iterate.from_vector(zeta0.vec, zeta0.dims))
+    assert report.status == bn.EVALUATION_FAILED and "while evaluating F" in report.error
+    assert math.isnan(report.F) and math.isnan(report.f)
+    # g and f at (x, z), g and F at (x, y): nothing more for the report
+    assert {name: len(c) for name, c in calls.items()} == {"F": 1, "f": 1, "g": 2}
 
 
 # The line search before the staged trial, verbatim but for the backtrack
@@ -525,10 +542,10 @@ def _reference_backtrack(
     return None
 
 
-def _small_lq():
-    """n = 2, m = 3, p = 1, q = 3: random convex quadratics, y >= 0, sum(x) <= 1."""
+def _small_lq(n=2, m=3):
+    """p = 1, q = m (n = 2, m = 3 by default): random convex quadratics,
+    y >= 0, sum(x) <= 1."""
     rng = np.random.default_rng(21)
-    n, m = 2, 3
     k = n + m
     a, b = rng.standard_normal((k, k)), rng.standard_normal((k, k))
     P, H = a @ a.T / k + np.eye(k), b @ b.T / k + np.eye(k)
@@ -639,3 +656,54 @@ def test_run_builds_every_step_in_the_same_buffer(entries, monkeypatch, case, la
     assert all(out is outs[0] for out in outs) and outs[0].shape == (N, N)
     assert _bits_of(spied_records) == _bits_of(plain_records)
     assert _bits_of(spied) == _bits_of(plain)
+
+
+def _reference_run(problem, cfg, zeta):
+    """run's loop as it computed slopes and norms before ``_direction``
+    returned its slope: the slope of the chosen direction recomputed as
+    grad @ d, and every norm by np.linalg.norm.  It gives the residual
+    norms, step sizes, direction types, slopes and final point."""
+    resid = assemble_residual(problem, cfg.lam, zeta)
+    norms, alphas, dtypes, slopes = [float(np.linalg.norm(resid.vec))], [], [], []
+    while norms[-1] > solver.EPS and len(alphas) < cfg.max_iter:
+        W = assemble_jacobian(resid)
+        grad = W.T @ resid.vec
+        if float(np.linalg.norm(grad)) <= solver.GRAD_STALL_TOL:
+            break
+        try:
+            d = bn.lu_solve(W, -resid.vec)
+            newton = float(grad @ d) <= -solver.BETA * float(np.linalg.norm(d)) ** solver.T
+        except bn.SingularMatrixError:
+            newton = False
+        if not newton:
+            d = -grad
+        slopes.append(float(grad @ d))
+        ls = solver._backtrack(problem, cfg.lam, zeta, d, resid.merit(), slopes[-1])
+        if ls is None:
+            break
+        zeta, resid = ls.zeta_next, ls.residual_next
+        norms.append(float(np.linalg.norm(resid.vec)))
+        alphas.append(ls.alpha)
+        dtypes.append(NEWTON if newton else GRADIENT)
+    return norms, alphas, dtypes, slopes, zeta
+
+
+@pytest.mark.parametrize("case,max_iter", [("quadratic-projection", 2000), ("xy-linear", 2000),
+                                           ("dempe-parabola", 50), ("lq-10", 50)])
+def test_run_keeps_the_steps_of_the_reference_slope_and_norms(entries, case, max_iter):
+    # the default grid; on dempe some of the steps are gradient steps
+    problem = _small_lq(10, 10) if case == "lq-10" else entries[case].problem
+    zeta0 = bn.resolve_start(problem)
+    gradient_steps = 0
+    for lam in bn.DEFAULT_LAMBDA_GRID:
+        cfg = bn.SolverConfig(lam=lam, max_iter=max_iter)
+        records: list[StepRecord] = []
+        report = bn.run(problem, cfg, zeta0, callback=records.append)
+        norms, alphas, dtypes, slopes, final = _reference_run(problem, cfg, zeta0)
+        assert _bits_of([rec.slope for rec in records]) == _bits_of(slopes[:len(records)])
+        assert _bits_of(report.residual_norms) == _bits_of(norms)
+        assert _bits_of(report.step_sizes) == _bits_of(alphas)
+        assert report.direction_types == dtypes
+        assert _bits_of(report.final.vec) == _bits_of(final.vec)
+        gradient_steps += dtypes.count(GRADIENT)
+    assert gradient_steps > 0 or case != "dempe-parabola"

@@ -248,6 +248,113 @@ def test_jacobian_matches_the_per_row_reference_bitwise(case):
     assert np.array_equal(_bits(corner), _bits(reference[:k, :k]))
 
 
+# hessian_block as it was before -lam H_ell was formed once, kept verbatim as
+# the reference: it subtracts fl(lam H_ell_xx) where hessian_block adds
+# fl(-lam H_ell_xx)
+def _subtracting_hessian_block(lam, zeta, at_y, at_z, *, out=None):
+    n, m = zeta.dims.n, zeta.dims.m
+    k = n + 2 * m
+    K = np.empty((k, k)) if out is None else out
+    x, y, z = slice(0, n), slice(n, n + m), slice(n + m, k)
+    # one new array each, summed left to right in place: no evaluator array is written
+    H_lag = at_y.d2F + system._contract(zeta.u, at_y.d2G)
+    H_lag += system._contract(zeta.v, at_y.d2g)
+    H_lag += lam * at_y.d2f
+    H_ell = at_z.d2f + system._contract(zeta.w, at_z.d2g)
+
+    np.subtract(H_lag[:n, :n], lam * H_ell[:n, :n], out=K[x, x])
+    K[x, y] = H_lag[:n, n:]
+    K[y, x] = H_lag[n:, :n]
+    K[y, y] = H_lag[n:, n:]
+    K[y, z] = 0.0
+    K[z, y] = 0.0
+    np.multiply(-lam, H_ell[:n, n:], out=K[x, z])
+    np.multiply(-lam, H_ell[n:, :n], out=K[z, x])
+    np.multiply(-lam, H_ell[n:, n:], out=K[z, z])
+    return K
+
+
+@st.composite
+def _hessian_cases(draw):
+    """Bundles whose Hessians hold +0.0 and -0.0 among random entries, with
+    constraint stacks random, all +0.0 or all -0.0; a point whose
+    multipliers hold signed zeros too; lam in [2^-1, 2^7]."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    lam = draw(st.one_of(st.sampled_from([2.0**k for k in range(-1, 8)]), st.floats(0.5, 128.0)))
+    stacks = draw(st.sampled_from(["random", "zero", "negative zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nm = n + m
+
+    def rand(*shape):
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        u = rng.random(shape)
+        a[u < 0.25] = 0.0
+        a[u > 0.75] = -0.0
+        return a
+
+    def stack(k):
+        if stacks == "random":
+            return rand(k, nm, nm)
+        return np.full((k, nm, nm), 0.0 if stacks == "zero" else -0.0)
+    at_y = EvalBundle(n=n, F=1.0, dF=rand(nm), d2F=rand(nm, nm), f=2.0, df=rand(nm), d2f=rand(nm, nm),
+                      G=rand(p), dG=rand(p, nm), d2G=stack(p), g=rand(q), dg=rand(q, nm), d2g=stack(q))
+    at_z = EvalBundle(n=n, F=None, dF=None, d2F=None, f=3.0, df=rand(nm), d2f=rand(nm, nm),
+                      G=None, dG=None, d2G=None, g=rand(q), dg=rand(q, nm), d2g=stack(q))
+    zeta = bn.Iterate(rand(n + 2 * m + p + 2 * q), bn.ProblemDims(n=n, m=m, p=p, q=q))
+    return lam, zeta, at_y, at_z, draw(st.sampled_from("CF"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_hessian_cases())
+def test_hessian_block_keeps_the_bits_of_the_subtracting_formula(case):
+    lam, zeta, at_y, at_z, order = case
+    reference = _subtracting_hessian_block(lam, zeta, at_y, at_z)
+    assert np.array_equal(_bits(hessian_block(lam, zeta, at_y, at_z)), _bits(reference))
+    k = zeta.dims.n + 2 * zeta.dims.m
+    corner = np.full((k, k), np.nan, order=order)
+    assert hessian_block(lam, zeta, at_y, at_z, out=corner) is corner
+    assert np.array_equal(_bits(corner), _bits(reference))
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["quadratic-projection", "xy-linear", "dempe-parabola"])
+def test_staged_bundles_hold_the_checked_evaluations(problems, monkeypatch, name):
+    # the stages call the per-function step once per evaluator, and the
+    # bundles of the completed residual hold the very arrays it returned,
+    # field by field the bits of evaluate_all's at both points
+    problem = problems[name]
+    zeta = bn.Iterate.from_vector(np.linspace(-1.5, 2.0, problem.dims.N), problem.dims)
+    returned = []
+    step = system.evaluate_function
+
+    def spy(problem, function, x, y):
+        out = step(problem, function, x, y)
+        returned.append((function, out))
+        return out
+    monkeypatch.setattr(system, "evaluate_function", spy)
+    r = bn.assemble_residual(problem, 2.0, zeta)
+    assert [function for function, _ in returned] == ["g", "f", "G", "g", "F", "f"]
+    (_, g_z), (_, f_z), (_, G_y), (_, g_y), (_, F_y), (_, f_y) = returned
+    at_y = bn.evaluate_all(problem, zeta.x, zeta.y)
+    at_z = bn.evaluate_all(problem, zeta.x, zeta.z, functions="fg")
+    for staged, expected, triples in ((r.at_y, at_y, (F_y, f_y, G_y, g_y)), (r.at_z, at_z, (None, f_z, None, g_z))):
+        assert type(staged) is EvalBundle and staged.n == expected.n == problem.dims.n
+        for i, (field, value) in enumerate(zip(EvalBundle._fields[1:], staged[1:])):
+            triple = triples[i // 3]
+            assert value is (None if triple is None else triple[i % 3]), field
+            assert _same_bits(value, getattr(expected, field)), field
+    # the point keeps these bundles: a residual there reads them, calling nothing
+    returned.clear()
+    again = bn.assemble_residual(problem, 4.0, zeta)
+    assert returned == [] and again.at_y is r.at_y and again.at_z is r.at_z
+
+
 # assemble_residual as it was before its rows were written in place, with
 # its helpers, kept verbatim as the reference
 def _split(vec, n):
