@@ -8,11 +8,17 @@ Modes:
 
 Exit codes: 0 success/converged, 2 solver non-convergence, 1 usage or
 evaluation errors.
+
+``main`` can be called again in the same process: it parses with one parser
+per process (``build_parser`` is cached) and reads the problems from the
+shared registry, looking up ``get_entry`` and the mode functions when it
+is called.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -40,7 +46,9 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="bilevel-newton",
         allow_abbrev=False,

@@ -350,9 +350,11 @@ class DerivativeCheckReport:
         return self.worst <= FD_TOL
 
 
-def _stacked(b: EvalBundle) -> tuple[np.ndarray, np.ndarray]:
-    """The values and gradient rows of F, f, G and g at b, as 2 + p + q rows."""
-    return np.hstack([b.F, b.f, b.G, b.g]), np.vstack([b.dF, b.df, b.dG, b.dg])
+def _put_rows(b: EvalBundle, vals: np.ndarray, grads: np.ndarray, p: int) -> None:
+    """Write the values and gradient rows of F, f, G and g at b into the
+    2 + p + q entries of vals and rows of grads."""
+    vals[0], vals[1], vals[2:2 + p], vals[2 + p:] = b.F, b.f, b.G, b.g
+    grads[0], grads[1], grads[2:2 + p], grads[2 + p:] = b.dF, b.df, b.dG, b.dg
 
 
 def _row_rel_errors(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -372,15 +374,19 @@ def check_derivatives(
     Gradients are checked against central differences of the values;
     Hessians against the symmetrized central differences of the gradients.
     The step is FD_STEP * max(1, ||point||) per point.  At each coordinate
-    the two perturbed bundles fill the rows of every function at once, and
-    only that coordinate's pair is held.
+    the bundles at pt + e and then pt - e are evaluated, their values and
+    gradient rows, every function's at once, are written into two buffers
+    of the point, and the difference goes straight into the point's
+    finite-difference arrays; the Hessians are symmetrized once per point.
+    No bundle is held past the coordinate it was evaluated for.
     """
     if len(points) == 0:
         raise ValueError("check_derivatives needs at least one point")
     d = problem.dims
     nm = d.n + d.m
     names = ["F", "f", *(f"G[{j}]" for j in range(d.p)), *(f"g[{j}]" for j in range(d.q))]
-    grad_worst, hess_worst = np.zeros(len(names)), np.zeros(len(names))  # np.maximum keeps a NaN
+    k = len(names)
+    grad_worst, hess_worst = np.zeros(k), np.zeros(k)  # np.maximum keeps a NaN
 
     for x0, y0 in points:
         x0 = np.asarray(x0, dtype=float).reshape(d.n)
@@ -389,22 +395,26 @@ def check_derivatives(
         step = FD_STEP * max(1.0, float(np.linalg.norm(pt)))
 
         base = evaluate_all(problem, x0, y0)
-        grad_fd = np.empty((len(names), nm))
-        hess_fd = np.empty((len(names), nm, nm))
+        # column i of grad_fd and row i of each hess_fd matrix: the values
+        # and gradient rows at pt + e less those at pt - e, then over 2 * step
+        grad_fd = np.empty((k, nm))
+        hess_fd = np.empty((k, nm, nm))
+        vals_p, vals_m = np.empty(k), np.empty(k)
+        grads_p, grads_m = np.empty((k, nm)), np.empty((k, nm))
         for i in range(nm):
             e = np.zeros(nm)
             e[i] = step
             pp, pm = pt + e, pt - e
-            vp, gp = _stacked(evaluate_all(problem, pp[: d.n], pp[d.n:]))
-            vm, gm = _stacked(evaluate_all(problem, pm[: d.n], pm[d.n:]))
-            grad_fd[:, i] = (vp - vm) / (2 * step)
-            hess_fd[:, i] = (gp - gm) / (2 * step)
-            # rows 0..i are filled now: symmetrize the pairs (i, j <= i) in place
-            s = hess_fd[:, i, : i + 1] + hess_fd[:, : i + 1, i]
-            s *= 0.5
-            hess_fd[:, i, : i + 1] = hess_fd[:, : i + 1, i] = s
+            _put_rows(evaluate_all(problem, pp[: d.n], pp[d.n:]), vals_p, grads_p, d.p)
+            _put_rows(evaluate_all(problem, pm[: d.n], pm[d.n:]), vals_m, grads_m, d.p)
+            np.subtract(vals_p, vals_m, out=grad_fd[:, i])
+            np.subtract(grads_p, grads_m, out=hess_fd[:, i])
+        grad_fd /= 2 * step
+        hess_fd /= 2 * step
+        hess_fd = _sym(hess_fd)  # the unsymmetrized stack is freed before the exact one is built
 
-        grad_worst = np.maximum(grad_worst, _row_rel_errors(grad_fd, _stacked(base)[1]))
+        grad = np.vstack([base.dF, base.df, base.dG, base.dg])
+        grad_worst = np.maximum(grad_worst, _row_rel_errors(grad_fd, grad))
         hess = np.concatenate([base.d2F[None], base.d2f[None], base.d2G, base.d2g])
         hess_worst = np.maximum(hess_worst, _row_rel_errors(hess_fd, hess))
 

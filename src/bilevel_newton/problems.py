@@ -5,10 +5,13 @@ objective values where available, and analytically certified stationary
 points of the penalized system (with their penalty admissibility range),
 used as regression anchors.  Constant derivatives are built once per entry
 as read-only arrays and returned by every call, so evaluation copies and
-allocates nothing for them.
+allocates nothing for them.  The entries are frozen and their evaluators
+pure, so ``registry`` builds them once per process and ``get_entry``,
+``get_problem`` and ``problem_names`` share them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -160,8 +163,9 @@ def _dempe_parabola() -> BenchmarkEntry:
     return BenchmarkEntry(problem=problem, status="known", certified_points=(point,))
 
 
+@functools.cache
 def registry() -> tuple[BenchmarkEntry, ...]:
-    """All bundled benchmark entries, in fixed order."""
+    """All bundled benchmark entries, in fixed order; the same objects at every call."""
     return (_quadratic_projection(), _xy_linear(), _dempe_parabola())
 
 

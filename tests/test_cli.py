@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import pathlib
 import re
 
@@ -324,3 +325,75 @@ def test_stdout_emission(capsys):
     tree = json.loads(capsys.readouterr().out)
     assert tree["problem"] == "xy-linear"
 
+
+# every mode, with the reports that carry no wall time: CSV for solve and
+# sweep, JSON for diagnose (certified and computed point) and check-derivatives
+REPEATED_CALLS = [
+    ["solve", "--problem", "xy-linear", "--lambda", "2", "--format", "csv"],
+    ["solve", "--problem", "dempe-parabola", "--lambda", "0.5", "--max-iter", "3", "--format", "csv"],
+    ["sweep", "--problem", "quadratic-projection", "--format", "csv"],
+    ["diagnose", "--problem", "xy-linear"],
+    ["diagnose", "--problem", "dempe-parabola", "--lambda", "2"],
+    ["check-derivatives", "--problem", "dempe-parabola"],
+]
+
+
+def _call(argv, path):
+    code = main(argv + ["--out", str(path)])
+    return code, path.read_bytes()
+
+
+@pytest.mark.parametrize("argv", REPEATED_CALLS)
+def test_a_call_repeated_in_process_writes_the_same_bytes(tmp_path, argv):
+    first = _call(argv, tmp_path / "first")
+    assert _call(argv, tmp_path / "second") == first
+    assert first[0] == (2 if "--max-iter" in argv else 0)
+
+
+@pytest.mark.parametrize("mode", ["solve", "sweep"])
+def test_a_json_report_repeated_in_process_differs_only_in_wall_time(tmp_path, mode):
+    argv = [mode, "--problem", "xy-linear", "--lambda-grid", "1,4"]
+    reports = [_call(argv, tmp_path / name)[1].decode().splitlines(keepends=True) for name in ("a", "b")]
+    kept = [[line for line in lines if '"wall_time_s": ' not in line] for lines in reports]
+    assert kept[0] == kept[1]
+    assert len(kept[0]) < len(reports[0])
+
+
+def test_a_usage_error_does_not_spoil_the_next_call(tmp_path, capsys):
+    argv = ["diagnose", "--problem", "xy-linear"]
+    expected = _call(argv, tmp_path / "before")
+    assert main(argv + ["--format", "csv", "--out", str(tmp_path / "bad")]) == 1
+    assert "--format csv is for solve and sweep only" in capsys.readouterr().err
+    assert _call(argv, tmp_path / "after") == expected
+
+
+def test_the_parser_is_built_once_per_process(tmp_path):
+    cli.build_parser.cache_clear()
+    for k in range(3):
+        assert main(["check-derivatives", "--problem", "xy-linear", "--out", str(tmp_path / f"{k}.json")]) == 0
+    assert main(["solve"]) == 1
+    assert cli.build_parser() is cli.build_parser()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_the_registry_is_built_once_per_process(monkeypatch):
+    from bilevel_newton import problems
+    built = []
+    for name in ("_quadratic_projection", "_xy_linear", "_dempe_parabola"):
+        make = getattr(problems, name)
+        monkeypatch.setattr(problems, name, lambda make=make: built.append(make) or make())
+    problems.registry.cache_clear()
+    try:
+        first = problems.registry()
+        assert len(built) == 3
+        assert problems.registry() is first
+        assert all(problems.get_entry(entry.problem.name) is entry for entry in first)
+        assert problems.get_problem("xy-linear") is first[1].problem
+        assert problems.problem_names() == tuple(entry.problem.name for entry in first)
+        with pytest.raises(KeyError):
+            problems.get_entry("nosuch")
+        assert main(["solve", "--problem", "xy-linear", "--lambda", "1", "--format", "csv", "--out", os.devnull]) == 0
+        assert len(built) == 3
+    finally:
+        problems.registry.cache_clear()

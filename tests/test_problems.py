@@ -321,6 +321,25 @@ def test_check_derivatives_reads_its_constants_at_call_time(problems, monkeypatc
         (0.3, -0.7), (0.3 + 0.25, -0.7), (0.3 - 0.25, -0.7), (0.3, -0.7 + 0.25), (0.3, -0.7 - 0.25)]
 
 
+def test_check_derivatives_evaluates_the_perturbed_points_bitwise(problems):
+    # pt + e turns a -0.0 coordinate other than e's into +0.0 and pt - e
+    # keeps it: every evaluator sees those bits, the base point first
+    names = ("F", "f", "g")
+    problem, calls = counting(problems["quadratic-projection"], *names)
+    pt = np.array([-0.0, 0.5, -0.0])
+    bn.check_derivatives(problem, [(pt[:1], pt[1:])])
+    step = problem_module.FD_STEP * max(1.0, float(np.linalg.norm(pt)))
+    expected = [pt]
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = step
+        expected += [pt + e, pt - e]
+    assert not np.signbit((pt + np.array([0.0, step, 0.0]))[0])
+    for name in names:
+        seen = [np.concatenate([x, y]) for x, y in calls[name]]
+        assert [v.tobytes() for v in seen] == [v.tobytes() for v in expected], name
+
+
 # check_derivatives as it was before every function's rows were filled at
 # once, kept verbatim as the reference: one closure per function, and each
 # function's errors reduced on their own.
