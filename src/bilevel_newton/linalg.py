@@ -10,15 +10,20 @@ These are the routines behind scipy's LU wrappers in ``scipy.linalg``, so
 the results are bitwise the same; the direct call skips scipy's batching and
 argument-checking wrappers, which cost several times the arithmetic at the
 system sizes of the bundled problems, and it does not warn on an exactly
-zero pivot, which the pivot test here reports instead.
+zero pivot, which the pivot test here reports instead.  Both routines, and
+``problem``'s ``ddot``, come from ``_lapack``: the objects
+``scipy.linalg.lapack`` exposes, taken from scipy's compiled module without
+importing the ``scipy.linalg`` package, which would double the library's
+import time; when scipy's layout has no such module, ``_lapack`` imports
+them from ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` instead.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
+from ._lapack import dgetrf, dgetrs
 from .problem import _finite
 
 

@@ -11,9 +11,12 @@ the leader variable x (dim n) and a follower variable (dim m):
 Each evaluator returns values together with exact first and second
 derivatives with respect to the stacked point (x, y) in R^{n+m}.  A
 returned array is scanned for non-finite entries only when its sum of
-squares is not finite.  A Hessian that is exactly symmetric (bit for bit)
-is used as returned, without a copy; any other Hessian is symmetrized on
-ingestion as (H + H^T) / 2.
+squares is not finite.  The sum of squares is one BLAS ``ddot``, scipy's own
+``scipy.linalg.blas.ddot`` object, which ``_lapack`` loads without
+importing the ``scipy.linalg`` package (or imports from it, when scipy's
+layout has no compiled module to load).  A Hessian that is exactly
+symmetric (bit for bit) is used as returned, without a copy; any other
+Hessian is symmetrized on ingestion as (H + H^T) / 2.
 A Hessian returned again (as a quadratic objective or linear constraints
 often do) is checked once when it is the same read-only float64 array, or a
 large one read from the same memory: evaluators must not write into an array
@@ -40,7 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.blas import ddot
+
+from ._lapack import ddot
 
 ScalarEval = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray, np.ndarray]]
 VectorEval = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]

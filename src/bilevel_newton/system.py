@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -375,7 +376,7 @@ def assemble_jacobian(residual: ResidualVector, *, out: np.ndarray | None = None
     gives the point-column entries of all complementarity rows, copied in
     as three blocks; one strided write puts every b on the multiplier
     diagonal.  The coefficients (a, b) come from one scalar ``pair_coeffs``
-    call per pair, gathered for all pairs in one pass.
+    call per pair, gathered for all pairs as one flat list of floats.
     """
     d, lam, zeta = residual.zeta.dims, residual.lam, residual.zeta
     at_y, at_z = residual.at_y, residual.at_z
@@ -401,7 +402,7 @@ def assemble_jacobian(residual: ResidualVector, *, out: np.ndarray | None = None
     # that end zeta): a times the constraint gradient on the point columns,
     # b on the multiplier diagonal
     cons = at_y.G.tolist() + at_y.g.tolist() + at_z.g.tolist()
-    coeffs = np.array([pair_coeffs(c, mu) for c, mu in zip(cons, zeta.vec[k:].tolist())]).reshape(-1, 2)
+    coeffs = np.array(list(chain.from_iterable(map(pair_coeffs, cons, zeta.vec[k:].tolist())))).reshape(-1, 2)
     rows = np.concatenate((at_y.dG, at_y.dg, at_z.dg))
     rows *= coeffs[:, :1]
     j = d.p + d.q  # rows u and v differentiate in y, rows w in z
