@@ -7,7 +7,7 @@ Modes:
     diagnose           regularity report at a certified or computed point
 
 Exit codes: 0 success/converged, 2 solver non-convergence, 1 usage or
-evaluation errors.
+evaluation errors, an unwritable ``--out`` included.
 
 ``main`` can be called again in the same process: it parses with one parser
 per process (``build_parser`` is cached) and reads the problems from the
@@ -183,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode == "check-derivatives":
             return _cmd_check_derivatives(entry, args)
         return _cmd_diagnose(entry, args)
-    except (EvaluationError, InconsistentPoint, ValueError) as exc:
+    except (EvaluationError, InconsistentPoint, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

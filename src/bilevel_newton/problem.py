@@ -18,10 +18,11 @@ layout has no compiled module to load).  A Hessian that is exactly
 symmetric (bit for bit) is used as returned, without a copy; any other
 Hessian is symmetrized on ingestion as (H + H^T) / 2.
 A Hessian returned again (as a quadratic objective or linear constraints
-often do) is checked once when it is the same read-only float64 array, or a
-large one read from the same memory: evaluators must not write into an array
-they have returned, so its bits cannot have changed; so return constant
-derivatives read-only.  The Hessian contraction skips a large zero one.
+often do) is checked once when it is the same float64 array of the
+requested shape, read-only or large: evaluators must not write into an
+array they have returned, so its bits cannot have changed; so return
+constant derivatives read-only, as the same object at every call.  The
+Hessian contraction skips a large zero one.
 
 The leader functions F and G are evaluated only at the leader point (x, y).
 At the follower copy (x, z) the system reads f and g alone.
@@ -156,48 +157,24 @@ def _sym(h: np.ndarray) -> np.ndarray:
     return s
 
 
-# Hessians found finite and exactly symmetric, not read again when they come
-# back.  Keys: (id, shape) of a read-only float64 array an evaluator returned
-# (a writable one, likely new at every call, would pay for an entry it never
-# hits); for large ones also (id of the array owning the memory, first byte,
-# shape, strides), so that a new view of it hits too.  Values: a weak reference
-# to the array the key names (none is kept alive), and whether all are +0.0.
+# Hessians found finite and exactly symmetric, by (id, shape) of the float64
+# array an evaluator returned, read-only or large (a small writable one, likely
+# new at every call, would pay for an entry it never hits): a weak reference to
+# it (none is kept alive), and whether a large one holds only +0.0.
 _CHECKED: dict[tuple, tuple[weakref.ref, bool]] = {}
-# Smaller Hessians have no memory key: reading them again costs less.
 _CHECKED_MIN_BYTES = 1 << 16
-
-
-def _region(h: np.ndarray):
-    """The array owning h's memory and the key of the region h reads, or
-    None when h is too small to be recorded or its memory is not an array's."""
-    if h.nbytes < _CHECKED_MIN_BYTES:
-        return None
-    owner = h if h.base is None else h.base
-    if type(owner) is not np.ndarray:
-        return None
-    return owner, (id(owner), h.ctypes.data, h.shape, h.strides)
-
-
-def _checked(h: np.ndarray):
-    """h's region as ``_region`` gives it, and its ``_CHECKED`` entry, or
-    None for either."""
-    region = _region(h)
-    if region is None:
-        return None, None
-    owner, key = region
-    entry = _CHECKED.get(key)
-    return region, (entry if entry is not None and entry[0]() is owner else None)
 
 
 def is_zero_hessian(h: np.ndarray) -> bool:
     """Whether h, as ingested by ``evaluate_all``, is a large Hessian (stack)
     found to hold only +0.0, as linear functions give."""
-    _, entry = _checked(h)
-    return entry is not None and entry[1]
+    entry = _CHECKED.get((id(h), h.shape))
+    return entry is not None and entry[1] and entry[0]() is h
 
 
-def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The symmetrized Hessian (or stack of them), and whether it is known finite.
+def _hessian(raw, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
+    """The Hessian (or stack of them) raw read at shape, symmetrized, and
+    whether it is known finite.
 
     When the sum of squares is finite, every entry is finite and below
     sqrt(DBL_MAX), so h + h^T cannot overflow and the result is known
@@ -208,36 +185,29 @@ def _ingest_hessian(h: np.ndarray) -> tuple[np.ndarray, bool]:
     +0.0, is not taken as symmetric.  An overflowing sum, on which ddot
     does not warn, only sends h to the symmetrizing path.
 
-    A large h read from memory that passed both checks before is returned
-    without reading it again (``_CHECKED``).
+    A float64 raw of that shape is h.  Read-only or large, it is recorded
+    in ``_CHECKED`` once it passes, and then not read again.
     """
-    region, entry = _checked(h)
-    if entry is not None:
-        return h, True
+    entry = _CHECKED.get(key := (id(raw), shape))
+    if entry is not None and entry[0]() is raw:
+        return raw, True
+    h = np.asarray(raw, dtype=float)
+    h = h if h.shape == shape else h.reshape(shape)
     flat = h.ravel(order="K")
     if not math.isfinite(ddot(flat, flat)):
         return _sym(h), False
-    if region is None:  # small: the bytes of h and of h^T, both in C order
-        return (h, True) if h.tobytes() == h.swapaxes(-1, -2).tobytes() else (_sym(h), True)
-    bits = h.view(np.int64)
-    if (bits == bits.swapaxes(-1, -2)).all():
-        owner, key = region
-        _CHECKED[key] = (weakref.ref(owner, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)),
-                         not bits.any())
-        return h, True
-    return _sym(h), True
-
-
-def _hessian(raw, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
-    """``_ingest_hessian`` of raw read at shape; records a read-only float64 raw found finite and symmetric."""
-    entry = _CHECKED.get(key := (id(raw), shape))
-    if entry is not None and entry[0]() is raw:
-        return raw.reshape(shape), True
-    h = np.asarray(raw, dtype=float).reshape(shape)
-    ingested, finite = _ingest_hessian(h)
-    if ingested is h and type(raw) is np.ndarray and raw.dtype == np.float64 and not raw.flags.writeable:
-        _CHECKED[key] = (weakref.ref(raw, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)), False)
-    return ingested, finite
+    large = h.nbytes >= _CHECKED_MIN_BYTES
+    if large:
+        bits = h.view(np.int64)
+        symmetric = (bits == bits.swapaxes(-1, -2)).all()
+    else:  # the bytes of h and of h^T, both in C order
+        symmetric = h.tobytes() == h.swapaxes(-1, -2).tobytes()
+    if not symmetric:
+        return _sym(h), True
+    if h is raw and (large or not raw.flags.writeable):
+        _CHECKED[key] = (weakref.ref(raw, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)),
+                         large and not bits.any())
+    return h, True
 
 
 def _finite(a: np.ndarray) -> bool:

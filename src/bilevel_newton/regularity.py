@@ -5,7 +5,8 @@ nonsingular near a solution (and the Newton iteration converges fast):
 index-set classification of the three complementarity blocks, linear
 independence of active constraint gradients, strict complementarity of the
 follower block, and a second-order condition on a reduced subspace of
-feasible directions.
+feasible directions.  Each of them raises ValueError at a point with a
+non-finite entry.
 """
 from __future__ import annotations
 
@@ -93,7 +94,10 @@ def _classify_block(name: str, cons: np.ndarray, mults: np.ndarray, flagged: lis
 def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBundle]:
     """The leader bundle at (x, y) and the follower bundle (f and g only) at
     (x, z): the ones zeta keeps for problem (a run's final point, say), or
-    new evaluations."""
+    new evaluations.  Raises ValueError when zeta has a non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(zeta.vec))
+    if bad.size:
+        raise ValueError(f"the regularity diagnostics need a finite point; entries {bad.tolist()} are not finite")
     kept = kept_evaluations(zeta, problem)
     if kept is not None:
         return kept

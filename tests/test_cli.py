@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,25 @@ def test_diagnose_rejects_an_invalid_penalty(monkeypatch, capsys, lam):
     assert runs == []
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
+
+
+def test_diagnose_rejects_a_non_finite_certified_point(capsys):
+    # dempe-parabola's certified point has v = 2 lambda - 5, inf here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", "--problem", "dempe-parabola", "--lambda", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "finite point" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--problem", "xy-linear", "--format", "csv"],
+                                  ["diagnose", "--problem", "dempe-parabola", "--lambda", "4"]])
+def test_an_unwritable_out_path_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "report"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
+    assert not out.parent.exists()
 
 
 def test_solver_flags_are_the_config_fields():

@@ -789,27 +789,17 @@ def test_large_hessians_that_fail_a_check_are_checked_every_time():
         assert exc.value.function == "g"
 
 
-def test_checked_hessian_is_checked_again_at_another_shape():
-    # four symmetric 64 x 64 blocks; read as one 128 x 128 matrix they are not symmetric
-    a = np.random.default_rng(11).standard_normal((4, 64, 64))
-    blocks = a + a.transpose(0, 2, 1)
-    assert problem_module._ingest_hessian(blocks.reshape(4, 64, 64))[0].base is blocks
-    as_one = blocks.reshape(1, 128, 128)
-    ingested, finite = problem_module._ingest_hessian(as_one)
-    assert finite and np.array_equal(ingested, 0.5 * (as_one + as_one.transpose(0, 2, 1)))
-    # and another region of the same memory is checked on its own
-    half = problem_module._ingest_hessian(blocks[2:])[0]
-    assert half.base is blocks and problem_module._checked(half)[1] is not None
-
-
-def test_a_fresh_view_of_checked_memory_is_not_read_again():
+def test_a_fresh_view_of_checked_memory_is_read_again():
     stack = _big_stack(np.random.default_rng(13))
     owner = np.concatenate([stack, stack])
-    # g returns a new view of the same first half of owner at every point
+    # g returns a new view of the same first half of owner at every point:
+    # the record knows arrays by identity, so each view is read
     problem = dataclasses.replace(_big_g_problem(stack), g=lambda x, y: (
         np.full(_BIG_Q, -1.0), np.ones((_BIG_Q, 3)), owner[:_BIG_Q]))
-    reads, _ = _ddot_reads(problem, [(_X, _Y), (_X, _Y + 1.0)])
-    assert reads.count(stack.size) == 1
+    reads, bundles = _ddot_reads(problem, [(_X, _Y), (_X, _Y + 1.0)])
+    assert reads.count(stack.size) == 2
+    for b in bundles:
+        assert np.shares_memory(b.d2g, owner) and np.array_equal(b.d2g, stack)
 
 
 def test_zero_hessians_are_recognised_once_and_skipped():
@@ -837,8 +827,8 @@ def test_hessian_check_record_keeps_no_array_alive():
     assert ref() is None and keys[0] not in problem_module._CHECKED
 
 
-def _read_only(h):
-    h = np.array(h, dtype=float, order="K")
+def _read_only(h, dtype=float):
+    h = np.array(h, dtype=dtype, order="K")
     h.flags.writeable = False
     return h
 
@@ -883,6 +873,8 @@ def test_a_read_only_hessian_returned_again_is_not_read_again():
     ("squares overflow", _read_only(_with(np.eye(3), {(0, 2): 1e200, (2, 0): 1e200}))),
     ("signed zero pair", _read_only(_signed_zero_pair())),
     ("writable", np.eye(3)),
+    ("float32", _read_only(np.eye(3), np.float32)),
+    ("another shape", _read_only(np.eye(3).ravel())),
 ])
 def test_a_hessian_that_is_not_recorded_is_read_at_every_call(case, d2F):
     reads, results = _hessian_reads(_recorded_problem(d2F), 3)
@@ -893,7 +885,27 @@ def test_a_hessian_that_is_not_recorded_is_read_at_every_call(case, d2F):
     if case == "NaN":
         assert all(isinstance(r, bn.EvaluationError) and r.function == "F" for r in results)
     else:
-        assert all(np.array_equal(b.d2F, 0.5 * (d2F + d2F.T)) for b in results)
+        h = np.asarray(d2F, dtype=float).reshape(3, 3)
+        assert all(b.d2F.dtype == np.float64 and np.array_equal(b.d2F, 0.5 * (h + h.T)) for b in results)
+
+
+def test_checked_hessian_is_checked_again_at_another_shape():
+    # four symmetric 64 x 64 blocks (128 KiB, above _CHECKED_MIN_BYTES, so
+    # recorded although writable); read as one 128 x 128 matrix they are not symmetric
+    a = np.random.default_rng(11).standard_normal((4, 64, 64))
+    blocks = a + a.transpose(0, 2, 1)
+    for _ in range(2):
+        ingested, finite = problem_module._hessian(blocks, (4, 64, 64))
+        assert finite and ingested is blocks
+    assert (id(blocks), (4, 64, 64)) in problem_module._CHECKED
+    as_one = blocks.reshape(1, 128, 128)
+    ingested, finite = problem_module._hessian(blocks, (1, 128, 128))
+    assert finite and np.array_equal(ingested, 0.5 * (as_one + as_one.transpose(0, 2, 1)))
+    assert (id(blocks), (1, 128, 128)) not in problem_module._CHECKED
+    # and another region of the same memory is checked on its own
+    half = blocks[2:]
+    ingested, finite = problem_module._hessian(half, (2, 64, 64))
+    assert finite and ingested is half and (id(half), (2, 64, 64)) in problem_module._CHECKED
 
 
 def test_a_recorded_hessian_is_checked_again_at_another_shape():
@@ -902,7 +914,7 @@ def test_a_recorded_hessian_is_checked_again_at_another_shape():
     blocks = _read_only(a + a.transpose(0, 2, 1))
     for _ in range(2):
         ingested, finite = problem_module._hessian(blocks, (4, 2, 2))
-        assert finite and ingested.base is blocks
+        assert finite and ingested is blocks
     assert (id(blocks), (4, 2, 2)) in problem_module._CHECKED
     as_one = blocks.reshape(1, 4, 4)
     for _ in range(2):
@@ -922,12 +934,19 @@ def test_the_identity_record_keeps_no_array_alive():
     assert ref() is None and key not in problem_module._CHECKED
 
 
-def _same_or_new(d2F, d2g, new):
+_GIVE = {
+    "same": lambda h: h,
+    "copy": lambda h: h.copy(order="K"),  # new and writable
+    "view": lambda h: h[...],  # new, of the same read-only memory
+}
+
+
+def _same_or_new(d2F, d2g, give):
     """n = 1, m = 2, p = 0, q = len(d2g).  F and f return d2F, and g returns
-    d2g, as the same read-only objects at every call, or, with new, as a new
-    writable copy at every call."""
+    d2g, at every call as the same read-only objects, as new writable copies
+    or as new views of the same read-only memory (``_GIVE``)."""
     d2F, d2g = _read_only(d2F), _read_only(d2g)
-    give = (lambda h: h.copy(order="K")) if new else (lambda h: h)
+    give = _GIVE[give]
     q = d2g.shape[0]
     return bn.BilevelProblem(
         name="same-or-new", dims=bn.ProblemDims(n=1, m=2, p=0, q=q),
@@ -950,8 +969,9 @@ _NAN_STACK = _with(_stack(2), {(1, 0, 0): np.nan})
 def test_a_hessian_returned_again_is_ingested_as_a_new_one(d2F, d2g, large):
     if large:  # _BIG_Q 3 x 3 matrices: 72,000 bytes, above _CHECKED_MIN_BYTES
         d2g = np.concatenate([d2g] * (_BIG_Q // 2))
-    same, new = _same_or_new(d2F, d2g, new=False), _same_or_new(d2F, d2g, new=True)
-    assert [_ingested(same) for _ in range(3)] == [_ingested(new) for _ in range(3)]
+    same, copy, view = (_same_or_new(d2F, d2g, give) for give in _GIVE)
+    assert [_ingested(same) for _ in range(3)] == [_ingested(copy) for _ in range(3)]
+    assert [_ingested(view) for _ in range(3)] == [_ingested(copy) for _ in range(3)]
 
 
 def _returning_copies(problem, writable):

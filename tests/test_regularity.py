@@ -215,6 +215,23 @@ def test_diagnostics_reject_an_invalid_penalty(entries, lam):
         bn.check_ssosc(entry.problem, zeta, lam, part)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_diagnostics_reject_a_non_finite_point(entries, value):
+    entry = entries["dempe-parabola"]
+    finite = entry.certified_points[0].build(4.0)
+    part = bn.classify(entry.problem, finite)
+    vec = finite.vec.copy()
+    vec[3] = value  # v, the follower multiplier at (x, y)
+    zeta = bn.Iterate.from_vector(vec, entry.problem.dims)
+    p, calls = counting(entry.problem, "F", "f", "g")
+    for diagnostic in (lambda: bn.classify(p, zeta), lambda: bn.check_licq(p, zeta, part),
+                       lambda: ssosc_matrices(p, zeta, 4.0, part), lambda: bn.check_ssosc(p, zeta, 4.0, part),
+                       lambda: bn.diagnose(p, zeta, 4.0)):
+        with pytest.raises(ValueError, match=r"finite point; entries \[3\]"):
+            diagnostic()
+    assert not any(calls.values())
+
+
 def test_diagnose_evaluates_the_point_once(entries):
     entry = entries["dempe-parabola"]
     zeta = entry.certified_points[0].build(4.0)
