@@ -10,6 +10,8 @@ import pytest
 import bilevel_newton as bn
 from bilevel_newton.system import block_slices
 
+import spec
+
 
 def fd_jacobian(problem, lam, zeta, h=1e-6):
     """Central-difference Jacobian of the stationarity residual."""
@@ -40,9 +42,10 @@ def fd_merit_grad(problem, lam, zeta, h=1e-7):
 
 
 def pair_values(problem, zeta):
-    """All (constraint value, multiplier) pairs of the three blocks."""
-    at_y = bn.evaluate_all(problem, zeta.x, zeta.y)
-    at_z = bn.evaluate_all(problem, zeta.x, zeta.z)
+    """All (constraint value, multiplier) pairs of the three blocks; only
+    the constraints are evaluated."""
+    at_y = bn.evaluate_all(problem, zeta.x, zeta.y, functions="Gg")
+    at_z = bn.evaluate_all(problem, zeta.x, zeta.z, functions="g")
     pairs = list(zip(at_y.G, zeta.u))
     pairs += list(zip(at_y.g, zeta.v))
     pairs += list(zip(at_z.g, zeta.w))
@@ -78,10 +81,10 @@ def counting(problem, *names):
 STAGES = (("g", "w"), ("f", "z"), ("Gg", "uv"), ("Ff", "xy"))
 
 
-def staged_calls(problem, residual, bound):
+def staged_calls(problem, phi, bound):
     """A replay of assemble_residual's staged rule at a point whose full
-    residual is ``residual``, under merit bound ``bound`` (None: no bound,
-    and then ``residual`` is not read).
+    residual vector is ``phi``, under merit bound ``bound`` (None: no bound,
+    and then ``phi`` is not read).
 
     Returns the evaluator calls it makes, by name (a constraint evaluator
     with no components is not called), and whether it returns the residual.
@@ -99,12 +102,12 @@ def staged_calls(problem, residual, bound):
             calls[name] += components[name] > 0
         if bound is None or blocks == "xy":
             continue
-        rows = residual.vec[s[blocks[0]].start:s[blocks[-1]].stop]
+        rows = phi[s[blocks[0]].start:s[blocks[-1]].stop]
         partial += float(rows.dot(rows))
         if bound < 0 or (math.isfinite(partial) and
                          0.5 * partial * (1.0 - 8 * (d.N + 4) * 2.0**-53) - (d.N + 4) * 2.0**-1074 > bound):
             return calls, False
-    return calls, bound is None or residual.merit() <= bound
+    return calls, bound is None or spec.merit(phi) <= bound
 
 
 def growth_matrix(n):

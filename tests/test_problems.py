@@ -18,6 +18,7 @@ from bilevel_newton import problem as problem_module
 from bilevel_newton import reporting
 from bilevel_newton.system import block_slices
 
+import spec
 from conftest import counting
 
 
@@ -340,58 +341,6 @@ def test_check_derivatives_evaluates_the_perturbed_points_bitwise(problems):
         assert [v.tobytes() for v in seen] == [v.tobytes() for v in expected], name
 
 
-# check_derivatives as it was before every function's rows were filled at
-# once, kept verbatim as the reference: one closure per function, and each
-# function's errors reduced on their own.
-def _reference_rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
-    approx = np.atleast_1d(np.asarray(approx, dtype=float))
-    exact = np.atleast_1d(np.asarray(exact, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(exact))))
-    return float(np.max(np.abs(approx - exact)) / scale)
-
-
-def _reference_check_derivatives(problem, points):
-    d = problem.dims
-    nm = d.n + d.m
-    grad_errors, hess_errors = {}, {}
-
-    for x0, y0 in points:
-        x0 = np.asarray(x0, dtype=float).reshape(d.n)
-        y0 = np.asarray(y0, dtype=float).reshape(d.m)
-        pt = np.concatenate([x0, y0])
-        step = 1e-6 * max(1.0, float(np.linalg.norm(pt)))
-
-        base = bn.evaluate_all(problem, x0, y0)
-        checks = [("F", lambda b: (b.F, b.dF), base.dF, base.d2F),
-                  ("f", lambda b: (b.f, b.df), base.df, base.d2f)]
-        for j in range(d.p):
-            checks.append((f"G[{j}]", lambda b, j=j: (b.G[j], b.dG[j]), base.dG[j], base.d2G[j]))
-        for j in range(d.q):
-            checks.append((f"g[{j}]", lambda b, j=j: (b.g[j], b.dg[j]), base.dg[j], base.d2g[j]))
-
-        grad_fd = np.empty((len(checks), nm))
-        hess_fd = np.empty((len(checks), nm, nm))
-        for i in range(nm):
-            e = np.zeros(nm)
-            e[i] = step
-            pp, pm = pt + e, pt - e
-            bp = bn.evaluate_all(problem, pp[: d.n], pp[d.n:])
-            bm = bn.evaluate_all(problem, pm[: d.n], pm[d.n:])
-            for c, (_, extract, _, _) in enumerate(checks):
-                vp, gp = extract(bp)
-                vm, gm = extract(bm)
-                grad_fd[c, i] = (vp - vm) / (2 * step)
-                hess_fd[c, i] = (gp - gm) / (2 * step)
-
-        for c, (name, _, grad_exact, hess_exact) in enumerate(checks):
-            ge = _reference_rel_err(grad_fd[c], grad_exact)
-            he = _reference_rel_err(problem_module._sym(hess_fd[c]), hess_exact)
-            grad_errors[name] = max(grad_errors.get(name, 0.0), ge)
-            hess_errors[name] = max(hess_errors.get(name, 0.0), he)
-
-    return grad_errors, hess_errors
-
-
 def _sine_quadratic(rng, k, nm):
     """k functions b.s + s'Ss/2 + sin(w.s) with a gradient off by a constant
     and an asymmetric Hessian A - sin(w.s) w w^T (A + A^T = 2S), stacked."""
@@ -433,7 +382,7 @@ def test_stacked_check_derivatives_matches_the_reference_bitwise(n, m, p, q, num
                                 F=scalar(upper), f=scalar(lower), G=vector(upper), g=vector(lower))
     points = [(rng.uniform(-2, 2, n), rng.uniform(-2, 2, m)) for _ in range(num_points)]
     report = bn.check_derivatives(problem, points)
-    grad_ref, hess_ref = _reference_check_derivatives(problem, points)
+    grad_ref, hess_ref = spec.check_derivatives(problem, points)
 
     def bits(errors):
         return [(name, np.float64(err).view(np.int64)) for name, err in errors.items()]
@@ -505,46 +454,6 @@ def test_missing_G_with_positive_p_rejected():
         bn.BilevelProblem(name="noG", dims=dims, F=f, f=f, g=g)
 
 
-# Hessian ingestion as it was before exactly symmetric Hessians were taken
-# as returned, kept verbatim as the reference: every Hessian is symmetrized
-# into a new array, then scanned for non-finite entries.
-EvaluationError = bn.EvaluationError
-
-
-def _sym(h: np.ndarray) -> np.ndarray:
-    return 0.5 * (h + h.T)
-
-
-def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):
-    try:
-        val, grad, hess = out
-        val = float(val)
-        grad = np.asarray(grad, dtype=float).reshape(nm)
-        hess = np.asarray(hess, dtype=float).reshape(nm, nm)
-    except (TypeError, ValueError) as exc:
-        raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
-    hess = _sym(hess)
-    if not (math.isfinite(val) and np.isfinite(grad).all() and np.isfinite(hess).all()):
-        raise EvaluationError(name, np.concatenate(xy))
-    return val, grad, hess
-
-
-def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm: int):
-    if k == 0:
-        return (np.zeros(0), np.zeros((0, nm)), np.zeros((0, nm, nm)))
-    try:
-        vals, jac, hessians = out
-        vals = np.asarray(vals, dtype=float).reshape(k)
-        jac = np.asarray(jac, dtype=float).reshape(k, nm)
-        hessians = np.asarray(hessians, dtype=float).reshape(k, nm, nm)
-    except (TypeError, ValueError) as exc:
-        raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
-    hessians = 0.5 * (hessians + np.transpose(hessians, (0, 2, 1)))
-    if not (np.isfinite(vals).all() and np.isfinite(jac).all() and np.isfinite(hessians).all()):
-        raise EvaluationError(name, np.concatenate(xy))
-    return vals, jac, hessians
-
-
 _X, _Y = np.array([0.5]), np.array([-1.5, 2.0])
 
 
@@ -564,25 +473,22 @@ def _hessian_problem(d2F, d2f, d2G, d2g):
     return _output_problem(d2F=d2F, d2f=d2f, d2G=d2G, d2g=d2g)
 
 
-def _ingested(problem):
-    """evaluate_all's bundle as bit patterns, or its error, with its warnings."""
+def _ingested(problem, evaluate=lambda problem: bn.evaluate_all(problem, _X, _Y)[1:]):
+    """The values, gradients and Hessians of F, f, G and g at (_X, _Y), by
+    evaluate_all or another ``evaluate``, as bit patterns, or its error,
+    with its warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            b = bn.evaluate_all(problem, _X, _Y)
+            result = [np.asarray(a, dtype=float).view(np.int64).tolist() for a in evaluate(problem)]
         except bn.EvaluationError as exc:
             result = ("error", exc.function, str(exc))
-        else:
-            result = [np.asarray(getattr(b, name), dtype=float).view(np.int64).tolist()
-                      for name in b._fields if name != "n"]
     return result, [(w.category, str(w.message)) for w in caught]
 
 
 def _assert_ingested_as_reference(problem):
     new = _ingested(problem)
-    with mock.patch.multiple(problem_module, _check_scalar=_check_scalar, _check_vector=_check_vector):
-        reference = _ingested(problem)
-    assert new == reference
+    assert new == _ingested(problem, lambda p: [a for name in "FfGg" for a in spec.evaluate(p, name, _X, _Y)])
     return new[0]
 
 

@@ -9,10 +9,9 @@ import bilevel_newton as bn
 from bilevel_newton import solver
 from bilevel_newton.complementarity import KINK_TOL
 from bilevel_newton.linalg import PIVOT_TOL
-from bilevel_newton.problem import BilevelProblem
-from bilevel_newton.solver import GRADIENT, NEWTON, LineSearchResult, StepRecord
-from bilevel_newton.system import Iterate, assemble_jacobian, assemble_residual
+from bilevel_newton.solver import GRADIENT, NEWTON, StepRecord
 
+import spec
 from conftest import counting, staged_calls
 
 
@@ -74,10 +73,6 @@ def test_config_takes_a_numpy_integer_cap(entries):
     assert (report.status, report.iterations) == (bn.MAX_ITER, 3)
 
 
-def _merit(problem, lam, zeta):
-    return assemble_residual(problem, lam, zeta).merit()
-
-
 def _first_step(problem, cfg, zeta):
     """The record of run's first iteration from zeta."""
     records: list[StepRecord] = []
@@ -87,10 +82,10 @@ def _first_step(problem, cfg, zeta):
 
 
 def _backtrack_from(problem, cfg, zeta, d):
-    """solver._backtrack along d, with zeta's merit and slope as run computes them."""
-    r = assemble_residual(problem, cfg.lam, zeta)
-    slope = float((assemble_jacobian(r).T @ r.vec) @ d)
-    return solver._backtrack(problem, cfg.lam, zeta, d, r.merit(), slope)
+    """solver._backtrack along d, from zeta's merit and slope."""
+    psi0 = spec.merit(spec.residual(problem, cfg.lam, zeta.vec))
+    slope = float(spec.merit_grad(problem, cfg.lam, zeta.vec) @ d)
+    return solver._backtrack(problem, cfg.lam, zeta, d, psi0, slope)
 
 
 def test_step_newton_near_solution(entries):
@@ -101,7 +96,7 @@ def test_step_newton_near_solution(entries):
     zeta = bn.Iterate.from_vector(vec, entry.problem.dims)
     rec = _first_step(entry.problem, cfg, zeta)
     assert rec.direction_type == NEWTON
-    slope = float(bn.merit_grad(entry.problem, 1.0, zeta) @ rec.direction)
+    slope = float(spec.merit_grad(entry.problem, 1.0, zeta.vec) @ rec.direction)
     assert slope == rec.slope
     assert slope <= -solver.BETA * np.linalg.norm(rec.direction) ** solver.T
 
@@ -113,7 +108,7 @@ def test_step_gradient_fallback_on_singular_jacobian():
     zeta = bn.Iterate.of(p.dims, x=[1.0], y=[1.0], z=[1.0], v=[1.0, 1.0], w=[1.0, 1.0])
     rec = _first_step(p, cfg, zeta)
     assert rec.direction_type == GRADIENT
-    grad = bn.merit_grad(p, 1.0, zeta)
+    grad = spec.merit_grad(p, 1.0, zeta.vec)
     np.testing.assert_allclose(rec.direction, -grad)
 
 
@@ -126,25 +121,13 @@ def test_line_search_full_step_near_solution(entries):
     assert rec.alpha == 1.0 and rec.backtracks == 0
 
 
-def test_line_search_replays_armijo_inequality(entries):
-    entry = entries["xy-linear"]
-    cfg = bn.SolverConfig(lam=2.0)
-    zeta = bn.resolve_start(entry.problem)
-    rec = _first_step(entry.problem, cfg, zeta)
-    psi0 = _merit(entry.problem, 2.0, zeta)
-    slope = float(bn.merit_grad(entry.problem, 2.0, zeta) @ rec.direction)
-    assert (psi0, slope) == (rec.merit_before, rec.slope)
-    trial = bn.Iterate.from_vector(zeta.to_vector() + rec.alpha * rec.direction, entry.problem.dims)
-    assert _merit(entry.problem, 2.0, trial) <= psi0 + solver.SIGMA * rec.alpha * slope
-
-
 def test_line_search_tiny_gradient_direction(entries):
     # near-solution steepest-descent direction must terminate one way or another
     entry = entries["xy-linear"]
     cfg = bn.SolverConfig(lam=1.0)
     vec = entry.certified_points[0].build(1.0).to_vector() + 1e-7
     zeta = bn.Iterate.from_vector(vec, entry.problem.dims)
-    d = -bn.merit_grad(entry.problem, 1.0, zeta)
+    d = -spec.merit_grad(entry.problem, 1.0, zeta.vec)
     result = _backtrack_from(entry.problem, cfg, zeta, d)
     if result is not None:
         assert result.backtracks <= solver.MAX_BACKTRACKS
@@ -156,7 +139,7 @@ def test_line_search_stall_on_tight_budget(entries, monkeypatch):
     monkeypatch.setattr(solver, "MAX_BACKTRACKS", 1)
     zeta = bn.resolve_start(entry.problem)
     # huge descent-scaled direction: the first two trial points overshoot
-    d = -1e12 * bn.merit_grad(entry.problem, 1.0, zeta)
+    d = -1e12 * spec.merit_grad(entry.problem, 1.0, zeta.vec)
     assert _backtrack_from(entry.problem, cfg, zeta, d) is None
 
 
@@ -164,7 +147,7 @@ def test_line_search_rejects_ascent(entries):
     entry = entries["xy-linear"]
     cfg = bn.SolverConfig(lam=1.0)
     zeta = bn.resolve_start(entry.problem)
-    d = bn.merit_grad(entry.problem, 1.0, zeta)  # ascent direction
+    d = spec.merit_grad(entry.problem, 1.0, zeta.vec)  # ascent direction
     with pytest.raises(ValueError):
         _backtrack_from(entry.problem, cfg, zeta, d)
 
@@ -276,26 +259,6 @@ def test_run_deterministic(entries):
     assert r1.residual_norms == r2.residual_norms
     assert r1.step_sizes == r2.step_sizes
     assert np.array_equal(r1.final.to_vector(), r2.final.to_vector())
-
-
-def test_run_armijo_contract_replay(entries):
-    # every accepted step satisfies the sufficient-decrease inequality and,
-    # unless it was a full step, the next larger step violates it
-    entry = entries["dempe-parabola"]
-    cfg = bn.SolverConfig(lam=4.0)
-    records: list[StepRecord] = []
-    bn.run(entry.problem, cfg, bn.resolve_start(entry.problem), callback=records.append)
-    assert records
-    for rec in records:
-        base = rec.zeta.to_vector()
-        trial = bn.Iterate.from_vector(base + rec.alpha * rec.direction, entry.problem.dims)
-        psi_trial = _merit(entry.problem, cfg.lam, trial)
-        assert psi_trial <= rec.merit_before + solver.SIGMA * rec.alpha * rec.slope
-        if rec.backtracks > 0:
-            alpha_prev = rec.alpha / solver.RHO
-            prev = bn.Iterate.from_vector(base + alpha_prev * rec.direction, entry.problem.dims)
-            psi_prev = _merit(entry.problem, cfg.lam, prev)
-            assert psi_prev > rec.merit_before + solver.SIGMA * alpha_prev * rec.slope
 
 
 def test_run_reports_evaluation_failure():
@@ -418,7 +381,7 @@ def _trial_calls(problem, lam, zeta, d, merit0, slope, backtracks):
         alpha = solver.RHO**s
         trial = bn.Iterate(zeta.vec + alpha * d, problem.dims)
         bound = merit0 + solver.SIGMA * alpha * slope
-        _add(total, staged_calls(problem, assemble_residual(problem, lam, trial), bound)[0])
+        _add(total, staged_calls(problem, spec.residual(problem, lam, trial.vec), bound)[0])
     return total
 
 
@@ -518,30 +481,6 @@ def test_run_reports_nan_without_calling_F_again_when_F_fails_at_the_start(probl
     assert {name: len(c) for name, c in calls.items()} == {"F": 1, "f": 1, "g": 2}
 
 
-# The line search before the staged trial, verbatim but for the backtrack
-# cap and the Armijo constants, read from solver: every trial assembles the
-# full residual.
-def _reference_backtrack(
-    problem: BilevelProblem,
-    lam: float,
-    zeta: Iterate,
-    d: np.ndarray,
-    merit0: float,
-    slope: float,
-) -> LineSearchResult | None:
-    if slope >= 0:
-        raise ValueError(f"line search needs a descent direction, slope={slope}")
-    zeta_vec = zeta.to_vector()
-    for s in range(solver.MAX_BACKTRACKS + 1):
-        alpha = solver.RHO**s
-        trial = Iterate.from_vector(zeta_vec + alpha * d, problem.dims)
-        r_trial = assemble_residual(problem, lam, trial)
-        psi = 0.5 * r_trial.norm() ** 2
-        if psi <= merit0 + solver.SIGMA * alpha * slope:
-            return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
-    return None
-
-
 def _small_lq(n=2, m=3):
     """p = 1, q = m (n = 2, m = 3 by default): random convex quadratics,
     y >= 0, sum(x) <= 1."""
@@ -563,44 +502,6 @@ def _small_lq(n=2, m=3):
         F=quadratic(P, c), f=quadratic(H, e),
         G=lambda x, y: (np.array([x.sum() - 1.0]), G_jac, np.zeros((1, k, k))),
         g=lambda x, y: (-y, g_jac, np.zeros((m, k, k))))
-
-
-def _same_decision(staged, reference):
-    if reference is None:
-        return staged is None
-    return (staged is not None and staged.alpha == reference.alpha
-            and staged.backtracks == reference.backtracks
-            and np.array_equal(staged.residual_next.vec.view(np.int64),
-                               reference.residual_next.vec.view(np.int64))
-            and np.array_equal(staged.zeta_next.to_vector().view(np.int64),
-                               reference.zeta_next.to_vector().view(np.int64)))
-
-
-def _line_search_cases(entries):
-    named = [(entries[name].problem, lam, 2000) for name, lam in
-             (("quadratic-projection", 1.0), ("xy-linear", 2.0), ("dempe-parabola", 4.0))]
-    return named + [(entries["dempe-parabola"].problem, 128.0, 40), (_small_lq(), 2.0, 2000)]
-
-
-def test_staged_line_search_decides_as_the_full_one(entries, monkeypatch):
-    early = 0
-    for problem, lam, max_iter in _line_search_cases(entries):
-        cfg = bn.SolverConfig(lam=lam, max_iter=max_iter)
-        records: list[StepRecord] = []
-        bn.run(problem, cfg, bn.resolve_start(problem), callback=records.append)
-        assert records
-        for rec in records:
-            args = (problem, lam, rec.zeta, rec.direction, rec.merit_before, rec.slope)
-            assert _same_decision(solver._backtrack(*args), _reference_backtrack(*args))
-            # a budget one short of the accepted trial stalls both
-            if rec.backtracks > 0:
-                with monkeypatch.context() as tight:
-                    tight.setattr(solver, "MAX_BACKTRACKS", rec.backtracks - 1)
-                    assert solver._backtrack(*args) is None and _reference_backtrack(*args) is None
-            complete = _trial_calls(problem, lam, rec.zeta, rec.direction, rec.merit_before,
-                                    rec.slope, rec.backtracks)["F"]
-            early += rec.backtracks + 1 - complete
-    assert early > 0  # some trials were rejected before their leader point was complete
 
 
 def test_eoc_formula_examples():
@@ -628,19 +529,31 @@ def _bits_of(value):
     return value
 
 
+def _assert_run_as_the_spec(problem, lam, max_iter, start):
+    """A run from start matches the spec's bit for bit, with no more
+    evaluator calls; the spec's run is returned."""
+    counted, calls = counting(problem, "F", "f", "G", "g")
+    records: list[StepRecord] = []
+    report = bn.run(counted, bn.SolverConfig(lam=lam, max_iter=max_iter), bn.Iterate.from_vector(start, problem.dims),
+                    callback=records.append)
+    library_calls = _counts(calls)
+    for c in calls.values():
+        c.clear()
+    expected = spec.run(counted, lam, start, max_iter)
+    assert (report.status, report.direction_types) == (expected.status, expected.direction_types)
+    assert _bits_of([[rec.zeta.vec for rec in records] + [report.final.vec], report.residual_norms,
+                     report.step_sizes, [rec.slope for rec in records], report.F, report.f, report.eoc]) == \
+        _bits_of([expected.iterates, expected.norms, expected.step_sizes, expected.slopes, expected.F,
+                  expected.f, expected.eoc])
+    assert all(count <= len(calls[name]) for name, count in library_calls.items())
+    return expected
+
+
 # dempe at 0.5 takes 5 gradient steps in its first 40 (the LU solve rejects
 # W); the small LQ problem has p, q > 0 and solves in a few Newton steps
 @pytest.mark.parametrize("case,lam", [("dempe-parabola", 0.5), ("small-lq", 2.0)])
 def test_run_builds_every_step_in_the_same_buffer(entries, monkeypatch, case, lam):
     problem = _small_lq() if case == "small-lq" else entries[case].problem
-    cfg = bn.SolverConfig(lam=lam, max_iter=40)
-
-    def solve(records):
-        report = bn.run(problem, cfg, bn.resolve_start(problem), callback=records.append)
-        return dataclasses.replace(report, wall_time=0.0)
-    plain_records: list[StepRecord] = []
-    plain = solve(plain_records)
-
     outs = []
     assemble = solver.assemble_jacobian
 
@@ -648,44 +561,10 @@ def test_run_builds_every_step_in_the_same_buffer(entries, monkeypatch, case, la
         outs.append(kwargs["out"])
         return assemble(*args, **kwargs)
     monkeypatch.setattr(solver, "assemble_jacobian", assemble_spy)
-    spied_records: list[StepRecord] = []
-    spied = solve(spied_records)
-
+    expected = _assert_run_as_the_spec(problem, lam, 40, bn.resolve_start(problem).vec)
     N = problem.dims.N
-    assert len(outs) == plain.iterations > 1
+    assert len(outs) == len(expected.step_sizes) > 1
     assert all(out is outs[0] for out in outs) and outs[0].shape == (N, N)
-    assert _bits_of(spied_records) == _bits_of(plain_records)
-    assert _bits_of(spied) == _bits_of(plain)
-
-
-def _reference_run(problem, cfg, zeta):
-    """run's loop as it computed slopes and norms before ``_direction``
-    returned its slope: the slope of the chosen direction recomputed as
-    grad @ d, and every norm by np.linalg.norm.  It gives the residual
-    norms, step sizes, direction types, slopes and final point."""
-    resid = assemble_residual(problem, cfg.lam, zeta)
-    norms, alphas, dtypes, slopes = [float(np.linalg.norm(resid.vec))], [], [], []
-    while norms[-1] > solver.EPS and len(alphas) < cfg.max_iter:
-        W = assemble_jacobian(resid)
-        grad = W.T @ resid.vec
-        if float(np.linalg.norm(grad)) <= solver.GRAD_STALL_TOL:
-            break
-        try:
-            d = bn.lu_solve(W, -resid.vec)
-            newton = float(grad @ d) <= -solver.BETA * float(np.linalg.norm(d)) ** solver.T
-        except bn.SingularMatrixError:
-            newton = False
-        if not newton:
-            d = -grad
-        slopes.append(float(grad @ d))
-        ls = solver._backtrack(problem, cfg.lam, zeta, d, resid.merit(), slopes[-1])
-        if ls is None:
-            break
-        zeta, resid = ls.zeta_next, ls.residual_next
-        norms.append(float(np.linalg.norm(resid.vec)))
-        alphas.append(ls.alpha)
-        dtypes.append(NEWTON if newton else GRADIENT)
-    return norms, alphas, dtypes, slopes, zeta
 
 
 @pytest.mark.parametrize("case,max_iter", [("quadratic-projection", 2000), ("xy-linear", 2000),
@@ -693,17 +572,30 @@ def _reference_run(problem, cfg, zeta):
 def test_run_keeps_the_steps_of_the_reference_slope_and_norms(entries, case, max_iter):
     # the default grid; on dempe some of the steps are gradient steps
     problem = _small_lq(10, 10) if case == "lq-10" else entries[case].problem
-    zeta0 = bn.resolve_start(problem)
-    gradient_steps = 0
-    for lam in bn.DEFAULT_LAMBDA_GRID:
-        cfg = bn.SolverConfig(lam=lam, max_iter=max_iter)
-        records: list[StepRecord] = []
-        report = bn.run(problem, cfg, zeta0, callback=records.append)
-        norms, alphas, dtypes, slopes, final = _reference_run(problem, cfg, zeta0)
-        assert _bits_of([rec.slope for rec in records]) == _bits_of(slopes[:len(records)])
-        assert _bits_of(report.residual_norms) == _bits_of(norms)
-        assert _bits_of(report.step_sizes) == _bits_of(alphas)
-        assert report.direction_types == dtypes
-        assert _bits_of(report.final.vec) == _bits_of(final.vec)
-        gradient_steps += dtypes.count(GRADIENT)
-    assert gradient_steps > 0 or case != "dempe-parabola"
+    start = bn.resolve_start(problem).vec
+    runs = [_assert_run_as_the_spec(problem, lam, max_iter, start) for lam in bn.DEFAULT_LAMBDA_GRID]
+    assert any(GRADIENT in r.direction_types for r in runs) or case != "dempe-parabola"
+
+
+def _merit_stationary_problem():
+    """n = m = 1, p = q = 0: F = x^3/3 + x + y^2/2 and f = 0.  Phi = (x^2 + 1,
+    y, 0) never vanishes; grad Psi vanishes at x = y = 0."""
+    zero = np.zeros((2, 2))
+    return bn.BilevelProblem(
+        name="merit-stationary", dims=bn.ProblemDims(n=1, m=1, p=0, q=0),
+        F=lambda x, y: (x[0] ** 3 / 3 + x[0] + y[0] ** 2 / 2, np.array([x[0] ** 2 + 1, y[0]]),
+                        np.diag([2 * x[0], 1.0])),
+        f=lambda x, y: (0.0, np.zeros(2), zero),
+        g=lambda x, y: (np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2, 2))))
+
+
+@pytest.mark.parametrize("status,iterations", [(bn.MERIT_STATIONARY, 5), (bn.LINE_SEARCH_STALL, 2)])
+def test_run_reaches_each_status_as_the_spec(entries, monkeypatch, status, iterations):
+    if status == bn.MERIT_STATIONARY:
+        problem, lam, start = _merit_stationary_problem(), 1.0, np.array([0.7, 0.3, 0.0])
+    else:  # two backtracks are too few for dempe's third step
+        monkeypatch.setattr(solver, "MAX_BACKTRACKS", 2)
+        problem, lam = entries["dempe-parabola"].problem, 0.5
+        start = bn.resolve_start(problem).vec
+    expected = _assert_run_as_the_spec(problem, lam, 2000, start)
+    assert (expected.status, len(expected.step_sizes)) == (status, iterations)
