@@ -18,8 +18,7 @@ from .solver import (EVALUATION_FAILED, LINE_SEARCH_STALL, MAX_ITER,
                      run)
 from .sweep import (DEFAULT_LAMBDA_GRID, DeltaMetrics, SweepConfig,
                     SweepReport, delta_metrics, resolve_start, sweep)
-from .system import (Iterate, ResidualVector, assemble_jacobian,
-                     assemble_residual, merit_grad)
+from .system import Iterate, ResidualVector, assemble_jacobian, assemble_residual
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "assemble_jacobian", "assemble_residual", "check_derivatives",
     "check_licq", "check_lscc", "check_ssosc", "classify", "delta_metrics",
     "diagnose", "eoc", "evaluate_all", "fb", "get_entry", "get_problem",
-    "lu_solve", "merit_grad", "null_space_basis", "pair_coeffs",
+    "lu_solve", "null_space_basis", "pair_coeffs",
     "problem_names", "registry", "resolve_start", "run", "sweep",
     "sym_eig_min",
 ]

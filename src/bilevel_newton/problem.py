@@ -27,17 +27,15 @@ Hessian contraction skips a large zero one.
 The leader functions F and G are evaluated only at the leader point (x, y).
 At the follower copy (x, z) the system reads f and g alone.
 ``evaluate_function`` is the per-function step: it calls one evaluator and
-checks its output, giving a (value, gradient, Hessian) triple.  The staged
-residual of ``system`` calls it for each stage's evaluators and builds its
-bundles (``EvalBundle.of``) only once the residual completes.
-``evaluate_all`` calls the functions its ``functions`` keyword names
-through the same step, and its bundle holds None in the fields of the
-others: a follower bundle holds None in the F and G fields.
+checks its output, giving a (value, gradient, Hessian) triple; every
+partial evaluation goes through it.  ``evaluate_all`` calls F, f, G and g
+through the same step.  A follower bundle is built from the f and g triples
+alone, as ``EvalBundle.of(n, f=..., g=...)``, and holds None in the F and G
+fields.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -118,10 +116,9 @@ class EvalBundle(NamedTuple):
 
     Gradients are stored over the stacked (x, y) coordinates; the leading
     n entries are the derivatives w.r.t. the upper-level variable and the
-    trailing m entries w.r.t. the lower-level one.  The three fields of a
-    function that was not called hold None.  A follower bundle, at a point
-    (x, z), holds None in the six F and G fields: F and G are never
-    evaluated there.
+    trailing m entries w.r.t. the lower-level one.  A function not called
+    holds None in its three fields, as F and G do in a follower bundle at
+    a point (x, z), where they are never evaluated.
     """
 
     n: int
@@ -166,7 +163,7 @@ _CHECKED_MIN_BYTES = 1 << 16
 
 
 def is_zero_hessian(h: np.ndarray) -> bool:
-    """Whether h, as ingested by ``evaluate_all``, is a large Hessian (stack)
+    """Whether h, as ingested by ``evaluate_function``, is a large Hessian (stack)
     found to hold only +0.0, as linear functions give."""
     entry = _CHECKED.get((id(h), h.shape))
     return entry is not None and entry[1] and entry[0]() is h
@@ -250,10 +247,6 @@ def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm:
     return vals, jac, hessians
 
 
-# every string of distinct letters of "FfGg": the selections evaluate_all takes
-_SELECTIONS = frozenset("".join(names) for k in range(5) for names in itertools.permutations("FfGg", k))
-
-
 def evaluate_function(problem: BilevelProblem, name: str, x: np.ndarray, y: np.ndarray) -> tuple:
     """The checked (value, gradient, Hessian) of the evaluator ``name``
     ("F", "f", "G" or "g") at (x, y), given as float64 arrays of shapes
@@ -272,20 +265,15 @@ def evaluate_function(problem: BilevelProblem, name: str, x: np.ndarray, y: np.n
     return _check_vector(name, (x, y), getattr(problem, name)(x, y) if k else None, k, nm)
 
 
-def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, functions: str = "FfGg") -> EvalBundle:
+def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray) -> EvalBundle:
     """Evaluate F, f, G, g with derivatives at one point (x, y).
 
-    ``functions`` names the evaluators to call, as distinct letters of
-    "FfGg" in any order; they are called in the order F, f, G, g, each
-    through ``evaluate_function`` and checked before the next is called,
-    and the bundle holds None in the fields of the others
-    (``functions="fg"`` at a follower point (x, z), say).  Raises
+    They are called in the order F, f, G, g, each through
+    ``evaluate_function`` and checked before the next is called.  Raises
     EvaluationError (carrying the function name and point) when an
     evaluator returns a non-finite entry.  Deterministic: repeated calls at
     the same point return bitwise-equal arrays.
     """
-    if functions not in _SELECTIONS:
-        raise ValueError(f"functions must be distinct letters of 'FfGg', got {functions!r}")
     d = problem.dims
     n, m = d.n, d.m
     x = np.asarray(x, dtype=float)
@@ -294,10 +282,10 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray, *, funct
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
         y = y.reshape(m)
-    F = evaluate_function(problem, "F", x, y) if "F" in functions else _NOT_CALLED
-    f = evaluate_function(problem, "f", x, y) if "f" in functions else _NOT_CALLED
-    G = evaluate_function(problem, "G", x, y) if "G" in functions else _NOT_CALLED
-    g = evaluate_function(problem, "g", x, y) if "g" in functions else _NOT_CALLED
+    F = evaluate_function(problem, "F", x, y)
+    f = evaluate_function(problem, "f", x, y)
+    G = evaluate_function(problem, "G", x, y)
+    g = evaluate_function(problem, "g", x, y)
     return EvalBundle.of(n, F, f, G, g)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .complementarity import KINK_A, KINK_B
 from .linalg import null_space_basis, sym_eig_min
-from .problem import BilevelProblem, EvalBundle, evaluate_all
+from .problem import BilevelProblem, EvalBundle, evaluate_all, evaluate_function
 from .system import Iterate, hessian_block, kept_evaluations, require_penalty
 
 # A constraint is active when |c| <= ACTIVE_TOL, a multiplier zero when
@@ -92,7 +92,7 @@ def _classify_block(name: str, cons: np.ndarray, mults: np.ndarray, flagged: lis
 
 
 def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBundle]:
-    """The leader bundle at (x, y) and the follower bundle (f and g only) at
+    """The leader bundle at (x, y), then the follower bundle (f and g only) at
     (x, z): the ones zeta keeps for problem (a run's final point, say), or
     new evaluations.  Raises ValueError when zeta has a non-finite entry."""
     bad = np.flatnonzero(~np.isfinite(zeta.vec))
@@ -101,7 +101,9 @@ def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBu
     kept = kept_evaluations(zeta, problem)
     if kept is not None:
         return kept
-    return evaluate_all(problem, zeta.x, zeta.y), evaluate_all(problem, zeta.x, zeta.z, functions="fg")
+    at_y = evaluate_all(problem, zeta.x, zeta.y)
+    return at_y, EvalBundle.of(zeta.dims.n, f=evaluate_function(problem, "f", zeta.x, zeta.z),
+                               g=evaluate_function(problem, "g", zeta.x, zeta.z))
 
 
 def _partition(zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle) -> IndexSetPartition:

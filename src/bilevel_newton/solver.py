@@ -26,8 +26,8 @@ and step sizes do not depend on the staging; the evaluation bundles are
 built only for a trial that completes.  A start that kept its evaluations
 (as ``resolve_start``'s does) is not evaluated again.  A run's final F and
 f come from the last leader evaluation; when a run fails before its start's
-leader point completes, the report calls F and f alone there, and not at
-all when F itself failed (F and f are then NaN).
+leader point completes, the report calls F, then f, there (not at all when
+F itself failed), and F and f are NaN unless both calls succeed.
 """
 from __future__ import annotations
 
@@ -40,7 +40,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import SingularMatrixError, lu_solve
-from .problem import BilevelProblem, EvaluationError, evaluate_all
+from .problem import BilevelProblem, EvaluationError, evaluate_function
+# evaluate_all is not called here: bench/probe.py traces calls through this binding
+from .problem import evaluate_all  # noqa: F401
 from .system import Iterate, ResidualVector, assemble_jacobian, assemble_residual, valid_penalty
 
 SOLVED = "Solved"
@@ -241,8 +243,7 @@ def run(
         F_val = f_val = math.nan
         if failed != "F":  # F failing there would fail again
             try:
-                bundle = evaluate_all(problem, zeta.x, zeta.y, functions="Ff")
-                F_val, f_val = bundle.F, bundle.f
+                F_val, f_val = [evaluate_function(problem, name, zeta.x, zeta.y)[0] for name in "Ff"]
             except EvaluationError:
                 pass
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import BilevelProblem, evaluate_all
+from .problem import BilevelProblem, EvalBundle, evaluate_all
 from .solver import SOLVED, SolveReport, SolverConfig, run
 from .system import Iterate, keep_evaluations, valid_penalty
 
@@ -98,8 +98,8 @@ def resolve_start(problem: BilevelProblem, x0=None, y0=None) -> Iterate:
     values: u_i = |G_i(x0, y0)|, v_j = |g_j(x0, y0)|, w = v.  A start of
     the wrong length raises ValueError before anything is evaluated.  The
     one evaluation at (x0, y0) is kept with the start (``keep_evaluations``)
-    for both its points, since z0 = y0: a run from it, or every run of a
-    sweep, calls no evaluator there again.
+    for both its points, since z0 = y0 (its f and g triples make the
+    follower bundle): no run from it calls an evaluator there again.
     """
     d = problem.dims
     x0 = np.ones(d.n) if x0 is None else np.asarray(x0, dtype=float)
@@ -110,7 +110,7 @@ def resolve_start(problem: BilevelProblem, x0=None, y0=None) -> Iterate:
     bundle = evaluate_all(problem, x0, y0)
     v0 = np.abs(bundle.g)
     zeta0 = Iterate.of(d, x0, y0, y0, np.abs(bundle.G), v0, v0)
-    keep_evaluations(zeta0, problem, bundle, bundle._replace(F=None, dF=None, d2F=None, G=None, dG=None, d2G=None))
+    keep_evaluations(zeta0, problem, bundle, EvalBundle.of(d.n, f=bundle.triple("f"), g=bundle.triple("g")))
     return zeta0
 
 

@@ -413,14 +413,3 @@ def assemble_jacobian(residual: ResidualVector, *, out: np.ndarray | None = None
     W.flat[k * (N + 1)::N + 1] = coeffs[:, 1]
 
     return W
-
-
-def merit_grad(problem: BilevelProblem, lam: float, zeta: Iterate) -> np.ndarray:
-    """Gradient of the merit function, W^T Phi.
-
-    The merit function is continuously differentiable, so the result does
-    not depend on the kink-element choice: residual entries of exactly
-    kinked pairs are zero.
-    """
-    r = assemble_residual(problem, lam, zeta)
-    return assemble_jacobian(r).T @ r.vec

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bilevel_newton as bn
+from bilevel_newton.problem import evaluate_function
 from bilevel_newton.system import block_slices
 
 import spec
@@ -41,15 +42,18 @@ def fd_merit_grad(problem, lam, zeta, h=1e-7):
     return g
 
 
+def grad_psi(problem, lam, zeta):
+    """The gradient of the merit function as the solver forms it, W^T Phi."""
+    r = bn.assemble_residual(problem, lam, zeta)
+    return bn.assemble_jacobian(r).T @ r.vec
+
+
 def pair_values(problem, zeta):
     """All (constraint value, multiplier) pairs of the three blocks; only
-    the constraints are evaluated."""
-    at_y = bn.evaluate_all(problem, zeta.x, zeta.y, functions="Gg")
-    at_z = bn.evaluate_all(problem, zeta.x, zeta.z, functions="g")
-    pairs = list(zip(at_y.G, zeta.u))
-    pairs += list(zip(at_y.g, zeta.v))
-    pairs += list(zip(at_z.g, zeta.w))
-    return pairs
+    the constraints are evaluated: G and g at (x, y), then g at (x, z)."""
+    G_y, g_y, g_z = (evaluate_function(problem, name, zeta.x, point)[0]
+                     for name, point in (("G", zeta.y), ("g", zeta.y), ("g", zeta.z)))
+    return [*zip(G_y, zeta.u), *zip(g_y, zeta.v), *zip(g_z, zeta.w)]
 
 
 def sample_kink_free(problem, rng, margin=1e-3, box=2.0):

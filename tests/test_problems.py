@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import bilevel_newton as bn
 from bilevel_newton import problem as problem_module
-from bilevel_newton import reporting
+from bilevel_newton import regularity, reporting
 from bilevel_newton.system import block_slices
 
 import spec
@@ -108,58 +108,41 @@ def _nan_hessian_stack():
     return stack
 
 
-def test_evaluate_all_flags_nonfinite():
-    calls = []
-    p = _logged_problem(calls, F=(np.nan, np.zeros(2), np.zeros((2, 2))))
-    with pytest.raises(bn.EvaluationError) as exc:
-        bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]))
-    assert exc.value.function == "F"
-    assert calls == ["F"]  # f, G and g are never called after F fails
-    assert np.array_equal(exc.value.point, [0.5, -1.5])
-    assert str(exc.value) == "non-finite value while evaluating F at [0.5, -1.5]"
+_FOLLOWER_POINT = (0.5, -1.5, 0.25, 1.0, 1.0, 1.0)  # (x, y, z, u, v, w)
 
 
 def test_follower_bundle_calls_only_f_and_g():
-    # F and G are non-finite here, but a follower bundle never calls them
+    # the residual's and the diagnostics' bundles at (x, z): only g and f are called
+    # there (the residual's first two calls, the diagnostics' last two); F and G hold None
     calls = []
-    p = _logged_problem(calls, F=(np.nan, np.zeros(2), np.zeros((2, 2))),
-                        G=(np.array([np.inf]), np.ones((1, 2)), np.zeros((1, 2, 2))))
-    b = bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]), functions="fg")
-    assert calls == ["f", "g"]
-    assert (b.F, b.dF, b.d2F, b.G, b.dG, b.d2G) == (None,) * 6
-    assert b.f == 2.0 and np.array_equal(b.g, [-2.0])
-
-
-@pytest.mark.parametrize("functions", ["", "F", "g", "gf", "Gg", "Ff", "FfGg", "gGfF"])
-def test_evaluate_all_calls_the_selected_functions_in_order(functions):
-    calls = []
-    b = bn.evaluate_all(_logged_problem(calls), np.array([0.5]), np.array([-1.5]), functions=functions)
-    assert calls == [name for name in "FfGg" if name in functions]
-    for name in "FfGg":
-        values = (getattr(b, name), getattr(b, "d" + name), getattr(b, "d2" + name))
-        assert (values == (None,) * 3) == (name not in functions)
-
-
-@pytest.mark.parametrize("functions", ["x", "FF", "fgf", "FfGgg", "f,g"])
-def test_evaluate_all_rejects_an_unknown_selection_before_any_call(functions):
-    calls = []
-    with pytest.raises(ValueError, match="distinct letters of 'FfGg'"):
-        bn.evaluate_all(_logged_problem(calls), np.array([0.5]), np.array([-1.5]), functions=functions)
-    assert calls == []
+    p = _logged_problem(calls)
+    at_z = bn.assemble_residual(p, 1.0, bn.Iterate.of(p.dims, *_FOLLOWER_POINT)).at_z
+    assert calls == ["g", "f", "G", "g", "F", "f"]
+    calls.clear()
+    at_z_diagnosed = regularity._bundles(p, bn.Iterate.of(p.dims, *_FOLLOWER_POINT))[1]
+    assert calls == ["F", "f", "G", "g", "f", "g"]
+    for b in (at_z, at_z_diagnosed):
+        assert (b.F, b.dF, b.d2F, b.G, b.dG, b.d2G) == (None,) * 6
+        assert b.f == 2.0 and np.array_equal(b.g, [-2.0])
 
 
 def test_follower_bundle_names_the_nonfinite_follower_evaluator():
+    # f is non-finite at the follower point (x, z) only, where the
+    # diagnostics call it last (the residual's case is test_system's)
     calls = []
-    p = _logged_problem(calls, f=(np.nan, np.ones(2), np.eye(2)))
+    p = _logged_problem(calls)
+    p = dataclasses.replace(p, f=lambda x, y, f=p.f: (np.nan, *f(x, y)[1:]) if y[0] == 0.25 else f(x, y))
     with pytest.raises(bn.EvaluationError) as exc:
-        bn.evaluate_all(p, np.array([0.5]), np.array([-1.5]), functions="fg")
-    assert exc.value.function == "f" and calls == ["f"]
+        bn.classify(p, bn.Iterate.of(p.dims, *_FOLLOWER_POINT))
+    assert exc.value.function == "f" and calls == ["F", "f", "G", "g", "f"]
+    assert np.array_equal(exc.value.point, [0.5, 0.25])
 
 
 @pytest.mark.parametrize("name,output,called", [
     ("G", (np.array([np.inf]), np.ones((1, 2)), np.zeros((1, 2, 2))), ["F", "f", "G"]),
     ("g", (np.array([-2.0]), np.ones((1, 2)), _nan_hessian_stack()), ["F", "f", "G", "g"]),
     ("f", (2.0, np.array([1.0, -np.inf]), np.eye(2)), ["F", "f"]),
+    ("F", (np.nan, np.zeros(2), np.zeros((2, 2))), ["F"]),  # f, G and g are never called after F fails
 ])
 def test_evaluate_all_names_the_nonfinite_evaluator(name, output, called):
     calls = []
@@ -169,6 +152,7 @@ def test_evaluate_all_names_the_nonfinite_evaluator(name, output, called):
     assert exc.value.function == name
     assert calls == called
     assert np.array_equal(exc.value.point, [0.5, -1.5])
+    assert str(exc.value) == f"non-finite value while evaluating {name} at [0.5, -1.5]"
 
 
 @pytest.mark.parametrize("name,output,message", [
@@ -468,11 +452,6 @@ def _output_problem(**outputs):
                              **{k: lambda x, y, k=k: (o[k], o["d" + k], o["d2" + k]) for k in "FfGg"})
 
 
-def _hessian_problem(d2F, d2f, d2G, d2g):
-    """Finite values and gradients, the given Hessians."""
-    return _output_problem(d2F=d2F, d2f=d2f, d2G=d2G, d2g=d2g)
-
-
 def _ingested(problem, evaluate=lambda problem: bn.evaluate_all(problem, _X, _Y)[1:]):
     """The values, gradients and Hessians of F, f, G and g at (_X, _Y), by
     evaluate_all or another ``evaluate``, as bit patterns, or its error,
@@ -532,7 +511,7 @@ def _with(h, entries):
 def test_hessian_ingestion_matches_symmetrizing_reference(case, hessians, raises):
     args = dict(d2F=np.eye(3), d2f=np.eye(3), d2G=_stack(1), d2g=_stack(2))
     args.update(hessians)
-    result = _assert_ingested_as_reference(_hessian_problem(**args))
+    result = _assert_ingested_as_reference(_output_problem(**args))
     assert (result[1] if result[0] == "error" else None) == raises
 
 
@@ -548,7 +527,7 @@ def test_hessian_ingestion_of_non_c_ordered_input(layout, symmetric):
     else:
         stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
     single = stack[1].T
-    problem = _hessian_problem(d2F=single, d2f=np.eye(3), d2G=stack[:1], d2g=stack)
+    problem = _output_problem(d2F=single, d2f=np.eye(3), d2G=stack[:1], d2g=stack)
     _assert_ingested_as_reference(problem)
     b = bn.evaluate_all(problem, _X, _Y)
     assert np.shares_memory(b.d2g, stack) == symmetric
@@ -560,30 +539,43 @@ _SPECIAL = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.225073858507
             -np.finfo(float).max)
 
 
+# a drawn array's entries are small and finite (taken as returned) or anything
+_CLASSES = (st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1.0)), st.floats(-1e6, 1e6)),
+            st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64)))
+
+
 @st.composite
-def _hessians(draw, shape):
-    """float64 arrays with special values, often mirrored to be symmetric
-    in value or bit for bit, in C, Fortran or transposed-view layout."""
-    # half the arrays are finite and small enough to be taken as returned
-    small = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1.0)), st.floats(-1e6, 1e6))
-    anything = st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))
-    h = draw(hnp.arrays(np.float64, shape, elements=draw(st.sampled_from([small, anything]))))
-    if draw(st.booleans()):
-        i, j = np.triu_indices(shape[-1], 1)
-        # adding +0.0 keeps every value but turns -0.0 into +0.0
-        h[..., j, i] = h[..., i, j] + 0.0 if draw(st.booleans()) else h[..., i, j]
-    layout = draw(st.sampled_from(["C", "F", "T"]))
-    if layout == "F":
-        return np.asfortranarray(h)
-    if layout == "T":
-        return np.ascontiguousarray(h.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return h
+def _arrays(draw, mirror=False, **shapes):
+    """float64 arrays by name, of the given shapes (a Python float for
+    shape ()), each with its entries from one value class, in C, Fortran
+    or transposed-view layout; with ``mirror``, often symmetric in value or
+    bit for bit.  Each draw call costs, so one array holds the choices of
+    all the arrays, and one the entries of all the arrays of a class."""
+    choices = draw(hnp.arrays(np.int8, (len(shapes), 3), elements=st.integers(0, 5))) % (2, 3, 3)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    blocks = [iter(draw(hnp.arrays(np.float64, sum(n for n, c in zip(sizes, choices[:, 0]) if c == k),
+                                   elements=elements))) for k, elements in enumerate(_CLASSES)]
+    arrays = {}
+    for (name, shape), size, (c, layout, symmetry) in zip(shapes.items(), sizes, choices):
+        a = np.fromiter(blocks[c], float, size).reshape(shape)
+        if mirror and symmetry:
+            i, j = np.triu_indices(shape[-1], 1)
+            # adding +0.0 keeps every value but turns -0.0 into +0.0
+            a[..., j, i] = a[..., i, j] + 0.0 if symmetry == 2 else a[..., i, j]
+        if a.ndim == 0:
+            a = float(a)
+        elif layout == 1:
+            a = np.asfortranarray(a)
+        elif layout == 2 and a.ndim >= 2:
+            a = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+        arrays[name] = a
+    return arrays
 
 
 @settings(max_examples=200, deadline=None)
-@given(d2F=_hessians((3, 3)), d2f=_hessians((3, 3)), d2G=_hessians((1, 3, 3)), d2g=_hessians((2, 3, 3)))
-def test_hessian_ingestion_property(d2F, d2f, d2G, d2g):
-    _assert_ingested_as_reference(_hessian_problem(d2F, d2f, d2G, d2g))
+@given(hessians=_arrays(mirror=True, d2F=(3, 3), d2f=(3, 3), d2G=(1, 3, 3), d2g=(2, 3, 3)))
+def test_hessian_ingestion_property(hessians):
+    _assert_ingested_as_reference(_output_problem(**hessians))
 
 
 @pytest.mark.parametrize("case,values,raises", [
@@ -604,28 +596,10 @@ def test_value_ingestion_matches_scanning_reference(case, values, raises):
     assert (result[1] if result[0] == "error" else None) == raises
 
 
-@st.composite
-def _values(draw, shape):
-    """float64 arrays (or a Python float, for shape ()) with special values,
-    in C, Fortran or transposed-view layout."""
-    small = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1.0)), st.floats(-1e6, 1e6))
-    anything = st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))
-    a = draw(hnp.arrays(np.float64, shape, elements=draw(st.sampled_from([small, anything]))))
-    if a.ndim == 0:
-        return float(a)
-    layout = draw(st.sampled_from(["C", "F", "T"]))
-    if layout == "F":
-        return np.asfortranarray(a)
-    if layout == "T" and a.ndim == 2:
-        return np.ascontiguousarray(a.T).T
-    return a
-
-
 @settings(max_examples=300, deadline=None)
-@given(F=_values(()), dF=_values((3,)), f=_values(()), df=_values((3,)), G=_values((1,)), dG=_values((1, 3)),
-       g=_values((2,)), dg=_values((2, 3)))
-def test_value_ingestion_property(F, dF, f, df, G, dG, g, dg):
-    _assert_ingested_as_reference(_output_problem(F=F, dF=dF, f=f, df=df, G=G, dG=dG, g=g, dg=dg))
+@given(values=_arrays(F=(), dF=(3,), f=(), df=(3,), G=(1,), dG=(1, 3), g=(2,), dg=(2, 3)))
+def test_value_ingestion_property(values):
+    _assert_ingested_as_reference(_output_problem(**values))
 
 
 def test_symmetric_hessians_are_not_copied():
@@ -633,7 +607,7 @@ def test_symmetric_hessians_are_not_copied():
     a = rng.standard_normal((3, 3, 3))
     stack = a + a.transpose(0, 2, 1)
     d2F, d2f = stack[0].copy(), stack[1].copy()
-    b = bn.evaluate_all(_hessian_problem(d2F, d2f, stack[2:], stack[1:]), _X, _Y)
+    b = bn.evaluate_all(_output_problem(d2F=d2F, d2f=d2f, d2G=stack[2:], d2g=stack[1:]), _X, _Y)
     assert np.shares_memory(b.d2F, d2F) and np.shares_memory(b.d2f, d2f)
     assert np.shares_memory(b.d2G, stack) and np.shares_memory(b.d2g, stack)
 
@@ -740,8 +714,8 @@ def _read_only(h, dtype=float):
 
 
 def _recorded_problem(d2F):
-    """_hessian_problem with the given F Hessian; f's, G's and g's are read-only and symmetric."""
-    return _hessian_problem(d2F, _read_only(np.eye(3)), _read_only(_stack(1)), _read_only(_stack(2)))
+    """_output_problem with the given F Hessian; f's, G's and g's are read-only and symmetric."""
+    return _output_problem(d2F=d2F, d2f=_read_only(np.eye(3)), d2G=_read_only(_stack(1)), d2g=_read_only(_stack(2)))
 
 
 def _hessian_reads(problem, calls):
@@ -865,14 +839,15 @@ _NAN_STACK = _with(_stack(2), {(1, 0, 0): np.nan})
 
 
 @settings(max_examples=100, deadline=None)
-@given(d2F=_hessians((3, 3)), d2g=_hessians((2, 3, 3)), large=st.booleans())
-@example(d2F=np.eye(3), d2g=_stack(2), large=True)
-@example(d2F=_signed_zero_pair(), d2g=_SIGNED_ZERO_STACK, large=False)
-@example(d2F=np.eye(3), d2g=_SIGNED_ZERO_STACK, large=True)
-@example(d2F=_asym(), d2g=_stack(2, _asym()), large=True)
-@example(d2F=_with(np.eye(3), {(2, 2): np.nan}), d2g=_stack(2), large=False)
-@example(d2F=np.eye(3), d2g=_NAN_STACK, large=True)
-def test_a_hessian_returned_again_is_ingested_as_a_new_one(d2F, d2g, large):
+@given(hessians=_arrays(mirror=True, d2F=(3, 3), d2g=(2, 3, 3)), large=st.booleans())
+@example(hessians=dict(d2F=np.eye(3), d2g=_stack(2)), large=True)
+@example(hessians=dict(d2F=_signed_zero_pair(), d2g=_SIGNED_ZERO_STACK), large=False)
+@example(hessians=dict(d2F=np.eye(3), d2g=_SIGNED_ZERO_STACK), large=True)
+@example(hessians=dict(d2F=_asym(), d2g=_stack(2, _asym())), large=True)
+@example(hessians=dict(d2F=_with(np.eye(3), {(2, 2): np.nan}), d2g=_stack(2)), large=False)
+@example(hessians=dict(d2F=np.eye(3), d2g=_NAN_STACK), large=True)
+def test_a_hessian_returned_again_is_ingested_as_a_new_one(hessians, large):
+    d2F, d2g = hessians["d2F"], hessians["d2g"]
     if large:  # _BIG_Q 3 x 3 matrices: 72,000 bytes, above _CHECKED_MIN_BYTES
         d2g = np.concatenate([d2g] * (_BIG_Q // 2))
     same, copy, view = (_same_or_new(d2F, d2g, give) for give in _GIVE)

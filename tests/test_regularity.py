@@ -1,4 +1,5 @@
 """Regularity diagnostics tests: index sets, LICQ, LSCC, second-order check."""
+import dataclasses
 import math
 
 import numpy as np
@@ -239,6 +240,17 @@ def test_diagnose_evaluates_the_point_once(entries):
     bn.diagnose(p, zeta, 4.0)
     # F only at (x, y); f there and at (x, z)
     assert (len(calls["F"]), len(calls["f"])) == (1, 2)
+
+
+def test_diagnostics_evaluate_the_leader_point_before_the_follower_point(problems):
+    # g is non-finite everywhere: the error names it at (x, y), not at (x, z)
+    base = problems["quadratic-projection"]
+    p, calls = counting(dataclasses.replace(
+        base, g=lambda x, y: (np.full(2, np.nan), np.zeros((2, 3)), np.zeros((2, 3, 3)))), "F", "f", "g")
+    with pytest.raises(bn.EvaluationError) as exc:
+        bn.diagnose(p, bn.Iterate.of(p.dims, [0], [0, 0], [2, 2], v=[1, 1], w=[1, 1]), 1.0)
+    assert exc.value.function == "g" and exc.value.point.tolist() == [0.0, 0.0, 0.0]
+    assert {name: [[*x, *y] for x, y in c] for name, c in calls.items()} == dict.fromkeys("Ffg", [[0.0] * 3])
 
 
 def test_ssosc_form_is_the_jacobian_hessian_block(entries):

@@ -481,6 +481,20 @@ def test_run_reports_nan_without_calling_F_again_when_F_fails_at_the_start(probl
     assert {name: len(c) for name, c in calls.items()} == {"F": 1, "f": 1, "g": 2}
 
 
+def test_run_reports_F_and_f_together_when_f_fails_at_the_start(problems):
+    # the start's follower stages pass and its leader f fails; so does the report's f after F
+    base = problems["quadratic-projection"]
+    zeta0 = bn.resolve_start(base)
+    p, calls = counting(_nonfinite_at(base, "f", np.r_[zeta0.x, zeta0.y]), "F", "f", "g")
+    report = bn.run(p, bn.SolverConfig(lam=1.0),
+                    bn.Iterate.of(zeta0.dims, zeta0.x, zeta0.y, zeta0.z + 0.5, zeta0.u, zeta0.v, zeta0.w))
+    assert report.status == bn.EVALUATION_FAILED and "while evaluating f at [1.0, 1.0, 1.0]" in report.error
+    assert math.isnan(report.F) and math.isnan(report.f)
+    leader, follower = [1.0, 1.0, 1.0], [1.0, 1.5, 1.5]
+    assert {name: [[*x, *y] for x, y in c] for name, c in calls.items()} == {
+        "F": [leader, leader], "f": [follower, leader, leader], "g": [follower, leader]}
+
+
 def _small_lq(n=2, m=3):
     """p = 1, q = m (n = 2, m = 3 by default): random convex quadratics,
     y >= 0, sum(x) <= 1."""

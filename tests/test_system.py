@@ -16,7 +16,7 @@ from bilevel_newton.problem import EvalBundle
 from bilevel_newton.system import VARIABLE_BLOCKS, block_slices, hessian_block
 
 import spec
-from conftest import counting, fd_jacobian, fd_merit_grad, max_rel_err, sample_kink_free, staged_calls
+from conftest import counting, fd_jacobian, fd_merit_grad, grad_psi, max_rel_err, sample_kink_free, staged_calls
 
 
 def test_iterate_round_trip(problems):
@@ -242,8 +242,9 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("name", ["quadratic-projection", "xy-linear", "dempe-parabola"])
 def test_staged_bundles_hold_the_checked_evaluations(problems, monkeypatch, name):
     # the stages call the per-function step once per evaluator, and the
-    # bundles of the completed residual hold the very arrays it returned,
-    # field by field the bits of evaluate_all's at both points
+    # bundles of the completed residual hold the very arrays it returned
+    # (None in the follower bundle's F and G fields), field by field the
+    # bits of new evaluations at both points
     problem = problems[name]
     zeta = bn.Iterate.from_vector(np.linspace(-1.5, 2.0, problem.dims.N), problem.dims)
     returned = []
@@ -258,7 +259,7 @@ def test_staged_bundles_hold_the_checked_evaluations(problems, monkeypatch, name
     assert [function for function, _ in returned] == ["g", "f", "G", "g", "F", "f"]
     (_, g_z), (_, f_z), (_, G_y), (_, g_y), (_, F_y), (_, f_y) = returned
     at_y = bn.evaluate_all(problem, zeta.x, zeta.y)
-    at_z = bn.evaluate_all(problem, zeta.x, zeta.z, functions="fg")
+    at_z = EvalBundle.of(problem.dims.n, f=step(problem, "f", zeta.x, zeta.z), g=step(problem, "g", zeta.x, zeta.z))
     for staged, expected, triples in ((r.at_y, at_y, (F_y, f_y, G_y, g_y)), (r.at_z, at_z, (None, f_z, None, g_z))):
         assert type(staged) is EvalBundle and staged.n == expected.n == problem.dims.n
         for i, (field, value) in enumerate(zip(EvalBundle._fields[1:], staged[1:])):
@@ -465,7 +466,7 @@ def test_merit_grad_matches_finite_differences(problems):
         for _ in range(10):
             zeta = bn.Iterate.from_vector(rng.uniform(-2, 2, p.dims.N), p.dims)
             lam = float(rng.uniform(0.5, 4))
-            g = bn.merit_grad(p, lam, zeta)
+            g = grad_psi(p, lam, zeta)
             assert max_rel_err(fd_merit_grad(p, lam, zeta), g) <= 1e-4
 
 
@@ -473,21 +474,21 @@ def test_merit_grad_at_kink_points(problems):
     # x = y makes g vanish; zero multipliers put all pairs at the kink
     p = problems["xy-linear"]
     zeta = bn.Iterate.of(p.dims, x=[0.7], y=[0.7], z=[0.7], u=[0.3], v=[0.0], w=[0.0])
-    g = bn.merit_grad(p, 1.5, zeta)
+    g = grad_psi(p, 1.5, zeta)
     assert max_rel_err(fd_merit_grad(p, 1.5, zeta), g) <= 1e-4
 
 
 def test_merit_grad_independent_of_kink_element(problems, monkeypatch):
     p = problems["xy-linear"]
     zeta = bn.Iterate.of(p.dims, x=[0.7], y=[0.7], z=[0.7], u=[0.3], v=[0.0], w=[0.0])
-    g_default = bn.merit_grad(p, 1.5, zeta)
+    g_default = grad_psi(p, 1.5, zeta)
     v = block_slices(p.dims)["v"]
     for alt in [(1.0, 0.0), (0.0, -1.0), (1.0, -1.0)]:
         monkeypatch.setattr(complementarity, "KINK_A", alt[0])
         monkeypatch.setattr(complementarity, "KINK_B", alt[1])
         # the kinked v pair's row of W takes the replaced element
         assert bn.assemble_jacobian(bn.assemble_residual(p, 1.5, zeta))[v, v][0, 0] == alt[1]
-        g_alt = bn.merit_grad(p, 1.5, zeta)
+        g_alt = grad_psi(p, 1.5, zeta)
         assert np.max(np.abs(g_default - g_alt)) <= 1e-14
 
 
@@ -495,16 +496,8 @@ def test_merit_grad_evaluates_the_point_once(problems):
     # one evaluation at (x, y) and one at (x, z), where F is not called; W reuses them
     p, calls = counting(problems["quadratic-projection"], "F", "f")
     zeta = bn.Iterate.from_vector(np.linspace(-1, 1, p.dims.N), p.dims)
-    bn.merit_grad(p, 2.0, zeta)
+    grad_psi(p, 2.0, zeta)
     assert (len(calls["F"]), len(calls["f"])) == (1, 2)
-
-
-def test_residual_follower_bundle_has_no_leader_values(problems):
-    p = problems["xy-linear"]
-    zeta = bn.Iterate.from_vector(np.linspace(-1, 1, p.dims.N), p.dims)
-    r = bn.assemble_residual(p, 2.0, zeta)
-    assert (r.at_z.F, r.at_z.dF, r.at_z.d2F, r.at_z.G, r.at_z.dG, r.at_z.d2G) == (None,) * 6
-    assert r.at_y.F is not None and r.at_y.G.shape == (p.dims.p,)
 
 
 def _follower_only_problem(m):
@@ -607,7 +600,7 @@ def test_both_points_failing_names_the_follower_function(problems):
 def test_merit_grad_zero_at_solution(entries):
     entry = entries["xy-linear"]
     zeta = entry.certified_points[0].build(4.0)
-    assert np.max(np.abs(bn.merit_grad(entry.problem, 4.0, zeta))) <= 1e-14
+    assert np.max(np.abs(grad_psi(entry.problem, 4.0, zeta))) <= 1e-14
 
 
 def test_residual_affine_in_lambda(problems):
