@@ -23,11 +23,23 @@ merit0 + SIGMA*alpha*slope (with a proven rounding margin), the trial is
 rejected and no later stage is evaluated.  Every other trial is assembled
 in full and its merit tested against the threshold exactly, so iterates
 and step sizes do not depend on the staging; the evaluation bundles are
-built only for a trial that completes.  A start that kept its evaluations
+built only for a trial that completes.  Before it assembles any trial, a
+line search passes over each leading trial whose negative multipliers alone
+prove the test fails (a row fb(-c, mu) with mu < 0 is at least -mu): such a
+trial calls no evaluator and still counts as a backtrack.  It stops testing
+signs at the first trial they do not reject: in exact arithmetic no later
+trial would be, as their excess over the threshold is convex in alpha and
+not positive at alpha = 0.  A start that kept its evaluations
 (as ``resolve_start``'s does) is not evaluated again.  A run's final F and
 f come from the last leader evaluation; when a run fails before its start's
 leader point completes, the report calls F, then f, there (not at all when
 F itself failed), and F and f are NaN unless both calls succeed.
+
+A run ends at an exact fixed point: when an accepted step leaves the bytes
+of the iterate unchanged (+0.0 and -0.0 differ), every later iteration,
+with pure evaluators, repeats it.  Its step size, norm and direction type
+are then repeated up to the cap, and the run ends MaxIter with the report
+iterating would give; the callback gets no record of those iterations.
 """
 from __future__ import annotations
 
@@ -43,7 +55,7 @@ from .linalg import SingularMatrixError, lu_solve
 from .problem import BilevelProblem, EvaluationError, evaluate_function
 # evaluate_all is not called here: bench/probe.py traces calls through this binding
 from .problem import evaluate_all  # noqa: F401
-from .system import Iterate, ResidualVector, assemble_jacobian, assemble_residual, valid_penalty
+from .system import Iterate, ResidualVector, _rows_reject, assemble_jacobian, assemble_residual, valid_penalty
 
 SOLVED = "Solved"
 MERIT_STATIONARY = "MeritStationary"
@@ -169,10 +181,22 @@ def _backtrack(
 ) -> LineSearchResult | None:
     if slope >= 0:
         raise ValueError(f"line search needs a descent direction, slope={slope}")
+    N, k = zeta.dims.N, zeta.dims.n + 2 * zeta.dims.m  # the multipliers u, v and w follow x, y and z
+    mus, dmus = zeta.vec.tolist()[k:], d.tolist()[k:]
+    leading = True
     for s in range(MAX_BACKTRACKS + 1):
         alpha = RHO**s
-        trial = Iterate(zeta.vec + alpha * d, zeta.dims)
         threshold = merit0 + SIGMA * alpha * slope
+        if leading:  # a negative trial multiplier t puts its row at -t or above (_rows_reject)
+            s_p = 0.0
+            for mu, dmu in zip(mus, dmus):
+                t = mu + alpha * dmu  # the trial's entry, bitwise
+                if t < 0.0:
+                    s_p += t * t
+            if _rows_reject(s_p, N, threshold):
+                continue
+            leading = False
+        trial = Iterate(zeta.vec + alpha * d, zeta.dims)
         r_trial = assemble_residual(problem, lam, trial, merit_bound=threshold)
         if r_trial is not None:  # its merit is at most the threshold
             return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
@@ -185,7 +209,8 @@ def run(
     zeta0: Iterate,
     callback: Callable[[StepRecord], None] | None = None,
 ) -> SolveReport:
-    """Iterate from zeta0 until a termination status is reached."""
+    """Iterate from zeta0 until a termination status is reached; callback
+    gets a StepRecord of each iteration made (none after a fixed point)."""
     start_time = time.perf_counter()
     norms: list[float] = []
     alphas: list[float] = []
@@ -224,12 +249,17 @@ def run(
                     k=k, zeta=zeta, direction=d, direction_type=dtype, slope=slope,
                     merit_before=merit0, alpha=ls.alpha, backtracks=ls.backtracks,
                 ))
+            fixed = ls.zeta_next.vec.tobytes() == zeta.vec.tobytes()  # -0.0 is not +0.0
             zeta, resid = ls.zeta_next, ls.residual_next
             F_val, f_val = resid.at_y.F, resid.at_y.f
             norms.append(resid.norm())
             alphas.append(ls.alpha)
             dtypes.append(dtype)
             k += 1
+            if fixed:  # every later iteration repeats this one, up to the cap
+                for record in (norms, alphas, dtypes):
+                    record += record[-1:] * (config.max_iter - k)
+                k = config.max_iter
     except EvaluationError as exc:
         status = EVALUATION_FAILED
         error = str(exc)

@@ -291,6 +291,13 @@ def _rows_reject(s_p: float, N: int, bound: float) -> bool:
     with e' the right-hand side above: the full test fails.  A negative
     bound fails the full test outright (psi >= 0).  A non-finite s_p
     decides nothing; the later stages then run.
+
+    s_p may also sum the squares of floats l_i with 0 <= l_i <= |Phi_i| in
+    place of rows, as S_p = sum l_i^2 <= S still holds.  A line search
+    tests its trials' signs so: for mu < 0 and finite c the computed row
+    fb(-c, mu) is at least -mu, because math.hypot(c, mu) >= max(|c|, |mu|)
+    as computed gives fl(h + c) >= 0, and then fl(t - mu) >= -mu (rounding
+    is monotone and -mu is a float).
     """
     if bound < 0:
         return True

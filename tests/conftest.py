@@ -85,6 +85,26 @@ def counting(problem, *names):
 STAGES = (("g", "w"), ("f", "z"), ("Gg", "uv"), ("Ff", "xy"))
 
 
+def _rejects(s_p, N, bound):
+    """The rule of system._rows_reject: a merit bound below 0, or a sum of
+    squares s_p of rows of Phi that proves 0.5 ||Phi||^2 above the bound."""
+    return bound < 0 or (math.isfinite(s_p) and
+                         0.5 * s_p * (1.0 - 8 * (N + 4) * 2.0**-53) - (N + 4) * 2.0**-1074 > bound)
+
+
+def signs_reject(problem, vec, bound):
+    """Whether the negative multipliers (u, v, w) of the stacked point vec
+    alone prove its merit above bound: each bounds its row fb(-c, mu) below
+    by -mu, whatever the constraint value c, so their squares, summed in
+    order, are a sum of squares of lower bounds on rows of Phi."""
+    d = problem.dims
+    s_p = 0.0
+    for mu in vec[d.N - d.p - 2 * d.q:].tolist():
+        if mu < 0.0:
+            s_p += mu * mu
+    return _rejects(s_p, d.N, bound)
+
+
 def staged_calls(problem, phi, bound):
     """A replay of assemble_residual's staged rule at a point whose full
     residual vector is ``phi``, under merit bound ``bound`` (None: no bound,
@@ -95,7 +115,9 @@ def staged_calls(problem, phi, bound):
     After each of the first three stages the squares of the rows built so
     far are summed, one dot product per stage, and the trial is rejected
     when that sum proves the merit above the bound; after the last one the
-    merit itself is tested.
+    merit itself is tested.  In a line search this replay holds from the
+    first trial that ``signs_reject`` does not reject on; the trials before
+    it are passed over and call no evaluator.
     """
     d, s = problem.dims, block_slices(problem.dims)
     components = {"F": 1, "f": 1, "G": d.p, "g": d.q}
@@ -108,8 +130,7 @@ def staged_calls(problem, phi, bound):
             continue
         rows = phi[s[blocks[0]].start:s[blocks[-1]].stop]
         partial += float(rows.dot(rows))
-        if bound < 0 or (math.isfinite(partial) and
-                         0.5 * partial * (1.0 - 8 * (d.N + 4) * 2.0**-53) - (d.N + 4) * 2.0**-1074 > bound):
+        if _rejects(partial, d.N, bound):
             return calls, False
     return calls, bound is None or spec.merit(phi) <= bound
 

@@ -15,8 +15,9 @@ Luca-Facchinei-Kanzow descent test and a steepest-descent fallback, and
 its steps are found by Armijo backtracking on Psi = 0.5 ||Phi||^2.
 
 Nothing here is staged, kept, buffered or written in place: every point
-is evaluated afresh and in full, so a trial whose leader point fails ends
-a run here even where the library rejects the trial before that point.
+is evaluated afresh and in full, so a trial whose evaluation fails ends a
+run here even where the library rejects the trial before that evaluation,
+by its rows or by its multipliers' signs.
 Failure semantics, evaluator call counts, buffers and the Hessian record
 are left to their own tests.  From the library this module reads only the
 types, the protocol constants (at call time, so that a patched constant

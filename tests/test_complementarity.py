@@ -1,9 +1,10 @@
 """Unit and property tests for the scalar complementarity machinery."""
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bilevel_newton import fb, pair_coeffs
@@ -110,6 +111,48 @@ def test_pair_coeffs_disc_and_magnitude_property(pair):
     a, b = pair_coeffs(*pair)
     assert (a - 1) ** 2 + (b + 1) ** 2 <= 1 + 1e-12
     assert max(abs(a), abs(b)) >= 1 - 1 / math.sqrt(2) - 1e-12
+
+
+_DBL_MAX = sys.float_info.max
+
+
+@st.composite
+def _near_power_of_two(draw):
+    """A power of two from 2^-1074 to 2^1023 or one of its two neighbours, either sign."""
+    x = math.ldexp(1.0, draw(st.integers(-1074, 1023)))
+    x = draw(st.sampled_from((math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))))
+    return draw(st.sampled_from((x, -x)))
+
+
+@st.composite
+def _c_and_negative_mu(draw):
+    """A finite constraint value c, signed zeros and +-DBL_MAX included, and
+    a multiplier mu < 0: drawn freely, or |c| 2^-k (k = 0..80) and its two
+    neighbours."""
+    c = draw(st.one_of(st.sampled_from((0.0, -0.0, _DBL_MAX, -_DBL_MAX, 5e-324, -5e-324, 2.2250738585072009e-308)),
+                       _near_power_of_two(), st.floats(allow_nan=False, allow_infinity=False)))
+    if draw(st.booleans()):
+        mu = -abs(c) * math.ldexp(1.0, -draw(st.integers(0, 80)))
+        mu = draw(st.sampled_from((mu, math.nextafter(mu, 0.0), math.nextafter(mu, -math.inf))))
+    else:
+        mu = -abs(draw(st.one_of(st.sampled_from((5e-324, _DBL_MAX)), _near_power_of_two(),
+                                 st.floats(allow_nan=False, allow_infinity=False))))
+    assume(math.isfinite(mu) and mu < 0)
+    return c, mu
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=_c_and_negative_mu())
+@example(pair=(-_DBL_MAX, -5e-324))
+@example(pair=(_DBL_MAX, -_DBL_MAX))
+@example(pair=(-0.0, -1.0))
+@example(pair=(-1.0, -2.0**-80))
+def test_a_negative_multiplier_bounds_its_row_below(pair):
+    # the lemma behind the line search's sign test: hypot as computed is at
+    # least max(|c|, |mu|), so fl(h + c) >= 0 and fb(-c, mu) >= -mu
+    c, mu = pair
+    assert math.hypot(c, mu) >= max(abs(c), abs(mu))
+    assert fb(-c, mu) >= -mu
 
 
 def test_fb_overflow_safe():

@@ -22,11 +22,16 @@ leaves = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**20
           | floats | floats.map(np.float64)
           | st.lists(floats | floats.map(np.float64)) | st.lists(floats.filter(math.isfinite)))
 keys = strings | st.integers() | floats | st.booleans() | st.none()
-trees = st.recursive(
-    leaves,
-    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(keys, children, max_size=4)),
-    max_leaves=20)
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(keys, children, max_size=4))
+
+
+# containers two deep at most (dicts in lists, lists in dicts, ...), drawn
+# without st.recursive's bookkeeping
+trees = leaves | _containers(leaves | _containers(leaves))
 
 
 @settings(max_examples=300, deadline=None)

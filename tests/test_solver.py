@@ -10,9 +10,10 @@ from bilevel_newton import solver
 from bilevel_newton.complementarity import KINK_TOL
 from bilevel_newton.linalg import PIVOT_TOL
 from bilevel_newton.solver import GRADIENT, NEWTON, StepRecord
+from bilevel_newton.system import block_slices
 
 import spec
-from conftest import counting, staged_calls
+from conftest import counting, signs_reject, staged_calls
 
 
 def make_duplicated_constraint_problem():
@@ -375,12 +376,16 @@ def _add(total, calls):
 
 def _trial_calls(problem, lam, zeta, d, merit0, slope, backtracks):
     """The evaluator calls, by name, of the first backtracks + 1
-    line-search trials along d, from a replay of the staged rule at each."""
-    total = dict.fromkeys("FfGg", 0)
+    line-search trials along d, from a replay of the staged rule at each:
+    the leading trials whose multiplier signs reject them call none."""
+    total, leading = dict.fromkeys("FfGg", 0), True
     for s in range(backtracks + 1):
         alpha = solver.RHO**s
         trial = bn.Iterate(zeta.vec + alpha * d, problem.dims)
         bound = merit0 + solver.SIGMA * alpha * slope
+        if leading and signs_reject(problem, trial.vec, bound):
+            continue
+        leading = False
         _add(total, staged_calls(problem, spec.residual(problem, lam, trial.vec), bound)[0])
     return total
 
@@ -441,6 +446,31 @@ def test_run_skips_the_leader_point_of_rejected_trials(entries):
     assert report.status == bn.MAX_ITER
     assert calls["F"] < 1 + trials // 2
     assert calls["f"] - calls["F"] < 1 + trials  # f at (x, z): the start and the trials rows w do not reject
+
+
+def test_a_trial_its_multiplier_signs_reject_calls_no_evaluator(problems):
+    # the first trials drive w below -100, so their signs prove them rejected
+    # and g is never called at the first trial's follower point, where it fails
+    base, lam = problems["dempe-parabola"], 1.0
+    zeta = bn.resolve_start(base)
+    d = np.zeros(base.dims.N)
+    d[block_slices(base.dims)["z"]], d[-1] = 1.0, -1e3
+    first = bn.Iterate(zeta.vec + d, base.dims)
+
+    def g(x, y):
+        value, grad, hess = base.g(x, y)
+        return (np.full_like(value, np.nan) if np.array_equal(y, first.z) else value), grad, hess
+    p, calls = counting(dataclasses.replace(base, g=g), "F", "f", "g")
+    with pytest.raises(bn.EvaluationError, match="while evaluating g"):
+        bn.assemble_residual(p, lam, first)
+    calls["g"].clear()
+    merit0, slope = bn.assemble_residual(base, lam, zeta).merit(), -1.0
+    assert signs_reject(base, first.vec, merit0 + solver.SIGMA * slope)
+    result = solver._backtrack(p, lam, zeta, d, merit0, slope)
+    assert calls["g"] and not any(np.array_equal(y, first.z) for _, y in calls["g"])
+    expected = _trial_calls(base, lam, zeta, d, merit0, slope,
+                            solver.MAX_BACKTRACKS if result is None else result.backtracks)
+    assert _counts(calls) == {name: expected[name] for name in calls}
 
 
 def test_run_reads_final_values_from_the_last_leader_point(entries):
@@ -589,6 +619,67 @@ def test_run_keeps_the_steps_of_the_reference_slope_and_norms(entries, case, max
     start = bn.resolve_start(problem).vec
     runs = [_assert_run_as_the_spec(problem, lam, max_iter, start) for lam in bn.DEFAULT_LAMBDA_GRID]
     assert any(GRADIENT in r.direction_types for r in runs) or case != "dempe-parabola"
+
+
+def test_run_ends_at_a_fixed_point_with_the_report_of_every_iteration(entries):
+    # dempe at 0.5: iterate 235 is bitwise iterate 234, so every later
+    # iteration repeats that step; the report lists each of them, the
+    # callback sees none after the fixed point, and no evaluator is called
+    # after it, whatever the cap
+    problem = entries["dempe-parabola"].problem
+    start = bn.resolve_start(problem).vec
+    counted, calls = counting(problem, "F", "f", "g")
+    reports, library_calls = [], []
+    for max_iter in (240, 2000):
+        reports.append(bn.run(counted, bn.SolverConfig(lam=0.5, max_iter=max_iter),
+                              bn.Iterate.from_vector(start, problem.dims)))
+        library_calls.append(_counts(calls))
+        for c in calls.values():
+            c.clear()
+    expected = spec.run(counted, 0.5, start, 240)
+    assert len({vec.tobytes() for vec in expected.iterates[234:]}) == 1
+    assert expected.iterates[233].tobytes() != expected.iterates[234].tobytes()
+    report = reports[0]
+    assert (report.status, report.iterations, report.direction_types) == \
+        (expected.status, 240, expected.direction_types)
+    assert _bits_of([report.residual_norms, report.step_sizes, report.final.vec, report.final_residual_norm,
+                     report.F, report.f, report.eoc]) == \
+        _bits_of([expected.norms, expected.step_sizes, expected.iterates[-1], expected.norms[-1],
+                  expected.F, expected.f, expected.eoc])
+    assert sum(library_calls[0].values()) < sum(map(len, calls.values()))
+    assert library_calls[0] == library_calls[1]
+    full = reports[1]
+    assert (full.status, full.iterations) == (bn.MAX_ITER, 2000)
+    assert full.direction_types[240:] == report.direction_types[-1:] * 1760
+    assert _bits_of([full.residual_norms[:241], full.step_sizes[:240], full.final.vec, full.F, full.f, full.eoc]) == \
+        _bits_of([report.residual_norms, report.step_sizes, report.final.vec, report.F, report.f, report.eoc])
+    assert full.residual_norms[240:] == report.residual_norms[-1:] * 1761
+    assert full.step_sizes[240:] == report.step_sizes[-1:] * 1760
+
+
+@pytest.mark.parametrize("flip,searches", [(False, 1), (True, 5)])
+def test_a_step_that_flips_a_signed_zero_is_no_fixed_point(entries, monkeypatch, flip, searches):
+    # a stand-in line search returns the same point, or the point with its
+    # zero entry's sign flipped: only the first is a fixed point
+    problem = entries["quadratic-projection"].problem
+    vec = bn.resolve_start(problem).vec.copy()
+    vec[0] = 0.0
+    seen = []
+
+    def backtrack(problem, lam, zeta, d, merit0, slope):
+        nxt = zeta.vec.copy()
+        if flip:
+            nxt[0] = -nxt[0]
+        seen.append(nxt)
+        trial = bn.Iterate(nxt, zeta.dims)
+        return solver.LineSearchResult(2.0**-32, 32, trial, bn.assemble_residual(problem, lam, trial))
+    monkeypatch.setattr(solver, "_backtrack", backtrack)
+    report = bn.run(problem, bn.SolverConfig(lam=1.0, max_iter=5), bn.Iterate.from_vector(vec, problem.dims))
+    assert (report.status, report.iterations, len(seen)) == (bn.MAX_ITER, 5, searches)
+    signs = [-1.0, 1.0, -1.0, 1.0, -1.0] if flip else [1.0]
+    assert [math.copysign(1.0, v[0]) for v in seen] == signs
+    assert report.step_sizes == [2.0**-32] * 5
+    assert report.residual_norms == report.residual_norms[:1] * 6
 
 
 def _merit_stationary_problem():
