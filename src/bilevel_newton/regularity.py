@@ -6,7 +6,10 @@ index-set classification of the three complementarity blocks, linear
 independence of active constraint gradients, strict complementarity of the
 follower block, and a second-order condition on a reduced subspace of
 feasible directions.  Each of them raises ValueError at a point with a
-non-finite entry.
+non-finite entry.  They read the evaluations a point keeps for the problem
+(``system.keep_evaluations``), and a point that keeps none keeps the ones
+they make: every diagnostic at one point, and a residual there, call each
+evaluator once per point (x, y) and (x, z).
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 from .complementarity import KINK_A, KINK_B
 from .linalg import null_space_basis, sym_eig_min
 from .problem import BilevelProblem, EvalBundle, evaluate_all, evaluate_function
-from .system import Iterate, hessian_block, kept_evaluations, require_penalty
+from .system import Iterate, hessian_block, keep_evaluations, kept_evaluations, require_penalty
 
 # A constraint is active when |c| <= ACTIVE_TOL, a multiplier zero when
 # |mu| <= MULT_TOL.  A family of gradients is independent when its smallest
@@ -94,7 +97,9 @@ def _classify_block(name: str, cons: np.ndarray, mults: np.ndarray, flagged: lis
 def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBundle]:
     """The leader bundle at (x, y), then the follower bundle (f and g only) at
     (x, z): the ones zeta keeps for problem (a run's final point, say), or
-    new evaluations.  Raises ValueError when zeta has a non-finite entry."""
+    new evaluations, which zeta then keeps (``keep_evaluations``), so the
+    other diagnostics and ``assemble_residual`` at zeta read them.  Raises
+    ValueError when zeta has a non-finite entry."""
     bad = np.flatnonzero(~np.isfinite(zeta.vec))
     if bad.size:
         raise ValueError(f"the regularity diagnostics need a finite point; entries {bad.tolist()} are not finite")
@@ -102,8 +107,10 @@ def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBu
     if kept is not None:
         return kept
     at_y = evaluate_all(problem, zeta.x, zeta.y)
-    return at_y, EvalBundle.of(zeta.dims.n, f=evaluate_function(problem, "f", zeta.x, zeta.z),
-                               g=evaluate_function(problem, "g", zeta.x, zeta.z))
+    at_z = EvalBundle.of(zeta.dims.n, f=evaluate_function(problem, "f", zeta.x, zeta.z),
+                         g=evaluate_function(problem, "g", zeta.x, zeta.z))
+    keep_evaluations(zeta, problem, at_y, at_z)
+    return at_y, at_z
 
 
 def _partition(zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle) -> IndexSetPartition:

@@ -3,17 +3,15 @@
 Floats are rendered with shortest round-trip precision (Python repr), so
 the same value prints identically in both formats and across runs.  An
 EOC of +inf is presented as "exact" (a trailing residual was exactly
-zero); absent values serialize as null / empty cells.  ``to_json`` writes
-the bytes of ``json.dumps(tree, indent=2, allow_nan=True)`` plus a newline,
-without the standard library's pure-Python encoder (which ``indent`` turns
-on): a list of finite floats is written in one join.
+zero); absent values serialize as null / empty cells.  ``to_json`` is
+``json.dumps(tree, indent=2, allow_nan=True)`` plus a newline.
 """
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 import numpy as np
@@ -144,66 +142,7 @@ def sweep_report_to_csv(report: SweepReport) -> str:
     return _write_csv([_csv_row(solve_report_to_dict(r, d)) for r, d in zip(report.runs, report.deltas)])
 
 
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_key(key: Any) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _json(value: Any, pad: str) -> str:
-    """value as json.dumps(..., indent=2) writes it at the indentation pad."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:
-            body = sep.join(map(float.__repr__, value))
-        except TypeError:  # an item that is not a float
-            body = "n"
-        if "n" in body:  # or an infinity or a NaN, which float.__repr__ writes as inf and nan
-            body = sep.join([_json(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join([f"{_json_str(_json_key(key))}: {_json(item, inner)}" for key, item in value.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def to_json(tree: dict[str, Any]) -> str:
-    """The bytes of ``json.dumps(tree, indent=2, allow_nan=True) + "\\n"``."""
-    return _json(tree, "") + "\n"
+    """A report tree as the CLI writes it: indented by 2, NaN and infinities
+    allowed, and a trailing newline."""
+    return json.dumps(tree, indent=2, allow_nan=True) + "\n"

@@ -454,12 +454,12 @@ def _output_problem(**outputs):
 
 def _ingested(problem, evaluate=lambda problem: bn.evaluate_all(problem, _X, _Y)[1:]):
     """The values, gradients and Hessians of F, f, G and g at (_X, _Y), by
-    evaluate_all or another ``evaluate``, as bit patterns, or its error,
-    with its warnings."""
+    evaluate_all or another ``evaluate``, as (shape, bytes) pairs, or its
+    error, with its warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = [np.asarray(a, dtype=float).view(np.int64).tolist() for a in evaluate(problem)]
+            result = [(np.shape(a), np.asarray(a, dtype=float).tobytes()) for a in evaluate(problem)]
         except bn.EvaluationError as exc:
             result = ("error", exc.function, str(exc))
     return result, [(w.category, str(w.message)) for w in caught]

@@ -297,7 +297,24 @@ def test_diagnostics_read_the_evaluations_a_run_final_point_keeps(entries, name,
     other, other_calls = counting(raw, "F", "f", "G", "g")
     for problem, zeta, counted in ((p, copy, calls), (other, report.final, other_calls)):
         assert _same_diagnostics(_diagnostics(problem, zeta, lam), kept)
-        # diagnose, classify, check_licq, check_ssosc and ssosc_matrices each evaluate both points once
-        assert {k: len(c) for k, c in counted.items()} == {k: 5 * v for k, v in per_point.items()}
+        # the first of diagnose, classify, check_licq, check_ssosc and
+        # ssosc_matrices evaluates both points once and keeps them for the rest
+        assert {k: len(c) for k, c in counted.items()} == per_point
         for c in counted.values():
             c.clear()
+
+
+@pytest.mark.parametrize("name,lam", [("quadratic-projection", 2.0), ("xy-linear", 2.0), ("dempe-parabola", 4.0)])
+def test_diagnostics_and_a_residual_at_a_fresh_point_call_each_evaluator_once_per_point(entries, name, lam):
+    raw = entries[name].problem
+    final = bn.run(raw, bn.SolverConfig(lam=lam), bn.resolve_start(raw)).final
+    p, calls = counting(raw, "F", "f", "G", "g")
+    zeta = bn.Iterate.from_vector(final.vec, raw.dims)
+    _diagnostics(p, zeta, lam)
+    r = bn.assemble_residual(p, lam, zeta)
+    leader, follower = [*zeta.x, *zeta.y], [*zeta.x, *zeta.z]
+    expected = {"F": [leader], "f": [leader, follower], "G": [leader] if raw.dims.p else [],
+                "g": [leader, follower] if raw.dims.q else []}
+    assert {k: [[*x, *y] for x, y in c] for k, c in calls.items()} == expected
+    fresh = bn.assemble_residual(raw, lam, bn.Iterate.from_vector(final.vec, raw.dims))
+    assert r.vec.tobytes() == fresh.vec.tobytes()
