@@ -9,9 +9,11 @@ the leader variable x (dim n) and a follower variable (dim m):
     g : lower-level constraints <= 0  (q components, q >= 0)
 
 Each evaluator returns values together with exact first and second
-derivatives with respect to the stacked point (x, y) in R^{n+m}.  A
-returned array is scanned for non-finite entries only when its sum of
-squares is not finite.  The sum of squares is one BLAS ``ddot``, scipy's own
+derivatives with respect to the stacked point (x, y) in R^{n+m}.  The
+returned value and gradient (or values and Jacobian) are scanned for
+non-finite entries only when one sum over them is not finite: the value
+plus the gradient's sum of squares (or the two sums of squares), as a sum
+with a non-finite term is not.  A sum of squares is one BLAS ``ddot``, scipy's own
 ``scipy.linalg.blas.ddot`` object, which ``_lapack`` loads without
 importing the ``scipy.linalg`` package (or imports from it, when scipy's
 layout has no compiled module to load).  A Hessian that is exactly
@@ -218,11 +220,15 @@ def _check_scalar(name: str, xy: tuple[np.ndarray, np.ndarray], out, nm: int):
     try:
         val, grad, hess = out
         val = float(val)
-        grad = np.asarray(grad, dtype=float).reshape(nm)
+        grad = np.asarray(grad, dtype=float)
+        if grad.shape != (nm,):  # reshaped only when its shape differs
+            grad = grad.reshape(nm)
         hess, finite = _hessian(hess, (nm, nm))
     except (TypeError, ValueError) as exc:
         raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
-    if not (math.isfinite(val) and _finite(grad) and (finite or np.isfinite(hess).all())):
+    # a sum with a non-finite term is not finite: one ddot proves val and grad finite (_finite)
+    if not ((math.isfinite(val + ddot(grad, grad)) or math.isfinite(val) and _finite(grad))
+            and (finite or np.isfinite(hess).all())):
         raise EvaluationError(name, np.concatenate(xy))
     return val, grad, hess
 
@@ -237,12 +243,18 @@ def _check_vector(name: str, xy: tuple[np.ndarray, np.ndarray], out, k: int, nm:
         return _no_components(nm)
     try:
         vals, jac, hessians = out
-        vals = np.asarray(vals, dtype=float).reshape(k)
-        jac = np.asarray(jac, dtype=float).reshape(k, nm)
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != (k,):  # reshaped only when its shape differs
+            vals = vals.reshape(k)
+        jac = np.asarray(jac, dtype=float)
+        if jac.shape != (k, nm):
+            jac = jac.reshape(k, nm)
         hessians, finite = _hessian(hessians, (k, nm, nm))
     except (TypeError, ValueError) as exc:
         raise EvaluationError(name, np.concatenate(xy), f"malformed value: {exc}") from exc
-    if not (_finite(vals) and _finite(jac) and (finite or np.isfinite(hessians).all())):
+    flat = jac.ravel(order="K")
+    if not ((math.isfinite(ddot(vals, vals) + ddot(flat, flat)) or _finite(vals) and _finite(flat))
+            and (finite or np.isfinite(hessians).all())):
         raise EvaluationError(name, np.concatenate(xy))
     return vals, jac, hessians
 

@@ -6,7 +6,8 @@ index-set classification of the three complementarity blocks, linear
 independence of active constraint gradients, strict complementarity of the
 follower block, and a second-order condition on a reduced subspace of
 feasible directions.  Each of them raises ValueError at a point with a
-non-finite entry.  They read the evaluations a point keeps for the problem
+non-finite entry, or with other dims than the problem's, before any
+evaluator is called.  They read the evaluations a point keeps for the problem
 (``system.keep_evaluations``), and a point that keeps none keeps the ones
 they make: every diagnostic at one point, and a residual there, call each
 evaluator once per point (x, y) and (x, z).
@@ -21,7 +22,7 @@ import numpy as np
 from .complementarity import KINK_A, KINK_B
 from .linalg import null_space_basis, sym_eig_min
 from .problem import BilevelProblem, EvalBundle, evaluate_all, evaluate_function
-from .system import Iterate, hessian_block, keep_evaluations, kept_evaluations, require_penalty
+from .system import Iterate, hessian_block, keep_evaluations, kept_evaluations, require_dims, require_penalty
 
 # A constraint is active when |c| <= ACTIVE_TOL, a multiplier zero when
 # |mu| <= MULT_TOL.  A family of gradients is independent when its smallest
@@ -99,7 +100,9 @@ def _bundles(problem: BilevelProblem, zeta: Iterate) -> tuple[EvalBundle, EvalBu
     (x, z): the ones zeta keeps for problem (a run's final point, say), or
     new evaluations, which zeta then keeps (``keep_evaluations``), so the
     other diagnostics and ``assemble_residual`` at zeta read them.  Raises
-    ValueError when zeta has a non-finite entry."""
+    ValueError when zeta has other dims than problem's (``require_dims``) or
+    a non-finite entry."""
+    require_dims(problem, zeta)
     bad = np.flatnonzero(~np.isfinite(zeta.vec))
     if bad.size:
         raise ValueError(f"the regularity diagnostics need a finite point; entries {bad.tolist()} are not finite")

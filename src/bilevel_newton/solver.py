@@ -22,8 +22,12 @@ Once the rows built so far put Psi above the Armijo threshold
 merit0 + SIGMA*alpha*slope (with a proven rounding margin), the trial is
 rejected and no later stage is evaluated.  Every other trial is assembled
 in full and its merit tested against the threshold exactly, so iterates
-and step sizes do not depend on the staging; the evaluation bundles are
-built only for a trial that completes.  Before it assembles any trial, a
+and step sizes do not depend on the staging.  A trial is handed to
+``assemble_residual`` as the plain float64 N-vector zeta.vec + alpha*d;
+the read-only ``Iterate`` and its evaluation bundles are built only for
+the trial that completes, so a line search builds one ``Iterate``.  The
+rows of the complementarity stages are Python floats, and their squares
+are summed as Python floats.  Before it assembles any trial, a
 line search passes over each leading trial whose negative multipliers alone
 prove the test fails (a row fb(-c, mu) with mu < 0 is at least -mu): such a
 trial calls no evaluator and still counts as a backtrack.  It stops testing
@@ -196,10 +200,10 @@ def _backtrack(
             if _rows_reject(s_p, N, threshold):
                 continue
             leading = False
-        trial = Iterate(zeta.vec + alpha * d, zeta.dims)
-        r_trial = assemble_residual(problem, lam, trial, merit_bound=threshold)
+        # a plain vector: assemble_residual builds the Iterate only for the trial that completes
+        r_trial = assemble_residual(problem, lam, zeta.vec + alpha * d, merit_bound=threshold)
         if r_trial is not None:  # its merit is at most the threshold
-            return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=trial, residual_next=r_trial)
+            return LineSearchResult(alpha=alpha, backtracks=s, zeta_next=r_trial.zeta, residual_next=r_trial)
     return None
 
 
@@ -210,7 +214,10 @@ def run(
     callback: Callable[[StepRecord], None] | None = None,
 ) -> SolveReport:
     """Iterate from zeta0 until a termination status is reached; callback
-    gets a StepRecord of each iteration made (none after a fixed point)."""
+    gets a StepRecord of each iteration made (none after a fixed point).
+
+    A zeta0 of other dims than problem's raises ValueError, from the first
+    residual, before any evaluator is called (``system.require_dims``)."""
     start_time = time.perf_counter()
     norms: list[float] = []
     alphas: list[float] = []

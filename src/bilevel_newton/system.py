@@ -39,8 +39,11 @@ rows w from g at the follower point (x, z), rows z from f there, rows u
 and v from G and g at the leader point (x, y), and rows x and y from F and
 f there.  Given a merit bound, it stops after the first stage whose rows
 so far prove 0.5 * ||Phi||^2 above the bound, so a rejected line-search
-trial calls only the evaluators of the stages it reached.  The two
-evaluation bundles are built only for a residual that completes.
+trial calls only the evaluators of the stages it reached.  A trial is a
+plain float64 N-vector until it completes: the ``Iterate`` and its two
+evaluation bundles are built only for a residual that completes.  An
+``Iterate`` of other dims than the problem's raises ValueError before any
+evaluator is called (``require_dims``).
 """
 from __future__ import annotations
 
@@ -77,6 +80,15 @@ def block_slices(dims: ProblemDims) -> Mapping[str, slice]:
     return slices
 
 
+def _take_over(vec: np.ndarray, dims: ProblemDims) -> None:
+    """Check that vec is a float64 N-vector for dims, and make it read-only."""
+    if vec.dtype != np.float64:
+        raise ValueError(f"a stacked point is float64, got {vec.dtype}")
+    if vec.shape != (dims.N,):
+        raise ValueError(f"a stacked point has shape (N,) = ({dims.N},), got {vec.shape}")
+    vec.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Iterate:
     """One stacked point zeta = (x, y, z, u, v, w): the float64 N-vector
@@ -90,11 +102,7 @@ class Iterate:
     x, y, z, u, v, w = (property(lambda zeta, b=b: zeta.vec[block_slices(zeta.dims)[b]]) for b in VARIABLE_BLOCKS)
 
     def __post_init__(self):
-        if self.vec.dtype != np.float64:
-            raise ValueError(f"a stacked point is float64, got {self.vec.dtype}")
-        if self.vec.shape != (self.dims.N,):
-            raise ValueError(f"a stacked point has shape (N,) = ({self.dims.N},), got {self.vec.shape}")
-        self.vec.flags.writeable = False
+        _take_over(self.vec, self.dims)
 
     def __reduce__(self):  # through the constructor: a copy's vec is read-only, and it keeps no evaluations
         return type(self), (self.vec, self.dims)
@@ -170,11 +178,25 @@ def kept_evaluations(zeta: Iterate, problem: BilevelProblem) -> tuple[EvalBundle
     return kept[1:] if kept is not None and kept[0] is problem else None
 
 
+def require_dims(problem: BilevelProblem, zeta: Iterate) -> None:
+    """ValueError, naming both, unless zeta's dims are problem's (the same
+    object, or an equal copy): a point is read at its own block offsets."""
+    if zeta.dims is not problem.dims and zeta.dims != problem.dims:
+        raise ValueError(f"a point of {zeta.dims} given for a problem of {problem.dims}")
+
+
 def assemble_residual(
-    problem: BilevelProblem, lam: float, zeta: Iterate, *, merit_bound: float | None = None
+    problem: BilevelProblem, lam: float, zeta: Iterate | np.ndarray, *, merit_bound: float | None = None
 ) -> ResidualVector | None:
     """Stationarity residual Phi at zeta for penalty lam, with the two
     evaluations it was built from.
+
+    zeta is an ``Iterate`` or, as a line-search trial is, a plain float64
+    N-vector, checked and made read-only as the ``Iterate`` constructor
+    does; the residual's ``zeta`` is then an ``Iterate`` built on that
+    vector, only once the residual completes.  An ``Iterate`` of other
+    dims than problem's raises ValueError (``require_dims``) before any
+    evaluator is called.
 
     The rows are built in four stages, in this order, each calling only the
     evaluators it needs, through ``evaluate_function``:
@@ -184,6 +206,10 @@ def assemble_residual(
     3. rows u and v, from G and g at the leader point (x, y);
     4. rows x and y, from F and f at (x, y).
 
+    Rows w, u and v are Python floats, one ``fb`` call per pair; the
+    squares of the rows are summed as they are built (as Python floats, and
+    rows z as a dot product), and stage 4 allocates the N-vector and writes
+    every row into it once before the final merit test.
     When ``merit_bound`` is given, None is returned unless the residual's
     ``merit() <= merit_bound``: after stage 4 by that test, and after an
     earlier stage as soon as the rows built so far prove that it fails (see
@@ -196,59 +222,71 @@ def assemble_residual(
     by stage just the same.
     """
     lam = require_penalty(lam)
-    d, s = problem.dims, block_slices(problem.dims)
-    kept = kept_evaluations(zeta, problem)
-    vec = np.empty(d.N)
-    x, z, w = zeta.vec[s["x"]], zeta.vec[s["z"]], zeta.vec[s["w"]]
+    d = problem.dims
+    if isinstance(zeta, Iterate):
+        require_dims(problem, zeta)
+        point, kept = zeta.vec, kept_evaluations(zeta, problem)
+    else:
+        _take_over(zeta, d)
+        point, kept = zeta, None
+    n, nm, k = d.n, d.n + d.m, d.n + 2 * d.m
+    j = k + d.p + d.q  # the multipliers u and v end, and w starts, at j
+    x, z = point[:n], point[nm:k]
+    entries = point.tolist()  # Python floats: the multipliers u and v at [k:j], w at [j:]
     bounded = merit_bound is not None
+    partial = 0.0  # the sum of squares of the rows built so far
 
     # each stage reads (value, gradient, Hessian) triples, from the kept
     # bundles or from its own evaluator calls
     # stage 1: rows w
     g_z = kept[1].triple("g") if kept else evaluate_function(problem, "g", x, z)
-    rows_w = vec[s["w"]]
-    rows_w[:] = _fb_rows(g_z[0].tolist(), w)
-    if bounded:
-        partial = float(rows_w.dot(rows_w))
-        if _rows_reject(partial, d.N, merit_bound):
-            return None
+    rows_w = [fb(-c, mu) for c, mu in zip(g_z[0].tolist(), entries[j:])]
+    for r in rows_w:
+        partial += r * r
+    if bounded and _rows_reject(partial, d.N, merit_bound):
+        return None
 
     # stage 2: rows z
     f_z = kept[1].triple("f") if kept else evaluate_function(problem, "f", x, z)
-    ell_grad = f_z[1] + g_z[1].T @ w  # the follower-Lagrangian gradient over (x, z)
-    rows_z = np.multiply(-lam, ell_grad[d.n:], out=vec[s["z"]])
+    ell = point[j:].dot(g_z[1])  # g_z[1].T @ w, bitwise, with less overhead
+    ell += f_z[1]  # the follower-Lagrangian gradient over (x, z)
+    ell *= -lam    # its (x, z) rows: what rows x add, and rows z
+    rows_z = ell[n:]
     if bounded:
         partial += float(rows_z.dot(rows_z))
         if _rows_reject(partial, d.N, merit_bound):
             return None
 
-    # stage 3: rows u and v
-    y = zeta.vec[s["y"]]
+    # stage 3: rows u and v, which follow each other, as do G's and g's pairs
+    y = point[n:nm]
     G_y = kept[0].triple("G") if kept else evaluate_function(problem, "G", x, y)
     g_y = kept[0].triple("g") if kept else evaluate_function(problem, "g", x, y)
-    uv = slice(s["u"].start, s["v"].stop)  # rows u and v follow each other, as do G's and g's pairs
-    rows_uv = vec[uv]
-    rows_uv[:] = _fb_rows(G_y[0].tolist() + g_y[0].tolist(), zeta.vec[uv])
-    if bounded:
-        partial += float(rows_uv.dot(rows_uv))
-        if _rows_reject(partial, d.N, merit_bound):
-            return None
+    rows_uv = [fb(-c, mu) for c, mu in zip(G_y[0].tolist() + g_y[0].tolist(), entries[k:j])]
+    for r in rows_uv:
+        partial += r * r
+    if bounded and _rows_reject(partial, d.N, merit_bound):
+        return None
 
-    # stage 4: rows x and y, the upper-Lagrangian gradient over (x, y), less lam ell_x in
-    # rows x (p = 0: + 0.0, same bits)
+    # stage 4: rows x and y, the upper-Lagrangian gradient over (x, y), plus
+    # -lam ell_x in rows x (p = 0: + 0.0, same bits)
     F_y = kept[0].triple("F") if kept else evaluate_function(problem, "F", x, y)
     f_y = kept[0].triple("f") if kept else evaluate_function(problem, "f", x, y)
-    lag_grad = np.add(F_y[1], G_y[1].T @ zeta.vec[s["u"]] if d.p else 0.0, out=vec[:s["z"].start])
-    lag_grad += g_y[1].T @ zeta.vec[s["v"]]
+    vec = np.empty(d.N)
+    lag_grad = np.add(F_y[1], point[k:k + d.p].dot(G_y[1]) if d.p else 0.0, out=vec[:nm])
+    lag_grad += point[k + d.p:j].dot(g_y[1])
     lag_grad += lam * f_y[1]
-    rows_x = lag_grad[:d.n]
-    rows_x -= lam * ell_grad[:d.n]
+    rows_x = lag_grad[:n]
+    rows_x += ell[:n]  # a + (-c) is a - c in IEEE arithmetic, same bits
+    vec[nm:k] = rows_z
+    vec[k:] = rows_uv + rows_w
     if bounded and not _merit(vec) <= merit_bound:
         return None
     if kept:
         at_y, at_z = kept
     else:
-        at_y, at_z = EvalBundle.of(d.n, F_y, f_y, G_y, g_y), EvalBundle.of(d.n, f=f_z, g=g_z)
+        if not isinstance(zeta, Iterate):
+            zeta = Iterate(point, d)
+        at_y, at_z = EvalBundle.of(n, F_y, f_y, G_y, g_y), EvalBundle.of(n, f=f_z, g=g_z)
         keep_evaluations(zeta, problem, at_y, at_z)
     return ResidualVector(vec=vec, lam=lam, zeta=zeta, at_y=at_y, at_z=at_z)
 
@@ -258,8 +296,9 @@ _ETA = 2.0**-1074  # smallest subnormal
 
 
 def _rows_reject(s_p: float, N: int, bound: float) -> bool:
-    """Whether rows of Phi whose sum of squares, computed as a few dot
-    products added, is s_p prove that the full Armijo test
+    """Whether rows of Phi whose sum of squares, computed in floating point
+    in any order (Python floats added one by one, a dot product, or both),
+    is s_p prove that the full Armijo test
     ``0.5 * norm(vec) ** 2 <= bound`` on the N-vector ``vec`` fails.
 
     Derivation.  Let S be the exact sum of squares of vec (whose entries
@@ -268,8 +307,9 @@ def _rows_reject(s_p: float, N: int, bound: float) -> bool:
     and with or without FMA, is within gamma S' + N eta of its exact value
     S', where gamma = N u / (1 - N u) <= 2 N u; the eta term covers squares
     that round in the subnormal range (a subnormal sum is exact).  s_p, the
-    squares of any subset of the rows summed as a few dot products added,
-    is such a sum, and so is D = fl(vec . vec):
+    squares of any subset of the rows summed in any order, one by one as
+    Python floats or as dot products added, is such a sum, and so is
+    D = fl(vec . vec):
 
         s_p <= (1 + gamma) S_p + N eta,    D >= (1 - gamma) S - N eta.
 
@@ -302,11 +342,6 @@ def _rows_reject(s_p: float, N: int, bound: float) -> bool:
     if bound < 0:
         return True
     return math.isfinite(s_p) and 0.5 * s_p * (1.0 - 8 * (N + 4) * _U) - (N + 4) * _ETA > bound
-
-
-def _fb_rows(cons: list[float], mults: np.ndarray) -> list[float]:
-    # Python floats: fb on numpy scalars costs twice as much, same bits
-    return [fb(-c, mu) for c, mu in zip(cons, mults.tolist())]
 
 
 def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray | float:

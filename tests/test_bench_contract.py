@@ -99,9 +99,11 @@ def test_one_scalar_call_per_pair_for_each_residual_and_jacobian(monkeypatch, na
     counts = _counting_scalars(monkeypatch)
     residual = bn.assemble_residual(problem, 2.0, zeta)
     assert counts == {"fb": pairs, "pair_coeffs": 0}
+    bn.assemble_residual(problem, 2.0, zeta.vec.copy())  # a line-search trial: a plain vector
+    assert counts == {"fb": 2 * pairs, "pair_coeffs": 0}
     bn.assemble_jacobian(residual)
     bn.assemble_jacobian(residual, out=np.empty((problem.dims.N, problem.dims.N)))
-    assert counts == {"fb": pairs, "pair_coeffs": 2 * pairs}
+    assert counts == {"fb": 2 * pairs, "pair_coeffs": 2 * pairs}
     # a run builds one W per iteration
     counts.update(fb=0, pair_coeffs=0)
     report = bn.run(problem, bn.SolverConfig(lam=2.0), zeta)

@@ -892,3 +892,22 @@ def test_read_only_evaluator_output_gives_the_same_results(problems):
         writable = _library_results(_returning_copies(problem, writable=True))
         read_only = _library_results(_returning_copies(problem, writable=False))
         assert writable == read_only, problem.name
+
+
+# An id is reused once its array is freed, so a record can sit under a live
+# array's (id, shape) while its weak reference points at another array (or
+# at none).  Such a stale record is not trusted.
+def test_a_stale_record_under_a_live_hessians_key_is_not_trusted(monkeypatch):
+    live = _read_only(_asym())  # taken as checked, it would come back unsymmetrized
+    other = _read_only(np.eye(3))
+    monkeypatch.setitem(problem_module._CHECKED, (id(live), (3, 3)), (weakref.ref(other), False))
+    ingested, finite = problem_module._hessian(live, (3, 3))
+    assert finite and ingested is not live
+    assert np.array_equal(ingested, 0.5 * (live + live.T))
+
+
+def test_a_stale_zero_record_does_not_make_a_live_hessian_zero(monkeypatch):
+    live = _big_stack(np.random.default_rng(16))
+    other = np.zeros_like(live)
+    monkeypatch.setitem(problem_module._CHECKED, (id(live), live.shape), (weakref.ref(other), True))
+    assert not problem_module.is_zero_hessian(live)

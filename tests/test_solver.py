@@ -704,3 +704,70 @@ def test_run_reaches_each_status_as_the_spec(entries, monkeypatch, status, itera
         start = bn.resolve_start(problem).vec
     expected = _assert_run_as_the_spec(problem, lam, 2000, start)
     assert (expected.status, len(expected.step_sizes)) == (status, iterations)
+
+
+def _assembled_trials(problem, rec):
+    """How many of rec's line-search trials reach assemble_residual: all but
+    the leading ones that their multiplier signs reject."""
+    for s in range(rec.backtracks + 1):
+        alpha = solver.RHO**s
+        if not signs_reject(problem, rec.zeta.vec + alpha * rec.direction,
+                            rec.merit_before + solver.SIGMA * alpha * rec.slope):
+            return rec.backtracks + 1 - s
+    return 0
+
+
+def _stalling_records(problem):
+    # dempe at lam = 128 stalls: most line searches backtrack several times
+    records: list[StepRecord] = []
+    bn.run(problem, bn.SolverConfig(lam=128.0, max_iter=30), bn.resolve_start(problem), callback=records.append)
+    return records
+
+
+def test_a_line_search_builds_one_iterate(entries, monkeypatch):
+    # its trials are plain vectors: only the one that completes becomes an Iterate
+    problem = entries["dempe-parabola"].problem
+    rec = max(_stalling_records(problem), key=lambda r: _assembled_trials(problem, r))
+    assert _assembled_trials(problem, rec) >= 3
+    built, post_init = [], bn.Iterate.__post_init__
+
+    def counted(zeta):
+        built.append(zeta)
+        post_init(zeta)
+    monkeypatch.setattr(bn.Iterate, "__post_init__", counted)
+    ls = solver._backtrack(problem, 128.0, rec.zeta, rec.direction, rec.merit_before, rec.slope)
+    assert ls.backtracks == rec.backtracks
+    assert built == [ls.zeta_next] and ls.residual_next.zeta is ls.zeta_next
+
+
+def test_every_assembled_trial_goes_through_the_solver_binding(entries, monkeypatch):
+    # bench/probe.py traces the trials through solver.assemble_residual: the
+    # start is an Iterate, every trial a plain vector
+    problem = entries["dempe-parabola"].problem
+    records = _stalling_records(problem)
+    seen, assemble = [], solver.assemble_residual
+
+    def spy(problem, lam, zeta, **kwargs):
+        seen.append(type(zeta))
+        return assemble(problem, lam, zeta, **kwargs)
+    monkeypatch.setattr(solver, "assemble_residual", spy)
+    _stalling_records(problem)
+    trials = sum(_assembled_trials(problem, rec) for rec in records)
+    assert trials > len(records)
+    assert seen == [bn.Iterate] + [np.ndarray] * trials
+
+
+def test_the_accepted_trial_keeps_its_evaluations(entries):
+    # the next residual at the accepted point, the run's next iterate, calls no evaluator
+    base = entries["dempe-parabola"].problem
+    rec = _stalling_records(base)[0]
+    p, calls = counting(base, "F", "f", "g")
+    ls = solver._backtrack(p, 128.0, rec.zeta, rec.direction, rec.merit_before, rec.slope)
+    assert any(calls.values())
+    for c in calls.values():
+        c.clear()
+    again = bn.assemble_residual(p, 128.0, ls.zeta_next)
+    assert not any(calls.values())
+    assert again.vec.tobytes() == ls.residual_next.vec.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        ls.zeta_next.vec[0] = 0.0

@@ -13,6 +13,7 @@ from bilevel_newton import complementarity, system
 from bilevel_newton import problem as problem_module
 from bilevel_newton.complementarity import KINK_A, KINK_B
 from bilevel_newton.problem import EvalBundle
+from bilevel_newton.regularity import ssosc_matrices
 from bilevel_newton.system import VARIABLE_BLOCKS, block_slices, hessian_block
 
 import spec
@@ -647,3 +648,90 @@ def test_zero_constraint_hessians_are_skipped_with_the_same_jacobian():
     mult[3] = np.inf
     with np.errstate(invalid="ignore"):
         assert np.isnan(system._contract(mult, resid.at_y.d2g)).all()
+
+
+def test_a_residual_at_a_plain_vector_is_the_residual_at_its_iterate(entries):
+    # a line-search trial is a plain vector: it is made read-only as Iterate
+    # makes it, and becomes the residual's Iterate, keeping its evaluations
+    for entry in entries.values():
+        p = entry.problem
+        vec = bn.resolve_start(p).vec + 0.25
+        trial = vec.copy()
+        r = bn.assemble_residual(p, 2.0, trial)
+        ref = bn.assemble_residual(p, 2.0, bn.Iterate.from_vector(vec, p.dims))
+        assert r.vec.tobytes() == ref.vec.tobytes()
+        assert isinstance(r.zeta, bn.Iterate) and r.zeta.vec is trial and not trial.flags.writeable
+        kept = system.kept_evaluations(r.zeta, p)
+        assert kept[0] is r.at_y and kept[1] is r.at_z
+
+
+@pytest.mark.parametrize("vec", [np.zeros(4), np.zeros(6), np.zeros((5, 1)), np.float64(0.0), np.arange(5),
+                                 np.zeros(5, dtype=np.float32), np.zeros(5, dtype=">f8"), np.zeros(5, dtype=bool)],
+                         ids=["short", "long", "column", "scalar", "int", "float32", "big-endian", "bool"])
+def test_a_vector_of_the_wrong_dtype_or_length_is_rejected_as_an_iterate_is(problems, vec):
+    p, calls = counting(problems["dempe-parabola"], "F", "f", "g")
+    with pytest.raises(ValueError) as from_iterate:
+        bn.Iterate(vec, p.dims)
+    with pytest.raises(ValueError) as from_residual:
+        bn.assemble_residual(p, 1.0, vec, merit_bound=1.0)
+    assert str(from_residual.value) == str(from_iterate.value)
+    assert not any(calls.values())
+
+
+def _problem_of(dims):
+    """A problem of the given dims whose evaluators return zeros."""
+    nm = dims.n + dims.m
+
+    def scalar(x, y):
+        return 0.0, np.zeros(nm), np.zeros((nm, nm))
+
+    def vector(x, y):
+        return np.zeros(dims.q), np.zeros((dims.q, nm)), np.zeros((dims.q, nm, nm))
+    return bn.BilevelProblem(name="zeros", dims=dims, F=scalar, f=scalar, g=vector)
+
+
+def _xy_linear_point(entries):
+    entry = entries["xy-linear"]
+    point = entry.certified_points[0].build(1.0)
+    return point, bn.classify(entry.problem, point)
+
+
+_OTHER_DIMS_CALLS = {
+    "assemble_residual": lambda p, zeta, part: bn.assemble_residual(p, 1.0, zeta),
+    "run": lambda p, zeta, part: bn.run(p, bn.SolverConfig(lam=1.0, max_iter=3), zeta),
+    "sweep": lambda p, zeta, part: bn.sweep(p, start=zeta),
+    "diagnose": lambda p, zeta, part: bn.diagnose(p, zeta, 1.0),
+    "classify": lambda p, zeta, part: bn.classify(p, zeta),
+    "check_licq": lambda p, zeta, part: bn.check_licq(p, zeta, part),
+    "check_ssosc": lambda p, zeta, part: bn.check_ssosc(p, zeta, 1.0, part),
+    "ssosc_matrices": lambda p, zeta, part: ssosc_matrices(p, zeta, 1.0, part),
+}
+
+
+@pytest.mark.parametrize("call", list(_OTHER_DIMS_CALLS), ids=list(_OTHER_DIMS_CALLS))
+@pytest.mark.parametrize("point_of", ["xy-linear", "dempe-parabola"])
+def test_a_point_of_other_dims_raises_before_any_evaluator_is_called(entries, call, point_of):
+    # xy-linear's dims are (1, 1, 1, 1), N = 6; dempe-parabola's (1, 1, 0, 1),
+    # N = 5.  A point of xy-linear for a problem of dims (2, 1, 0, 1), also
+    # N = 6, would be read at the wrong offsets; one of dempe-parabola for
+    # xy-linear would fail in numpy after g was called
+    point, partition = _xy_linear_point(entries)
+    if point_of == "xy-linear":
+        target = _problem_of(bn.ProblemDims(n=2, m=1, p=0, q=1))
+    else:
+        target = entries["xy-linear"].problem
+        point = bn.resolve_start(entries["dempe-parabola"].problem)
+    p, calls = counting(target, "F", "f", "G", "g")
+    with pytest.raises(ValueError) as exc:
+        _OTHER_DIMS_CALLS[call](p, point, partition)
+    assert str(point.dims) in str(exc.value) and str(p.dims) in str(exc.value)
+    assert not any(calls.values())
+
+
+def test_a_point_with_equal_dims_of_another_object_is_read(problems):
+    # a pickled point has its own dims object, equal to the problem's
+    p = problems["xy-linear"]
+    start = bn.resolve_start(p)
+    clone = pickle.loads(pickle.dumps(start))
+    assert clone.dims is not p.dims
+    assert bn.assemble_residual(p, 1.0, clone).vec.tobytes() == bn.assemble_residual(p, 1.0, start).vec.tobytes()
