@@ -1,6 +1,7 @@
-"""The three compiled BLAS/LAPACK routines the library calls: ``ddot``
-(``problem``'s finiteness test) and ``dgetrf``/``dgetrs`` (``linalg``'s LU).
-They live here rather than in ``linalg``, which imports ``problem``.
+"""The four compiled BLAS/LAPACK routines the library calls: ``ddot``
+(``problem``'s finiteness test), ``dgetrf``/``dgetrs`` (``linalg``'s LU) and
+``dsyevr`` (``linalg``'s smallest symmetric eigenvalue).  They live here
+rather than in ``linalg``, which imports ``problem``.
 
 They are the very objects that ``scipy.linalg.blas`` and
 ``scipy.linalg.lapack`` expose, taken from scipy's f2py extension modules
@@ -52,7 +53,7 @@ _fblas = _linalg_extension("_fblas")
 _flapack = _linalg_extension("_flapack")
 if _fblas is None or _flapack is None:
     from scipy.linalg.blas import ddot
-    from scipy.linalg.lapack import dgetrf, dgetrs
+    from scipy.linalg.lapack import dgetrf, dgetrs, dsyevr
 else:
     ddot = _fblas.ddot
-    dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
+    dgetrf, dgetrs, dsyevr = _flapack.dgetrf, _flapack.dgetrs, _flapack.dsyevr

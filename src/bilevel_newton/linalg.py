@@ -1,17 +1,21 @@
 """Small dense linear-algebra kernel used by the solver and diagnostics.
 
 Thin, contract-checked wrappers over LAPACK routines: LU with partial
-pivoting (plus explicit singularity detection), symmetric eigenvalues, and
-SVD-based null-space bases.  Everything here is deterministic for fixed
-input.
+pivoting (plus explicit singularity detection), the smallest eigenvalue of
+a symmetric matrix, and null-space bases.  Everything here is deterministic
+for fixed input.
 
 The LU factorization and solve call LAPACK ``dgetrf``/``dgetrs`` directly.
 These are the routines behind scipy's LU wrappers in ``scipy.linalg``, so
 the results are bitwise the same; the direct call skips scipy's batching and
 argument-checking wrappers, which cost several times the arithmetic at the
 system sizes of the bundled problems, and it does not warn on an exactly
-zero pivot, which the pivot test here reports instead.  Both routines, and
-``problem``'s ``ddot``, come from ``_lapack``: the objects
+zero pivot, which the pivot test here reports instead.  ``sym_eig_min``
+asks LAPACK ``dsyevr`` for the one eigenvalue it reports, not all of them.
+``null_space_basis`` decides the rank from singular values computed without
+vectors, and takes the basis from a complete QR of the transpose when the
+rows are independent, from a full SVD only when they are not.  The three
+routines, and ``problem``'s ``ddot``, come from ``_lapack``: the objects
 ``scipy.linalg.lapack`` exposes, taken from scipy's compiled module without
 importing the ``scipy.linalg`` package, which would double the library's
 import time; when scipy's layout has no such module, ``_lapack`` imports
@@ -23,7 +27,7 @@ import math
 
 import numpy as np
 
-from ._lapack import dgetrf, dgetrs
+from ._lapack import dgetrf, dgetrs, dsyevr
 from .problem import _finite
 
 
@@ -78,25 +82,43 @@ def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sym_eig_min(A: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (symmetrized internally)."""
+    """Smallest eigenvalue of a symmetric matrix (symmetrized internally).
+
+    LAPACK ``dsyevr`` computes that one eigenvalue only, without vectors.
+    A symmetrized matrix with a non-finite entry gives NaN (``dsyevr``
+    would report it as a finite eigenvalue with a nonzero ``info``); a
+    nonzero ``info`` on a finite one raises ``np.linalg.LinAlgError``.
+    """
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         raise ValueError("sym_eig_min needs a non-empty matrix")
     S = 0.5 * (A + A.T)
-    return float(np.linalg.eigvalsh(S)[0])
+    if not _finite(S):
+        return math.nan
+    w, _, _, _, info = dsyevr(S, compute_v=0, range="I", il=1, iu=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info {info}")
+    return float(w[0])
 
 
 def null_space_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning {d : A d = 0}.
 
     The numerical rank counts singular values above NULL_SPACE_TOL times
-    the largest one, so rank is decided deterministically.  Returns a
-    (k, k - rank) array for an r x k input.
+    the largest one, so rank is decided deterministically; they are
+    computed without singular vectors.  When the rank is the number of
+    rows, the basis is the trailing columns of a complete QR of A.T;
+    otherwise it is the trailing right singular vectors of a full SVD.
+    Returns a (k, k - rank) array for an r x k input.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    k = A.shape[1]
-    if A.shape[0] == 0 or k == 0:
+    r, k = A.shape
+    if r == 0 or k == 0:
         return np.eye(k)
-    _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > NULL_SPACE_TOL * s[0])) if s.size and s[0] > 0 else 0
-    return vt[rank:].T.copy()
+    s = np.linalg.svd(A, compute_uv=False)
+    rank = int(np.sum(s > NULL_SPACE_TOL * s[0])) if s[0] > 0 else 0
+    if rank == r:
+        # copied C-contiguous, as the SVD basis is: products with a strided
+        # view of Q round differently
+        return np.linalg.qr(A.T, mode="complete")[0][:, r:].copy()
+    return np.linalg.svd(A, full_matrices=True)[2][rank:].T.copy()

@@ -11,6 +11,13 @@ evaluator is called.  They read the evaluations a point keeps for the problem
 (``system.keep_evaluations``), and a point that keeps none keeps the ones
 they make: every diagnostic at one point, and a residual there, call each
 evaluator once per point (x, y) and (x, z).
+
+The second-order check reduces the form M to a basis Z of the null space of
+the nu-active gradients C (``linalg.null_space_basis``: a complete QR when
+the rows of C are independent, a full SVD when they are not) and reads the
+smallest eigenvalue of Z' M Z (``linalg.sym_eig_min``, LAPACK ``dsyevr``,
+one eigenvalue).  ``diagnose`` forms Z' M Z once, for its verdict and for
+the kink-augmented variant.
 """
 from __future__ import annotations
 
@@ -218,13 +225,13 @@ def _ssosc_matrices(
     return C, hessian_block(lam, zeta, at_y, at_z)
 
 
-def _reduced_min_eig(Z: np.ndarray, M: np.ndarray) -> tuple[float, bool, int]:
-    """Minimum eigenvalue of M reduced to the span of Z's columns."""
-    dim = Z.shape[1]
-    if dim == 0:
-        return math.inf, True, 0
-    min_eig = sym_eig_min(Z.T @ M @ Z)
-    return min_eig, min_eig > EIG_TOL, dim
+def _reduced_min_eig(form: np.ndarray) -> tuple[float, bool]:
+    """Minimum eigenvalue of a reduced form Z' M Z and its verdict; +inf,
+    holding vacuously, when Z has no columns."""
+    if form.shape[0] == 0:
+        return math.inf, True
+    min_eig = sym_eig_min(form)
+    return min_eig, min_eig > EIG_TOL
 
 
 def check_ssosc(
@@ -236,8 +243,8 @@ def check_ssosc(
     condition then holds vacuously.
     """
     C, M = ssosc_matrices(problem, zeta, lam, partition)
-    min_eig, holds, _ = _reduced_min_eig(null_space_basis(C), M)
-    return min_eig, holds
+    Z = null_space_basis(C)
+    return _reduced_min_eig(Z.T @ M @ Z)
 
 
 def _unperturbed_variant(M: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -265,9 +272,11 @@ def diagnose(problem: BilevelProblem, zeta: Iterate, lam: float) -> RegularityRe
 
     C, M = _ssosc_matrices(lam, zeta, at_y, at_z, partition)
     Z = null_space_basis(C)
-    min_eig, holds, dim = _reduced_min_eig(Z, M)
+    dim = Z.shape[1]
+    form = Z.T @ M @ Z
+    min_eig, holds = _reduced_min_eig(form)
 
-    star_eig, _, _ = _reduced_min_eig(Z, _unperturbed_variant(M, problem.dims.n, problem.dims.m))
+    star_eig, _ = _reduced_min_eig(Z.T @ _unperturbed_variant(M, problem.dims.n, problem.dims.m) @ Z)
 
     # Follower kink indices augment the form with -lam per index (the
     # symmetric kink element has -b/a = 1), so any kink forces failure.
@@ -277,7 +286,7 @@ def diagnose(problem: BilevelProblem, zeta: Iterate, lam: float) -> RegularityRe
         aug_eig = min_eig
     else:
         aug = np.zeros((dim + n_kink, dim + n_kink))
-        aug[:dim, :dim] = Z.T @ M @ Z
+        aug[:dim, :dim] = form
         aug[dim:, dim:] = -lam * np.eye(n_kink)
         aug_eig = sym_eig_min(aug)
 

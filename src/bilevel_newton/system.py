@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complementarity import fb, pair_coeffs
-from .problem import BilevelProblem, EvalBundle, ProblemDims, evaluate_function, is_zero_hessian
+from .problem import BilevelProblem, EvalBundle, ProblemDims, _no_components, evaluate_function, is_zero_hessian
 # evaluate_all is not called here: bench/probe.py traces calls through this binding
 from .problem import evaluate_all  # noqa: F401
 
@@ -203,7 +203,9 @@ def assemble_residual(
 
     1. rows w, from g at the follower point (x, z);
     2. rows z, from f at (x, z);
-    3. rows u and v, from G and g at the leader point (x, y);
+    3. rows u and v, from G and g at the leader point (x, y) (G only when
+       p > 0: with no upper-level constraint its triple is the shared
+       empty one ``evaluate_function`` gives);
     4. rows x and y, from F and f at (x, y).
 
     Rows w, u and v are Python floats, one ``fb`` call per pair; the
@@ -259,7 +261,12 @@ def assemble_residual(
 
     # stage 3: rows u and v, which follow each other, as do G's and g's pairs
     y = point[n:nm]
-    G_y = kept[0].triple("G") if kept else evaluate_function(problem, "G", x, y)
+    if kept:
+        G_y = kept[0].triple("G")
+    elif d.p:
+        G_y = evaluate_function(problem, "G", x, y)
+    else:  # no upper-level constraint: the shared empty triple evaluate_function gives
+        G_y = _no_components(nm)
     g_y = kept[0].triple("g") if kept else evaluate_function(problem, "g", x, y)
     rows_uv = [fb(-c, mu) for c, mu in zip(G_y[0].tolist() + g_y[0].tolist(), entries[k:j])]
     for r in rows_uv:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +14,17 @@ from bilevel_newton.problem import evaluate_function
 from bilevel_newton.system import block_slices
 
 import spec
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    """The module bench/<name>.py, compiled from its text, so that no bytecode
+    cache is written under bench/."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def fd_jacobian(problem, lam, zeta, h=1e-6):

@@ -8,8 +8,6 @@ running the benchmark.
 """
 import dataclasses
 import importlib
-import pathlib
-import types
 
 import numpy as np
 import pytest
@@ -17,16 +15,7 @@ import pytest
 import bilevel_newton as bn
 from bilevel_newton.solver import StepRecord
 
-from conftest import growth_matrix
-
-PROBE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "probe.py"
-
-
-def _load_probe():
-    # compiled from its text, so that no bytecode cache is written under bench/
-    module = types.ModuleType("bench_probe")
-    exec(compile(PROBE.read_text(), str(PROBE), "exec"), module.__dict__)
-    return module
+from conftest import bench_module, growth_matrix
 
 
 # wrapped apart from SPANS, with their own bookkeeping
@@ -35,7 +24,7 @@ EXTRA = (("system", "fb"), ("system", "pair_coeffs"), ("solver", "lu_solve"),
 
 
 def _patched_names():
-    return [(module, attr) for module, attr, _ in _load_probe().SPANS] + list(EXTRA)
+    return [(module, attr) for module, attr, _ in bench_module("probe").SPANS] + list(EXTRA)
 
 
 @pytest.mark.parametrize("module,attr", _patched_names())
@@ -121,4 +110,4 @@ def test_probe_classifies_every_lu_rejection(A, b, cause):
     # cannot classify, which would end a traced run
     with pytest.raises(bn.SingularMatrixError) as exc:
         bn.lu_solve(A, b)
-    assert _load_probe().lu_reject_cause(str(exc.value)) == cause
+    assert bench_module("probe").lu_reject_cause(str(exc.value)) == cause

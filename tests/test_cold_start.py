@@ -18,6 +18,7 @@ import scipy.linalg.lapack
 from bilevel_newton import linalg, problem
 assert linalg.dgetrf is scipy.linalg.lapack.dgetrf
 assert linalg.dgetrs is scipy.linalg.lapack.dgetrs
+assert linalg.dsyevr is scipy.linalg.lapack.dsyevr
 assert problem.ddot is scipy.linalg.blas.ddot
 rng = np.random.default_rng(3)
 for n in (1, 4, 30):

@@ -1,4 +1,6 @@
 """Dense kernel tests: LU solve, symmetric eigenvalues, null spaces."""
+import importlib
+import math
 import warnings
 
 import numpy as np
@@ -7,9 +9,13 @@ import scipy.linalg
 from scipy.linalg.lapack import dgetrf
 
 from bilevel_newton import SingularMatrixError, linalg, lu_solve, null_space_basis, sym_eig_min
-from bilevel_newton.linalg import PIVOT_TOL
+from bilevel_newton.linalg import NULL_SPACE_TOL, PIVOT_TOL
+from bilevel_newton.regularity import classify, ssosc_matrices
+from bilevel_newton.solver import SolverConfig, run
 
-from conftest import growth_matrix
+from conftest import bench_module, growth_matrix
+
+EPS = np.finfo(float).eps
 
 
 def char_poly_coeffs(A):
@@ -171,6 +177,114 @@ def test_sym_eig_min_orthogonal_invariance():
         A = 0.5 * (A + A.T)
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         assert sym_eig_min(Q.T @ A @ Q) == pytest.approx(sym_eig_min(A), abs=1e-7)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_sym_eig_min_of_a_non_finite_matrix_is_nan(entry, k):
+    # dsyevr alone would give a finite eigenvalue, with info 4 for NaN
+    A = np.eye(k)
+    A[0, k - 1] = entry
+    assert math.isnan(sym_eig_min(A))
+
+
+@pytest.mark.parametrize("k", [1, 2, 107])
+def test_sym_eig_min_matches_eigvalsh(k):
+    A = np.random.default_rng(k).normal(size=(k, k))
+    A = A + A.T
+    expected = np.linalg.eigvalsh(A)[0]
+    assert abs(sym_eig_min(A) - expected) <= 64 * EPS * np.linalg.norm(A, 2)
+
+
+def test_sym_eig_min_of_a_non_symmetric_matrix_is_that_of_its_symmetric_part():
+    A = np.random.default_rng(6).normal(size=(9, 9))
+    assert sym_eig_min(A) == sym_eig_min(0.5 * (A + A.T))
+
+
+def test_sym_eig_min_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="non-empty"):
+        sym_eig_min(np.zeros((0, 0)))
+
+
+def test_sym_eig_min_raises_when_dsyevr_fails(monkeypatch):
+    def failing(*args, **kwargs):
+        w, z, m, isuppz, _ = dsyevr(*args, **kwargs)
+        return w, z, m, isuppz, 3
+    dsyevr = linalg.dsyevr
+    monkeypatch.setattr(linalg, "dsyevr", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+        sym_eig_min(np.eye(2))
+
+
+def _svd_basis(A):
+    """The basis null_space_basis took from a full SVD for every input."""
+    _, s, vt = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > NULL_SPACE_TOL * s[0])) if s[0] > 0 else 0
+    return vt[rank:].T
+
+
+def _lq_constraints():
+    """C of the second-order check at a run's final point on the benchmark's
+    LQ instance (n = m = q = 50, 43 nu-active bounds)."""
+    lq = bench_module("lq")
+    problem = lq.make_lq((1, 0), 50, 50)
+    sweep = importlib.import_module("bilevel_newton.sweep")
+    final = run(problem, SolverConfig(lam=1.0), sweep.resolve_start(problem)).final
+    return ssosc_matrices(problem, final, 1.0, classify(problem, final))[0]
+
+
+def _null_space_input(case):
+    rng = np.random.default_rng(11)
+    if case == "random wide":
+        return rng.normal(size=(43, 150))
+    if case == "LQ constraints":
+        return _lq_constraints()
+    A = rng.normal(size=(4, 9))
+    if case == "duplicated rows":
+        A[2] = A[0]
+    elif case == "zero row":
+        A[1] = 0.0
+    else:  # a row dependent on the others below NULL_SPACE_TOL
+        A[3] = A[0] - 2.0 * A[1] + 1e-3 * NULL_SPACE_TOL * rng.normal(size=9)
+    return A
+
+
+@pytest.mark.parametrize("case,path,rank", [
+    ("random wide", "qr", 43),
+    ("LQ constraints", "qr", 43),
+    ("duplicated rows", "svd", 3),
+    ("zero row", "svd", 3),
+    ("dependent below tolerance", "svd", 3),
+])
+def test_null_space_paths(monkeypatch, case, path, rank):
+    A = _null_space_input(case)
+    calls = []
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def spy_qr(*args, **kwargs):
+        calls.append(("qr", kwargs))
+        return qr(*args, **kwargs)
+
+    def spy_svd(*args, **kwargs):
+        calls.append(("svd", kwargs))
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    Z = null_space_basis(A)
+    monkeypatch.undo()
+    # the rank from singular values alone, then one basis computation
+    basis = ("qr", {"mode": "complete"}) if path == "qr" else ("svd", {"full_matrices": True})
+    assert calls == [("svd", {"compute_uv": False}), basis]
+    k = A.shape[1]
+    s = np.linalg.svd(A, compute_uv=False)
+    assert Z.shape == (k, k - rank) and Z.flags.c_contiguous
+    bound = 8 * k * EPS
+    assert np.linalg.norm(Z.T @ Z - np.eye(k - rank), 2) <= bound
+    # a row dependent below the tolerance leaves its singular value in A Z
+    dropped = s[rank] if rank < s.size else 0.0
+    assert np.linalg.norm(A @ Z, 2) <= bound * s[0] + dropped
+    Z0 = _svd_basis(A)
+    assert np.linalg.norm(Z @ Z.T - Z0 @ Z0.T, 2) <= bound * s[0] / s[rank - 1]
 
 
 def test_null_space_identity_empty():

@@ -203,6 +203,27 @@ def test_diagnose_augmented_variant_penalizes_kinks(problems):
     assert report.ssosc_augmented_min_eig <= -2.0 + 1e-12
 
 
+@pytest.mark.parametrize("v", [0.0, 1.0])
+def test_augmented_min_eig_is_that_of_the_augmented_form_built_by_hand(problems, v):
+    # g(x,z) = 0 with w = 0 puts index 0 of the follower block in theta; with
+    # v = 1 the active g(x,y) is nu, so Z spans a proper subspace (QR path),
+    # with v = 0 C is empty and Z is the identity
+    p = problems["xy-linear"]
+    zeta = bn.Iterate.of(p.dims, x=[0.0], y=[0.0], z=[0.0], u=[0.0], v=[v], w=[0.0])
+    lam = 2.0
+    report = bn.diagnose(p, zeta, lam)
+    assert report.partition.lower_z.theta == (0,)
+    C, M = ssosc_matrices(p, zeta, lam, report.partition)
+    Z = null_space_basis(C)
+    dim = Z.shape[1]
+    assert dim == report.ssosc_subspace_dim == (2 if v else 3)
+    aug = np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim] = Z.T @ M @ Z
+    aug[dim, dim] = -lam
+    assert report.ssosc_augmented_min_eig == sym_eig_min(aug)
+    assert report.ssosc_min_eig == sym_eig_min(Z.T @ M @ Z)
+
+
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
 def test_diagnostics_reject_an_invalid_penalty(entries, lam):
     entry = entries["dempe-parabola"]

@@ -242,10 +242,11 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("name", ["quadratic-projection", "xy-linear", "dempe-parabola"])
 def test_staged_bundles_hold_the_checked_evaluations(problems, monkeypatch, name):
-    # the stages call the per-function step once per evaluator, and the
-    # bundles of the completed residual hold the very arrays it returned
-    # (None in the follower bundle's F and G fields), field by field the
-    # bits of new evaluations at both points
+    # the stages call the per-function step once per evaluator, G only
+    # when p > 0 (otherwise its triple is the shared empty one the step
+    # gives), and the bundles of the completed residual hold the very
+    # arrays it returned (None in the follower bundle's F and G fields),
+    # field by field the bits of new evaluations at both points
     problem = problems[name]
     zeta = bn.Iterate.from_vector(np.linspace(-1.5, 2.0, problem.dims.N), problem.dims)
     returned = []
@@ -257,7 +258,9 @@ def test_staged_bundles_hold_the_checked_evaluations(problems, monkeypatch, name
         return out
     monkeypatch.setattr(system, "evaluate_function", spy)
     r = bn.assemble_residual(problem, 2.0, zeta)
-    assert [function for function, _ in returned] == ["g", "f", "G", "g", "F", "f"]
+    assert [function for function, _ in returned] == ["g", "f"] + ["G"] * (problem.dims.p > 0) + ["g", "F", "f"]
+    if problem.dims.p == 0:
+        returned.insert(2, ("G", step(problem, "G", zeta.x, zeta.y)))
     (_, g_z), (_, f_z), (_, G_y), (_, g_y), (_, F_y), (_, f_y) = returned
     at_y = bn.evaluate_all(problem, zeta.x, zeta.y)
     at_z = EvalBundle.of(problem.dims.n, f=step(problem, "f", zeta.x, zeta.z), g=step(problem, "g", zeta.x, zeta.z))
