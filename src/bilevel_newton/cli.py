@@ -120,7 +120,9 @@ def _cmd_sweep(entry: BenchmarkEntry, args) -> int:
 def _cmd_check_derivatives(entry: BenchmarkEntry, args) -> int:
     d = entry.problem.dims
     rng = np.random.default_rng(20240801)
-    points = [(rng.uniform(-2, 2, d.n), rng.uniform(-2, 2, d.m)) for _ in range(10)]
+    # one draw fills the rows in stream order: each row's x and y are the
+    # bits of drawing x, then y, point by point
+    points = [(row[:d.n], row[d.n:]) for row in rng.uniform(-2, 2, (10, d.n + d.m))]
     report = check_derivatives(entry.problem, points)
     tree = {
         "problem": entry.problem.name,

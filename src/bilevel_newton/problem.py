@@ -21,10 +21,10 @@ symmetric (bit for bit) is used as returned, without a copy; any other
 Hessian is symmetrized on ingestion as (H + H^T) / 2.
 A Hessian returned again (as a quadratic objective or linear constraints
 often do) is checked once when it is the same float64 array of the
-requested shape, read-only or large: evaluators must not write into an
-array they have returned, so its bits cannot have changed; so return
-constant derivatives read-only, as the same object at every call.  The
-Hessian contraction skips a large zero one.
+requested shape, read-only or of 4 KiB or more: evaluators must not write
+into an array they have returned, so its bits cannot have changed; so
+return constant derivatives read-only, as the same object at every call.
+The Hessian contraction skips a zero one of 64 KiB or more.
 
 The leader functions F and G are evaluated only at the leader point (x, y).
 At the follower copy (x, z) the system reads f and g alone.
@@ -150,18 +150,24 @@ class EvalBundle(NamedTuple):
         return self[i:i + 3]
 
 
-def _sym(h: np.ndarray) -> np.ndarray:
-    s = h + h.swapaxes(-1, -2)
+def _sym(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    s = np.add(h, h.swapaxes(-1, -2), out=out)
     s *= 0.5  # in place: the same bits as 0.5 * (h + h^T), one temporary fewer
     return s
 
 
 # Hessians found finite and exactly symmetric, by (id, shape) of the float64
-# array an evaluator returned, read-only or large (a small writable one, likely
-# new at every call, would pay for an entry it never hits): a weak reference to
-# it (none is kept alive), and whether a large one holds only +0.0.
+# array an evaluator returned, read-only or of _CHECKED_MIN_BYTES or more: a
+# weak reference to it (none is kept alive), and whether a large one holds
+# only +0.0.  An entry costs a writable array that is new at every call
+# 0.8-1.4 us per call and saves a repeated one 1.9 us (72 bytes) to 8.4 us
+# (32 KiB) (evaluate_function on one k x k Hessian, 2-core VM); under the
+# floor, where a small problem's Hessians are mostly new at every call, a
+# writable one gets none.  A large array's bits are compared as integers, a
+# smaller one's as bytes.
 _CHECKED: dict[tuple, tuple[weakref.ref, bool]] = {}
-_CHECKED_MIN_BYTES = 1 << 16
+_CHECKED_MIN_BYTES = 1 << 12
+_LARGE_BYTES = 1 << 16
 
 
 def is_zero_hessian(h: np.ndarray) -> bool:
@@ -184,8 +190,9 @@ def _hessian(raw, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
     +0.0, is not taken as symmetric.  An overflowing sum, on which ddot
     does not warn, only sends h to the symmetrizing path.
 
-    A float64 raw of that shape is h.  Read-only or large, it is recorded
-    in ``_CHECKED`` once it passes, and then not read again.
+    A float64 raw of that shape is h.  Read-only or of
+    ``_CHECKED_MIN_BYTES`` or more, it is recorded in ``_CHECKED`` once it
+    passes, and then not read again.
     """
     entry = _CHECKED.get(key := (id(raw), shape))
     if entry is not None and entry[0]() is raw:
@@ -195,7 +202,7 @@ def _hessian(raw, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
     flat = h.ravel(order="K")
     if not math.isfinite(ddot(flat, flat)):
         return _sym(h), False
-    large = h.nbytes >= _CHECKED_MIN_BYTES
+    large = h.nbytes >= _LARGE_BYTES
     if large:
         bits = h.view(np.int64)
         symmetric = (bits == bits.swapaxes(-1, -2)).all()
@@ -203,7 +210,7 @@ def _hessian(raw, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
         symmetric = h.tobytes() == h.swapaxes(-1, -2).tobytes()
     if not symmetric:
         return _sym(h), True
-    if h is raw and (large or not raw.flags.writeable):
+    if h is raw and (h.nbytes >= _CHECKED_MIN_BYTES or not raw.flags.writeable):
         _CHECKED[key] = (weakref.ref(raw, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)),
                          large and not bits.any())
     return h, True
@@ -305,6 +312,12 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray) -> EvalB
 # and the worst relative error a passing check allows.
 FD_STEP = 1e-6
 FD_TOL = 1e-4
+# check_derivatives' chunk budget: the bytes of finite-difference Hessians
+# one chunk of points holds (a point that needs more is a chunk of its own).
+# Ten points of a bundled problem (at most 360 bytes each) are one chunk; a
+# point at n = m = q = 20 (281,600 bytes) is one, so the check's memory
+# stays per point where the stacks are large.
+_FD_CHUNK_BYTES = 1 << 16
 
 
 @dataclass
@@ -324,20 +337,39 @@ class DerivativeCheckReport:
         return self.worst <= FD_TOL
 
 
-def _put_rows(b: EvalBundle, vals: np.ndarray, grads: np.ndarray, p: int) -> None:
-    """Write the values and gradient rows of F, f, G and g at b into the
-    2 + p + q entries of vals and rows of grads."""
-    vals[0], vals[1], vals[2:2 + p], vals[2 + p:] = b.F, b.f, b.G, b.g
-    grads[0], grads[1], grads[2:2 + p], grads[2 + p:] = b.dF, b.df, b.dG, b.dg
+def _evaluate_rows(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
+                   vals: np.ndarray, grads: np.ndarray) -> None:
+    """Evaluate F, f, G and g at (x, y), in that order and checked as by
+    ``evaluate_all``, into the 2 + p + q entries of vals (the values) and
+    rows of grads (the gradients)."""
+    p = problem.dims.p
+    vals[0], grads[0], _ = evaluate_function(problem, "F", x, y)
+    vals[1], grads[1], _ = evaluate_function(problem, "f", x, y)
+    if p:  # G is not called when p = 0, and an empty slice costs as much to write as a row
+        vals[2:2 + p], grads[2:2 + p], _ = evaluate_function(problem, "G", x, y)
+    vals[2 + p:], grads[2 + p:], _ = evaluate_function(problem, "g", x, y)
 
 
 def _row_rel_errors(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    """max |approx - exact| / max(1, max |exact|) for each row of the two
-    stacks, which it overwrites."""
-    axes = tuple(range(1, exact.ndim))
+    """max |approx - exact| / max(1, max |exact|) for each (point, function)
+    row of the two chunk stacks, which it overwrites."""
+    axes = tuple(range(2, exact.ndim))
     approx -= exact
     err = np.abs(approx, out=approx).max(axis=axes)
     return err / np.maximum(1.0, np.abs(exact, out=exact).max(axis=axes))
+
+
+def _checked_points(d: ProblemDims, points) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The points as float64 blocks of lengths n and m; a point with a block
+    of another length raises ValueError naming it."""
+    out = []
+    for j, (x0, y0) in enumerate(points):
+        x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+        for block, v, dim, size in (("x", x0, "n", d.n), ("y", y0, "m", d.m)):
+            if v.size != size:
+                raise ValueError(f"point {j}: {block} has length {v.size}, expected {dim} = {size}")
+        out.append((x0.reshape(d.n), y0.reshape(d.m)))
+    return out
 
 
 def check_derivatives(
@@ -347,49 +379,61 @@ def check_derivatives(
 
     Gradients are checked against central differences of the values;
     Hessians against the symmetrized central differences of the gradients.
-    The step is FD_STEP * max(1, ||point||) per point.  At each coordinate
-    the bundles at pt + e and then pt - e are evaluated, their values and
-    gradient rows, every function's at once, are written into two buffers
-    of the point, and the difference goes straight into the point's
-    finite-difference arrays; the Hessians are symmetrized once per point.
-    No bundle is held past the coordinate it was evaluated for.
+    The step is FD_STEP * max(1, ||point||) per point.  Every point's block
+    lengths are checked before any evaluator is called.  The points are
+    taken in chunks of up to _FD_CHUNK_BYTES of finite-difference Hessians
+    (at least one point each).  At each point of a chunk the bundle at the
+    point is evaluated, then at each coordinate F, f, G and g at pt + e and
+    then at pt - e, and their values and gradient rows are written into the
+    chunk's stacks, one row block per evaluation.  The differences, the
+    division by 2 step, the symmetrization and the error maxima then run
+    once per chunk, with the same elementwise operations as one point at a
+    time, so the errors and the evaluator calls do not depend on the
+    chunking.
     """
     if len(points) == 0:
         raise ValueError("check_derivatives needs at least one point")
     d = problem.dims
-    nm = d.n + d.m
+    n, nm = d.n, d.n + d.m
+    points = _checked_points(d, points)
     names = ["F", "f", *(f"G[{j}]" for j in range(d.p)), *(f"g[{j}]" for j in range(d.q))]
     k = len(names)
     grad_worst, hess_worst = np.zeros(k), np.zeros(k)  # np.maximum keeps a NaN
+    chunk = max(1, _FD_CHUNK_BYTES // (8 * k * nm * nm))
 
-    for x0, y0 in points:
-        x0 = np.asarray(x0, dtype=float).reshape(d.n)
-        y0 = np.asarray(y0, dtype=float).reshape(d.m)
-        pt = np.concatenate([x0, y0])
-        step = FD_STEP * max(1.0, float(np.linalg.norm(pt)))
+    for start in range(0, len(points), chunk):
+        block = points[start:start + chunk]
+        c = len(block)
+        # entry [s, j, i] holds the values and gradient rows at point j of
+        # the chunk plus (s = 0) or minus (s = 1) the step along coordinate i
+        vals, grads = np.empty((2, c, nm, k)), np.empty((2, c, nm, k, nm))
+        two_steps, bases = np.empty(c), []
+        for j, (x0, y0) in enumerate(block):
+            pt = np.concatenate([x0, y0])
+            step = FD_STEP * max(1.0, float(np.linalg.norm(pt)))
+            two_steps[j] = 2 * step
+            bases.append(evaluate_all(problem, x0, y0))
+            e = np.zeros((nm, nm))  # row i: the step along coordinate i, zeros elsewhere
+            e.flat[::nm + 1] = step
+            for pp, pm, vp, vm, gp, gm in zip(pt + e, pt - e, vals[0, j], vals[1, j], grads[0, j], grads[1, j]):
+                _evaluate_rows(problem, pp[:n], pp[n:], vp, gp)
+                _evaluate_rows(problem, pm[:n], pm[n:], vm, gm)
+        # the values and gradient rows at pt + e less those at pt - e, over
+        # 2 * step, read with the functions before the coordinates: entry
+        # [j, f, i] of grad_fd and row [j, f, i] of hess_fd; hess_fd is
+        # symmetrized into the minus stack, and the exact Hessians are laid
+        # out as it is
+        grad_fd = np.subtract(vals[0], vals[1], out=vals[0]).swapaxes(1, 2)
+        grad_fd /= two_steps[:, None, None]
+        hess_fd = np.subtract(grads[0], grads[1], out=grads[0]).swapaxes(1, 2)
+        hess_fd /= two_steps[:, None, None, None]
+        hess_fd = _sym(hess_fd, out=grads[1].swapaxes(1, 2))
 
-        base = evaluate_all(problem, x0, y0)
-        # column i of grad_fd and row i of each hess_fd matrix: the values
-        # and gradient rows at pt + e less those at pt - e, then over 2 * step
-        grad_fd = np.empty((k, nm))
-        hess_fd = np.empty((k, nm, nm))
-        vals_p, vals_m = np.empty(k), np.empty(k)
-        grads_p, grads_m = np.empty((k, nm)), np.empty((k, nm))
-        for i in range(nm):
-            e = np.zeros(nm)
-            e[i] = step
-            pp, pm = pt + e, pt - e
-            _put_rows(evaluate_all(problem, pp[: d.n], pp[d.n:]), vals_p, grads_p, d.p)
-            _put_rows(evaluate_all(problem, pm[: d.n], pm[d.n:]), vals_m, grads_m, d.p)
-            np.subtract(vals_p, vals_m, out=grad_fd[:, i])
-            np.subtract(grads_p, grads_m, out=hess_fd[:, i])
-        grad_fd /= 2 * step
-        hess_fd /= 2 * step
-        hess_fd = _sym(hess_fd)  # the unsymmetrized stack is freed before the exact one is built
-
-        grad = np.vstack([base.dF, base.df, base.dG, base.dg])
-        grad_worst = np.maximum(grad_worst, _row_rel_errors(grad_fd, grad))
-        hess = np.concatenate([base.d2F[None], base.d2f[None], base.d2G, base.d2g])
-        hess_worst = np.maximum(hess_worst, _row_rel_errors(hess_fd, hess))
+        exact_grads, exact_hess = np.empty((c, k, nm)), np.empty((c, nm, k, nm)).swapaxes(1, 2)
+        for b, g, h in zip(bases, exact_grads, exact_hess):
+            g[0], g[1], g[2:2 + d.p], g[2 + d.p:] = b.dF, b.df, b.dG, b.dg
+            h[0], h[1], h[2:2 + d.p], h[2 + d.p:] = b.d2F, b.d2f, b.d2G, b.d2g
+        grad_worst = np.maximum(grad_worst, _row_rel_errors(grad_fd, exact_grads).max(axis=0))
+        hess_worst = np.maximum(hess_worst, _row_rel_errors(hess_fd, exact_hess).max(axis=0))
 
     return DerivativeCheckReport(dict(zip(names, grad_worst.tolist())), dict(zip(names, hess_worst.tolist())))

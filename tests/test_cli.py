@@ -292,6 +292,28 @@ def test_check_derivatives_mode_reports_fd_tol(monkeypatch, tmp_path):
     assert (tree["passed"], tree["tolerance"], tree["num_points"]) == (False, 1e-300, 10)
 
 
+@pytest.mark.parametrize("n,m", [(1, 2), (1, 1), (20, 20), (3, 5)])
+def test_one_draw_of_points_is_bitwise_two_draws_per_point(n, m):
+    rows = np.random.default_rng(20240801).uniform(-2, 2, (10, n + m))
+    rng = np.random.default_rng(20240801)
+    for row in rows:
+        assert row[:n].tobytes() == rng.uniform(-2, 2, n).tobytes()
+        assert row[n:].tobytes() == rng.uniform(-2, 2, m).tobytes()
+
+
+def test_check_derivatives_mode_checks_the_drawn_points(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(cli, "check_derivatives", lambda problem, points: (
+        seen.append(points), problem_module.check_derivatives(problem, points))[1])
+    for name in bn.problem_names():
+        assert main(["check-derivatives", "--problem", name, "--out", str(tmp_path / "d.json")]) == 0
+        d = bn.get_problem(name).dims
+        rng = np.random.default_rng(20240801)
+        expected = [(rng.uniform(-2, 2, d.n), rng.uniform(-2, 2, d.m)) for _ in range(10)]
+        assert [(x.tobytes(), y.tobytes()) for x, y in seen.pop()] == [
+            (x.tobytes(), y.tobytes()) for x, y in expected], name
+
+
 @pytest.mark.parametrize("mode", ["check-derivatives", "diagnose"])
 def test_csv_format_of_a_json_only_mode_exits_one_before_any_evaluation(monkeypatch, capsys, tmp_path, mode):
     calls = []

@@ -270,24 +270,39 @@ def _quadratic_problem(rng, n):
 
 def test_check_derivatives_memory_is_per_coordinate():
     # 2(n+m) perturbed bundles of q(n+m)^2 Hessian entries would be about
-    # 20 MB here; one coordinate's pair is well under 1 MB
+    # 20 MB here; one coordinate's pair is well under 1 MB, and a point of
+    # this size is a chunk of its own, so ten points take no more
     rng = np.random.default_rng(5)
     p = _quadratic_problem(rng, 20)
-    points = [(rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20))]
-    tracemalloc.start()
-    try:
-        report = bn.check_derivatives(p, points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.passed
-    assert peak < 5 * 2**20
+    for num_points in (1, 10):
+        points = [(rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20)) for _ in range(num_points)]
+        tracemalloc.start()
+        try:
+            report = bn.check_derivatives(p, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed, num_points
+        assert peak < 5 * 2**20, num_points
 
 
 def test_check_derivatives_rejects_no_points(problems):
     problem, calls = counting(problems["xy-linear"], "F", "f", "G", "g")
     with pytest.raises(ValueError, match="^check_derivatives needs at least one point$"):
         bn.check_derivatives(problem, [])
+    assert all(c == [] for c in calls.values())
+
+
+@pytest.mark.parametrize("points,message", [
+    ([(np.zeros(2), np.zeros(1))], "point 0: x has length 2, expected n = 1"),
+    ([(np.zeros(1), np.zeros(1)), (np.zeros(1), np.zeros(3))], "point 1: y has length 3, expected m = 1"),
+    ([(np.zeros(1), np.zeros(1))] * 2 + [(np.zeros((1, 2)), np.zeros(1))], "point 2: x has length 2, expected n = 1"),
+    ([(np.zeros(1), np.zeros(1)), (np.zeros(0), np.zeros(1))], "point 1: x has length 0, expected n = 1"),
+])
+def test_check_derivatives_checks_every_block_length_before_evaluating(problems, points, message):
+    problem, calls = counting(problems["xy-linear"], "F", "f", "G", "g")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bn.check_derivatives(problem, points)
     assert all(c == [] for c in calls.values())
 
 
@@ -345,8 +360,12 @@ def _sine_quadratic(rng, k, nm):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(1, 3), p=st.integers(0, 3), q=st.integers(0, 3),
-       num_points=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_stacked_check_derivatives_matches_the_reference_bitwise(n, m, p, q, num_points, seed):
+       num_points=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       chunk=st.one_of(st.none(), st.integers(1, 5)))
+@example(n=2, m=3, p=1, q=2, num_points=12, seed=7, chunk=5)
+def test_stacked_check_derivatives_matches_the_reference_bitwise(n, m, p, q, num_points, seed, chunk):
+    # chunk: the points per chunk, by a budget patched to hold that many, or
+    # (None) the module's budget, which holds all the points here
     rng = np.random.default_rng(seed)
     nm = n + m
     upper, lower = _sine_quadratic(rng, 1 + p, nm), _sine_quadratic(rng, 1 + q, nm)
@@ -365,7 +384,9 @@ def test_stacked_check_derivatives_matches_the_reference_bitwise(n, m, p, q, num
     problem = bn.BilevelProblem(name="sine-quadratic", dims=bn.ProblemDims(n=n, m=m, p=p, q=q),
                                 F=scalar(upper), f=scalar(lower), G=vector(upper), g=vector(lower))
     points = [(rng.uniform(-2, 2, n), rng.uniform(-2, 2, m)) for _ in range(num_points)]
-    report = bn.check_derivatives(problem, points)
+    budget = problem_module._FD_CHUNK_BYTES if chunk is None else chunk * 8 * (2 + p + q) * nm * nm
+    with mock.patch.object(problem_module, "_FD_CHUNK_BYTES", budget):
+        report = bn.check_derivatives(problem, points)
     grad_ref, hess_ref = spec.check_derivatives(problem, points)
 
     def bits(errors):
@@ -718,8 +739,8 @@ def _recorded_problem(d2F):
     return _output_problem(d2F=d2F, d2f=_read_only(np.eye(3)), d2G=_read_only(_stack(1)), d2g=_read_only(_stack(2)))
 
 
-def _hessian_reads(problem, calls):
-    """The sizes of the arrays ddot read in each of `calls` evaluations at (_X, _Y), and each
+def _hessian_reads(problem, calls, x=_X, y=_Y):
+    """The sizes of the arrays ddot read in each of `calls` evaluations at (x, y), and each
     evaluation's bundle or error."""
     reads, results, blas_ddot = [], [], problem_module.ddot
 
@@ -730,7 +751,7 @@ def _hessian_reads(problem, calls):
         for _ in range(calls):
             reads.append([])
             try:
-                results.append(bn.evaluate_all(problem, _X, _Y))
+                results.append(bn.evaluate_all(problem, x, y))
             except bn.EvaluationError as exc:
                 results.append(exc)
     return reads, results
@@ -892,6 +913,48 @@ def test_read_only_evaluator_output_gives_the_same_results(problems):
         writable = _library_results(_returning_copies(problem, writable=True))
         read_only = _library_results(_returning_copies(problem, writable=False))
         assert writable == read_only, problem.name
+
+
+def _writable_40(d2F, d2f):
+    """n = m = 20, p = q = 0: F and f return the 40 x 40 Hessians the two
+    callables give, writable (12,800 bytes, from _CHECKED_MIN_BYTES on)."""
+    return bn.BilevelProblem(
+        name="writable-40", dims=bn.ProblemDims(n=20, m=20, p=0, q=0),
+        F=lambda x, y: (1.0, np.ones(40), d2F()), f=lambda x, y: (2.0, np.ones(40), d2f()),
+        g=lambda x, y: (np.zeros(0), np.zeros((0, 40)), np.zeros((0, 40, 40))))
+
+
+_AT_40 = (np.zeros(20), np.zeros(20))
+
+
+def test_a_writable_mid_size_hessian_returned_again_is_read_once():
+    a = np.random.default_rng(17).standard_normal((40, 40))
+    same = a + a.T
+    assert same.flags.writeable and problem_module._CHECKED_MIN_BYTES <= same.nbytes
+    # F returns the same array at every call, f a new copy of it
+    reads, bundles = _hessian_reads(_writable_40(lambda: same, same.copy), 3, *_AT_40)
+    assert [call.count(same.size) for call in reads] == [2, 1, 1]
+    assert all(b.d2F is same and np.array_equal(b.d2f, same) for b in bundles)
+    assert (id(same), (40, 40)) in problem_module._CHECKED
+    small = np.eye(22)  # 3,872 bytes, just under the floor: read at every call
+    assert small.nbytes < problem_module._CHECKED_MIN_BYTES
+    for _ in range(2):
+        ingested, finite = problem_module._hessian(small, (22, 22))
+        assert finite and ingested is small
+    assert (id(small), (22, 22)) not in problem_module._CHECKED
+
+
+def test_a_new_writable_hessian_is_read_at_every_call():
+    a = np.random.default_rng(18).standard_normal((40, 40))
+    fresh = [a + a.T for _ in range(4)]
+    fresh[2][5, 5] = np.nan
+    given = iter(fresh)
+    other = fresh[0].copy()  # f returns it at every call: read at the first only
+    reads, results = _hessian_reads(_writable_40(lambda: next(given), lambda: other), 4, *_AT_40)
+    # the NaN planted in the third new array fails that call, before f is called
+    assert [call.count(a.size) for call in reads] == [2, 1, 1, 1]
+    assert isinstance(results[2], bn.EvaluationError) and results[2].function == "F"
+    assert results[0].d2F is fresh[0] and results[1].d2F is fresh[1] and results[3].d2F is fresh[3]
 
 
 # An id is reused once its array is freed, so a record can sit under a live
