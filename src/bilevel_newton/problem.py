@@ -159,12 +159,17 @@ def _sym(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # Hessians found finite and exactly symmetric, by (id, shape) of the float64
 # array an evaluator returned, read-only or of _CHECKED_MIN_BYTES or more: a
 # weak reference to it (none is kept alive), and whether a large one holds
-# only +0.0.  An entry costs a writable array that is new at every call
-# 0.8-1.4 us per call and saves a repeated one 1.9 us (72 bytes) to 8.4 us
-# (32 KiB) (evaluate_function on one k x k Hessian, 2-core VM); under the
-# floor, where a small problem's Hessians are mostly new at every call, a
-# writable one gets none.  A large array's bits are compared as integers, a
-# smaller one's as bytes.
+# only +0.0.  A large array's bits are compared as integers, a smaller one's
+# as bytes.  An entry saves an array returned again 1.9 us (72 bytes) to
+# 8.4 us (32 KiB) per call and costs a writable one that is new at every call
+# 0.8-1.4 us (evaluate_function on one k x k Hessian, 2-core VM), at every
+# size, so cost sets no floor.  The floor for writable arrays rests on the
+# one such traffic measured: the only writable Hessians under 64 KiB that the
+# benchmark workloads return are the n = m = q = 20 LQ check's two 12,800-byte
+# ones, the same objects at 160 of 162 calls per pass, and the floor reaches
+# them.  No workload returns a writable Hessian under it, so neither side of
+# 4 KiB is measured.  Under it a writable Hessian is read at every call, as
+# before, so a small buffer that an evaluator refills is still checked.
 _CHECKED: dict[tuple, tuple[weakref.ref, bool]] = {}
 _CHECKED_MIN_BYTES = 1 << 12
 _LARGE_BYTES = 1 << 16
@@ -312,11 +317,14 @@ def evaluate_all(problem: BilevelProblem, x: np.ndarray, y: np.ndarray) -> EvalB
 # and the worst relative error a passing check allows.
 FD_STEP = 1e-6
 FD_TOL = 1e-4
-# check_derivatives' chunk budget: the bytes of finite-difference Hessians
-# one chunk of points holds (a point that needs more is a chunk of its own).
-# Ten points of a bundled problem (at most 360 bytes each) are one chunk; a
-# point at n = m = q = 20 (281,600 bytes) is one, so the check's memory
-# stays per point where the stacks are large.
+# check_derivatives' chunk budget: the bytes of one of a chunk's two stacks
+# of gradient rows (at pt + e and at pt - e), each the size of the chunk's
+# Hessians; a point that needs more is a chunk of its own.  Ten points of a
+# bundled problem (at most 360 bytes each) are one chunk, which takes 16-28 %
+# off their checks against one point per chunk; a point at n = m = q = 20
+# (281,600 bytes) is one, so the check's memory stays per point where the
+# stacks are large.  Any budget from 3,600 to 281,599 bytes chunks the
+# benchmark's checks alike, so the value within that range is not measured.
 _FD_CHUNK_BYTES = 1 << 16
 
 
@@ -337,17 +345,13 @@ class DerivativeCheckReport:
         return self.worst <= FD_TOL
 
 
-def _evaluate_rows(problem: BilevelProblem, x: np.ndarray, y: np.ndarray,
-                   vals: np.ndarray, grads: np.ndarray) -> None:
-    """Evaluate F, f, G and g at (x, y), in that order and checked as by
-    ``evaluate_all``, into the 2 + p + q entries of vals (the values) and
-    rows of grads (the gradients)."""
-    p = problem.dims.p
-    vals[0], grads[0], _ = evaluate_function(problem, "F", x, y)
-    vals[1], grads[1], _ = evaluate_function(problem, "f", x, y)
-    if p:  # G is not called when p = 0, and an empty slice costs as much to write as a row
-        vals[2:2 + p], grads[2:2 + p], _ = evaluate_function(problem, "G", x, y)
-    vals[2 + p:], grads[2 + p:], _ = evaluate_function(problem, "g", x, y)
+def _put_rows(b: EvalBundle, vals: np.ndarray, grads: np.ndarray, p: int) -> None:
+    """Write the values and gradient rows of F, f, G and g at b into the
+    2 + p + q entries of vals and rows of grads."""
+    vals[0], vals[1], vals[2 + p:] = b.F, b.f, b.g
+    grads[0], grads[1], grads[2 + p:] = b.dF, b.df, b.dg
+    if p:  # an empty slice costs as much to write as a row
+        vals[2:2 + p], grads[2:2 + p] = b.G, b.dG
 
 
 def _row_rel_errors(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -381,11 +385,11 @@ def check_derivatives(
     Hessians against the symmetrized central differences of the gradients.
     The step is FD_STEP * max(1, ||point||) per point.  Every point's block
     lengths are checked before any evaluator is called.  The points are
-    taken in chunks of up to _FD_CHUNK_BYTES of finite-difference Hessians
-    (at least one point each).  At each point of a chunk the bundle at the
-    point is evaluated, then at each coordinate F, f, G and g at pt + e and
-    then at pt - e, and their values and gradient rows are written into the
-    chunk's stacks, one row block per evaluation.  The differences, the
+    taken in chunks whose gradient rows at pt + e (and again at pt - e) fill
+    up to _FD_CHUNK_BYTES (at least one point each).  At each point of a
+    chunk the bundle at the point is evaluated, then at each coordinate the
+    bundles at pt + e and at pt - e (``evaluate_all``), and their values and
+    gradient rows are written into the chunk's stacks.  The differences, the
     division by 2 step, the symmetrization and the error maxima then run
     once per chunk, with the same elementwise operations as one point at a
     time, so the errors and the evaluator calls do not depend on the
@@ -416,20 +420,20 @@ def check_derivatives(
             e = np.zeros((nm, nm))  # row i: the step along coordinate i, zeros elsewhere
             e.flat[::nm + 1] = step
             for pp, pm, vp, vm, gp, gm in zip(pt + e, pt - e, vals[0, j], vals[1, j], grads[0, j], grads[1, j]):
-                _evaluate_rows(problem, pp[:n], pp[n:], vp, gp)
-                _evaluate_rows(problem, pm[:n], pm[n:], vm, gm)
+                _put_rows(evaluate_all(problem, pp[:n], pp[n:]), vp, gp, d.p)
+                _put_rows(evaluate_all(problem, pm[:n], pm[n:]), vm, gm, d.p)
         # the values and gradient rows at pt + e less those at pt - e, over
         # 2 * step, read with the functions before the coordinates: entry
         # [j, f, i] of grad_fd and row [j, f, i] of hess_fd; hess_fd is
-        # symmetrized into the minus stack, and the exact Hessians are laid
-        # out as it is
+        # symmetrized into the minus stack, and the exact gradients and
+        # Hessians are written into the stacks the differences have freed
         grad_fd = np.subtract(vals[0], vals[1], out=vals[0]).swapaxes(1, 2)
         grad_fd /= two_steps[:, None, None]
         hess_fd = np.subtract(grads[0], grads[1], out=grads[0]).swapaxes(1, 2)
         hess_fd /= two_steps[:, None, None, None]
         hess_fd = _sym(hess_fd, out=grads[1].swapaxes(1, 2))
 
-        exact_grads, exact_hess = np.empty((c, k, nm)), np.empty((c, nm, k, nm)).swapaxes(1, 2)
+        exact_grads, exact_hess = vals[1].swapaxes(1, 2), grads[0].swapaxes(1, 2)
         for b, g, h in zip(bases, exact_grads, exact_hess):
             g[0], g[1], g[2:2 + d.p], g[2 + d.p:] = b.dF, b.df, b.dG, b.dg
             h[0], h[1], h[2:2 + d.p], h[2 + d.p:] = b.d2F, b.d2f, b.d2G, b.d2g

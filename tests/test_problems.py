@@ -633,7 +633,7 @@ def test_symmetric_hessians_are_not_copied():
     assert np.shares_memory(b.d2G, stack) and np.shares_memory(b.d2g, stack)
 
 
-_BIG_Q = 1000  # a (q, 3, 3) g-Hessian stack of 72,000 bytes, above _CHECKED_MIN_BYTES
+_BIG_Q = 1000  # a (q, 3, 3) g-Hessian stack of 72,000 bytes, above _LARGE_BYTES
 
 
 def _big_stack(rng, symmetric=True):
@@ -715,6 +715,14 @@ def test_zero_hessians_are_recognised_once_and_skipped():
     read_only = _read_only(np.zeros((_BIG_Q, 3, 3)))
     for _ in range(2):
         assert problem_module.is_zero_hessian(bn.evaluate_all(_big_g_problem(read_only), _X, _Y).d2g)
+    # a writable zero matrix from _CHECKED_MIN_BYTES up to _LARGE_BYTES is
+    # recorded, but not flagged: only a large one is
+    mid = np.zeros((40, 40))
+    assert problem_module._CHECKED_MIN_BYTES <= mid.nbytes < problem_module._LARGE_BYTES
+    for _ in range(2):
+        ingested, finite = problem_module._hessian(mid, (40, 40))
+        assert finite and ingested is mid
+    assert (id(mid), (40, 40)) in problem_module._CHECKED and not problem_module.is_zero_hessian(mid)
 
 
 def test_hessian_check_record_keeps_no_array_alive():
@@ -869,7 +877,7 @@ _NAN_STACK = _with(_stack(2), {(1, 0, 0): np.nan})
 @example(hessians=dict(d2F=np.eye(3), d2g=_NAN_STACK), large=True)
 def test_a_hessian_returned_again_is_ingested_as_a_new_one(hessians, large):
     d2F, d2g = hessians["d2F"], hessians["d2g"]
-    if large:  # _BIG_Q 3 x 3 matrices: 72,000 bytes, above _CHECKED_MIN_BYTES
+    if large:  # _BIG_Q 3 x 3 matrices: 72,000 bytes, above _LARGE_BYTES
         d2g = np.concatenate([d2g] * (_BIG_Q // 2))
     same, copy, view = (_same_or_new(d2F, d2g, give) for give in _GIVE)
     assert [_ingested(same) for _ in range(3)] == [_ingested(copy) for _ in range(3)]
@@ -955,6 +963,28 @@ def test_a_new_writable_hessian_is_read_at_every_call():
     assert [call.count(a.size) for call in reads] == [2, 1, 1, 1]
     assert isinstance(results[2], bn.EvaluationError) and results[2].function == "F"
     assert results[0].d2F is fresh[0] and results[1].d2F is fresh[1] and results[3].d2F is fresh[3]
+
+
+def test_a_refilled_mid_size_buffer_is_read_at_the_first_call_only():
+    # an evaluator that refills one writable buffer and returns it again
+    # breaks the contract: from _CHECKED_MIN_BYTES on, a NaN written into it
+    # after its first return is used without a check
+    a = np.random.default_rng(19).standard_normal((40, 40))
+    buf = a + a.T
+    first_fill = buf.copy()  # f returns a new copy of it at every call
+    problem = _writable_40(lambda: buf, first_fill.copy)
+    assert bn.evaluate_all(problem, *_AT_40).d2F is buf
+    buf[5, 5] = np.nan
+    b = bn.evaluate_all(problem, *_AT_40)
+    assert b.d2F is buf and np.isnan(b.d2F[5, 5])
+    # under it, the refilled buffer is read again, and the NaN fails that call
+    small = np.eye(3)
+    assert small.nbytes < problem_module._CHECKED_MIN_BYTES
+    bn.evaluate_all(_recorded_problem(small), _X, _Y)
+    small[1, 1] = np.nan
+    with pytest.raises(bn.EvaluationError) as err:
+        bn.evaluate_all(_recorded_problem(small), _X, _Y)
+    assert err.value.function == "F"
 
 
 # An id is reused once its array is freed, so a record can sit under a live
