@@ -87,9 +87,12 @@ def sym_eig_min(A: np.ndarray) -> float:
     LAPACK ``dsyevr`` computes that one eigenvalue only, without vectors.
     A symmetrized matrix with a non-finite entry gives NaN (``dsyevr``
     would report it as a finite eigenvalue with a nonzero ``info``); a
-    nonzero ``info`` on a finite one raises ``np.linalg.LinAlgError``.
+    nonzero ``info`` on a finite one raises ``np.linalg.LinAlgError``; a
+    matrix that is not square, or empty, raises ValueError.
     """
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
         raise ValueError("sym_eig_min needs a non-empty matrix")
     S = 0.5 * (A + A.T)

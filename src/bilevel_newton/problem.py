@@ -17,14 +17,14 @@ with a non-finite term is not.  A sum of squares is one BLAS ``ddot``, scipy's o
 ``scipy.linalg.blas.ddot`` object, which ``_lapack`` loads without
 importing the ``scipy.linalg`` package (or imports from it, when scipy's
 layout has no compiled module to load).  A Hessian that is exactly
-symmetric (bit for bit) is used as returned, without a copy; any other
-Hessian is symmetrized on ingestion as (H + H^T) / 2.
+symmetric (bit for bit, compared as integers at every size) is used as
+returned, without a copy; any other is symmetrized as (H + H^T) / 2.
 A Hessian returned again (as a quadratic objective or linear constraints
 often do) is checked once when it is the same float64 array of the
 requested shape, read-only or of 4 KiB or more: evaluators must not write
 into an array they have returned, so its bits cannot have changed; so
 return constant derivatives read-only, as the same object at every call.
-The Hessian contraction skips a zero one of 64 KiB or more.
+The Hessian contraction skips a recorded one that holds only +0.0.
 
 The leader functions F and G are evaluated only at the leader point (x, y).
 At the follower copy (x, z) the system reads f and g alone.
@@ -157,27 +157,19 @@ def _sym(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 # Hessians found finite and exactly symmetric, by (id, shape) of the float64
-# array an evaluator returned, read-only or of _CHECKED_MIN_BYTES or more: a
-# weak reference to it (none is kept alive), and whether a large one holds
-# only +0.0.  A large array's bits are compared as integers, a smaller one's
-# as bytes.  An entry saves an array returned again 1.9 us (72 bytes) to
-# 8.4 us (32 KiB) per call and costs a writable one that is new at every call
-# 0.8-1.4 us (evaluate_function on one k x k Hessian, 2-core VM), at every
-# size, so cost sets no floor.  The floor for writable arrays rests on the
-# one such traffic measured: the only writable Hessians under 64 KiB that the
-# benchmark workloads return are the n = m = q = 20 LQ check's two 12,800-byte
-# ones, the same objects at 160 of 162 calls per pass, and the floor reaches
-# them.  No workload returns a writable Hessian under it, so neither side of
-# 4 KiB is measured.  Under it a writable Hessian is read at every call, as
-# before, so a small buffer that an evaluator refills is still checked.
+# array an evaluator returned: a weak reference to it (none is kept alive),
+# and whether it holds only +0.0.  A writable one is recorded from
+# _CHECKED_MIN_BYTES on.  Under it a writable Hessian is read at every call,
+# so a small buffer that an evaluator refills is still checked; above 12,800
+# bytes the LQ check's writable 40 x 40 Hessians would be read at every call.
+# Every floor in (0, 12,800] records the same arrays of the benchmark.
 _CHECKED: dict[tuple, tuple[weakref.ref, bool]] = {}
 _CHECKED_MIN_BYTES = 1 << 12
-_LARGE_BYTES = 1 << 16
 
 
 def is_zero_hessian(h: np.ndarray) -> bool:
-    """Whether h, as ingested by ``evaluate_function``, is a large Hessian (stack)
-    found to hold only +0.0, as linear functions give."""
+    """Whether h, as ingested by ``evaluate_function``, is a recorded Hessian
+    (stack) found to hold only +0.0, as linear functions give."""
     entry = _CHECKED.get((id(h), h.shape))
     return entry is not None and entry[1] and entry[0]() is h
 
@@ -190,14 +182,14 @@ def _hessian(raw, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
     sqrt(DBL_MAX), so h + h^T cannot overflow and the result is known
     finite without a scan; when h also equals its transpose bit for bit,
     0.5 * (h + h^T) = 0.5 * (2 h) is exactly h, and h is returned as it
-    is.  The bits are compared (as bytes for a small h, as integers for a
-    large one) so that a -0.0/+0.0 pair, which symmetrization turns into
-    +0.0, is not taken as symmetric.  An overflowing sum, on which ddot
-    does not warn, only sends h to the symmetrizing path.
+    is.  The bits are compared, as integers, so that a -0.0/+0.0 pair,
+    which symmetrization turns into +0.0, is not taken as symmetric.  An
+    overflowing sum, on which ddot does not warn, only sends h to the
+    symmetrizing path.
 
     A float64 raw of that shape is h.  Read-only or of
     ``_CHECKED_MIN_BYTES`` or more, it is recorded in ``_CHECKED`` once it
-    passes, and then not read again.
+    passes, with whether it holds only +0.0, and then not read again.
     """
     entry = _CHECKED.get(key := (id(raw), shape))
     if entry is not None and entry[0]() is raw:
@@ -207,17 +199,12 @@ def _hessian(raw, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
     flat = h.ravel(order="K")
     if not math.isfinite(ddot(flat, flat)):
         return _sym(h), False
-    large = h.nbytes >= _LARGE_BYTES
-    if large:
-        bits = h.view(np.int64)
-        symmetric = (bits == bits.swapaxes(-1, -2)).all()
-    else:  # the bytes of h and of h^T, both in C order
-        symmetric = h.tobytes() == h.swapaxes(-1, -2).tobytes()
-    if not symmetric:
+    bits = h.view(np.int64)
+    if not (bits == bits.swapaxes(-1, -2)).all():
         return _sym(h), True
     if h is raw and (h.nbytes >= _CHECKED_MIN_BYTES or not raw.flags.writeable):
         _CHECKED[key] = (weakref.ref(raw, lambda _, key=key, pop=_CHECKED.pop: pop(key, None)),
-                         large and not bits.any())
+                         not bits.any())
     return h, True
 
 

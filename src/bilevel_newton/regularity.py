@@ -203,14 +203,13 @@ def ssosc_matrices(
     symmetric M is the Hessian block of W (``system.hessian_block``), so
     q(d) = d' M d is the curvature of the penalized Lagrangian along d.
     """
+    lam = require_penalty(lam)  # before _bundles evaluates anything
     return _ssosc_matrices(lam, zeta, *_bundles(problem, zeta), partition)
 
 
 def _ssosc_matrices(
     lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle, partition: IndexSetPartition
 ) -> tuple[np.ndarray, np.ndarray]:
-    # the one point diagnose, ssosc_matrices and check_ssosc all pass through
-    lam = require_penalty(lam)
     n, m = zeta.dims.n, zeta.dims.m
 
     def row(grad: np.ndarray, follower: slice) -> np.ndarray:
@@ -262,6 +261,7 @@ def _unperturbed_variant(M: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def diagnose(problem: BilevelProblem, zeta: Iterate, lam: float) -> RegularityReport:
     """Full regularity report at a candidate point for a fixed, finite, positive penalty."""
+    lam = require_penalty(lam)  # before _bundles evaluates anything
     at_y, at_z = _bundles(problem, zeta)
     partition = _partition(zeta, at_y, at_z)
 

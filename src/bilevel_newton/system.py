@@ -356,7 +356,7 @@ def _contract(mult: np.ndarray, stack: np.ndarray) -> np.ndarray | float:
 
     This is the single dot that ``np.tensordot(mult, stack, axes=1)``
     makes, so the result is bitwise the same, without tensordot's
-    axis bookkeeping.  A large stack that ingestion recorded as all +0.0
+    axis bookkeeping.  A recorded stack that ingestion found all +0.0
     (linear constraints, returned as this same array) is not read: with
     finite multipliers the sum is zero, and 0.0 is returned.  Added to a
     matrix, it gives the same bits as the dot's +0.0 entries.  So does an

@@ -1,6 +1,7 @@
 """Dense kernel tests: LU solve, symmetric eigenvalues, null spaces."""
 import importlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -204,6 +205,13 @@ def test_sym_eig_min_of_a_non_symmetric_matrix_is_that_of_its_symmetric_part():
 def test_sym_eig_min_rejects_an_empty_matrix():
     with pytest.raises(ValueError, match="non-empty"):
         sym_eig_min(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (3,), (2, 2, 2)])
+def test_sym_eig_min_rejects_a_matrix_that_is_not_square(shape):
+    # A + A.T would broadcast a row or a column into a square matrix
+    with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+        sym_eig_min(np.ones(shape))
 
 
 def test_sym_eig_min_raises_when_dsyevr_fails(monkeypatch):

@@ -19,7 +19,7 @@ from bilevel_newton import regularity, reporting
 from bilevel_newton.system import block_slices
 
 import spec
-from conftest import counting
+from conftest import bench_module, counting
 
 
 def test_dims_invariants():
@@ -633,7 +633,7 @@ def test_symmetric_hessians_are_not_copied():
     assert np.shares_memory(b.d2G, stack) and np.shares_memory(b.d2g, stack)
 
 
-_BIG_Q = 1000  # a (q, 3, 3) g-Hessian stack of 72,000 bytes, above _LARGE_BYTES
+_BIG_Q = 1000  # a (q, 3, 3) g-Hessian stack of 72,000 bytes, above _CHECKED_MIN_BYTES
 
 
 def _big_stack(rng, symmetric=True):
@@ -704,36 +704,43 @@ def test_a_fresh_view_of_checked_memory_is_read_again():
 
 
 def test_zero_hessians_are_recognised_once_and_skipped():
-    zero, neg_zero = np.zeros((_BIG_Q, 3, 3)), np.full((_BIG_Q, 3, 3), -0.0)
-    assert problem_module.is_zero_hessian(bn.evaluate_all(_big_g_problem(zero), _X, _Y).d2g)
-    assert not problem_module.is_zero_hessian(bn.evaluate_all(_big_g_problem(neg_zero), _X, _Y).d2g)
+    # every recorded zero is flagged, at any size: read-only ones from 72
+    # bytes on, writable ones from _CHECKED_MIN_BYTES on (12,800 and 72,000 bytes)
+    for zero in (_read_only(np.zeros((1, 3, 3))), np.zeros((40, 40)), np.zeros((_BIG_Q, 3, 3))):
+        for _ in range(2):  # found by identity from the second call on, and still recognised
+            ingested, finite = problem_module._hessian(zero, zero.shape)
+            assert finite and ingested is zero and problem_module.is_zero_hessian(zero)
+    assert problem_module.is_zero_hessian(bn.evaluate_all(_big_g_problem(np.zeros((_BIG_Q, 3, 3))), _X, _Y).d2g)
+    # a writable zero under the floor is not recorded, so it is not flagged
+    small = np.zeros((1, 3, 3))
+    assert small.nbytes < problem_module._CHECKED_MIN_BYTES
+    assert problem_module._hessian(small, small.shape)[0] is small and not problem_module.is_zero_hessian(small)
     assert not problem_module.is_zero_hessian(np.zeros((_BIG_Q, 3, 3)))  # never ingested
-    assert not problem_module.is_zero_hessian(np.zeros((1, 3, 3)))  # below the recorded size
     dense = bn.evaluate_all(_big_g_problem(_big_stack(np.random.default_rng(14))), _X, _Y).d2g
     assert not problem_module.is_zero_hessian(dense)
-    # a read-only stack is found by identity from its second call on, and still recognised
-    read_only = _read_only(np.zeros((_BIG_Q, 3, 3)))
-    for _ in range(2):
-        assert problem_module.is_zero_hessian(bn.evaluate_all(_big_g_problem(read_only), _X, _Y).d2g)
-    # a writable zero matrix from _CHECKED_MIN_BYTES up to _LARGE_BYTES is
-    # recorded, but not flagged: only a large one is
-    mid = np.zeros((40, 40))
-    assert problem_module._CHECKED_MIN_BYTES <= mid.nbytes < problem_module._LARGE_BYTES
-    for _ in range(2):
-        ingested, finite = problem_module._hessian(mid, (40, 40))
-        assert finite and ingested is mid
-    assert (id(mid), (40, 40)) in problem_module._CHECKED and not problem_module.is_zero_hessian(mid)
+    # a stack with a -0.0 is recorded (it is symmetric bit for bit), never flagged
+    one_neg = np.zeros((_BIG_Q, 3, 3))
+    one_neg[7, 1, 1] = -0.0
+    for neg_zero in (_read_only(np.full((1, 3, 3), -0.0)), np.full((_BIG_Q, 3, 3), -0.0), one_neg):
+        assert problem_module._hessian(neg_zero, neg_zero.shape)[0] is neg_zero
+        assert (id(neg_zero), neg_zero.shape) in problem_module._CHECKED
+        assert not problem_module.is_zero_hessian(neg_zero)
 
 
-def test_hessian_check_record_keeps_no_array_alive():
-    stack = _big_stack(np.random.default_rng(12))
-    bn.evaluate_all(_big_g_problem(stack), _X, _Y)
-    keys = [key for key in problem_module._CHECKED if key[0] == id(stack)]
-    assert len(keys) == 1
-    ref = weakref.ref(stack)
-    del stack
+@pytest.mark.parametrize("case", ["read-only", "writable"])
+def test_the_hessian_record_keeps_no_array_alive(case):
+    if case == "read-only":  # F's 3 x 3 Hessian
+        h = _read_only(np.eye(3))
+        bn.evaluate_all(_recorded_problem(h), _X, _Y)
+    else:  # g's stack, from _CHECKED_MIN_BYTES on
+        h = _big_stack(np.random.default_rng(12))
+        bn.evaluate_all(_big_g_problem(h), _X, _Y)
+    key = (id(h), h.shape)
+    assert key in problem_module._CHECKED
+    ref = weakref.ref(h)
+    del h
     gc.collect()
-    assert ref() is None and keys[0] not in problem_module._CHECKED
+    assert ref() is None and key not in problem_module._CHECKED
 
 
 def _read_only(h, dtype=float):
@@ -798,49 +805,29 @@ def test_a_hessian_that_is_not_recorded_is_read_at_every_call(case, d2F):
         assert all(b.d2F.dtype == np.float64 and np.array_equal(b.d2F, 0.5 * (h + h.T)) for b in results)
 
 
-def test_checked_hessian_is_checked_again_at_another_shape():
-    # four symmetric 64 x 64 blocks (128 KiB, above _CHECKED_MIN_BYTES, so
-    # recorded although writable); read as one 128 x 128 matrix they are not symmetric
-    a = np.random.default_rng(11).standard_normal((4, 64, 64))
+@pytest.mark.parametrize("case", ["read-only", "writable"])
+def test_a_recorded_hessian_is_checked_again_at_another_shape(case):
+    # four symmetric b x b blocks, read-only or writable from
+    # _CHECKED_MIN_BYTES on (recorded either way); read as one 2b x 2b
+    # matrix they are not symmetric
+    b = 2 if case == "read-only" else 64
+    a = np.random.default_rng(15).standard_normal((4, b, b))
     blocks = a + a.transpose(0, 2, 1)
+    if case == "read-only":
+        blocks = _read_only(blocks)
     for _ in range(2):
-        ingested, finite = problem_module._hessian(blocks, (4, 64, 64))
+        ingested, finite = problem_module._hessian(blocks, (4, b, b))
         assert finite and ingested is blocks
-    assert (id(blocks), (4, 64, 64)) in problem_module._CHECKED
-    as_one = blocks.reshape(1, 128, 128)
-    ingested, finite = problem_module._hessian(blocks, (1, 128, 128))
-    assert finite and np.array_equal(ingested, 0.5 * (as_one + as_one.transpose(0, 2, 1)))
-    assert (id(blocks), (1, 128, 128)) not in problem_module._CHECKED
+    assert (id(blocks), (4, b, b)) in problem_module._CHECKED
+    as_one = blocks.reshape(1, 2 * b, 2 * b)
+    for _ in range(2):
+        ingested, finite = problem_module._hessian(blocks, (1, 2 * b, 2 * b))
+        assert finite and np.array_equal(ingested, 0.5 * (as_one + as_one.transpose(0, 2, 1)))
+    assert (id(blocks), (1, 2 * b, 2 * b)) not in problem_module._CHECKED
     # and another region of the same memory is checked on its own
     half = blocks[2:]
-    ingested, finite = problem_module._hessian(half, (2, 64, 64))
-    assert finite and ingested is half and (id(half), (2, 64, 64)) in problem_module._CHECKED
-
-
-def test_a_recorded_hessian_is_checked_again_at_another_shape():
-    # four symmetric 2 x 2 blocks; read as one 4 x 4 matrix they are not symmetric
-    a = np.random.default_rng(15).standard_normal((4, 2, 2))
-    blocks = _read_only(a + a.transpose(0, 2, 1))
-    for _ in range(2):
-        ingested, finite = problem_module._hessian(blocks, (4, 2, 2))
-        assert finite and ingested is blocks
-    assert (id(blocks), (4, 2, 2)) in problem_module._CHECKED
-    as_one = blocks.reshape(1, 4, 4)
-    for _ in range(2):
-        ingested, finite = problem_module._hessian(blocks, (1, 4, 4))
-        assert finite and np.array_equal(ingested, 0.5 * (as_one + as_one.transpose(0, 2, 1)))
-    assert (id(blocks), (1, 4, 4)) not in problem_module._CHECKED
-
-
-def test_the_identity_record_keeps_no_array_alive():
-    d2F = _read_only(np.eye(3))
-    bn.evaluate_all(_recorded_problem(d2F), _X, _Y)
-    key = (id(d2F), (3, 3))
-    assert key in problem_module._CHECKED
-    ref = weakref.ref(d2F)
-    del d2F
-    gc.collect()
-    assert ref() is None and key not in problem_module._CHECKED
+    ingested, finite = problem_module._hessian(half, (2, b, b))
+    assert finite and ingested is half and (id(half), (2, b, b)) in problem_module._CHECKED
 
 
 _GIVE = {
@@ -877,7 +864,7 @@ _NAN_STACK = _with(_stack(2), {(1, 0, 0): np.nan})
 @example(hessians=dict(d2F=np.eye(3), d2g=_NAN_STACK), large=True)
 def test_a_hessian_returned_again_is_ingested_as_a_new_one(hessians, large):
     d2F, d2g = hessians["d2F"], hessians["d2g"]
-    if large:  # _BIG_Q 3 x 3 matrices: 72,000 bytes, above _LARGE_BYTES
+    if large:  # _BIG_Q 3 x 3 matrices: 72,000 bytes, above _CHECKED_MIN_BYTES
         d2g = np.concatenate([d2g] * (_BIG_Q // 2))
     same, copy, view = (_same_or_new(d2F, d2g, give) for give in _GIVE)
     assert [_ingested(same) for _ in range(3)] == [_ingested(copy) for _ in range(3)]
@@ -921,6 +908,38 @@ def test_read_only_evaluator_output_gives_the_same_results(problems):
         writable = _library_results(_returning_copies(problem, writable=True))
         read_only = _library_results(_returning_copies(problem, writable=False))
         assert writable == read_only, problem.name
+
+
+def _record_traffic(monkeypatch, run):
+    """The (id, shape) keys of the Hessians that run() ingests unrecorded, one
+    per such ingestion, and how many ingestions the record answers."""
+    misses, hits, ingest = [], [0], problem_module._hessian
+
+    def counted(raw, shape):
+        entry = problem_module._CHECKED.get(key := (id(raw), shape))
+        if entry is not None and entry[0]() is raw:
+            hits[0] += 1
+        else:
+            misses.append(key)
+        return ingest(raw, shape)
+    monkeypatch.setattr(problem_module, "_hessian", counted)
+    run()
+    monkeypatch.undo()
+    return misses, hits[0]
+
+
+def test_the_benchmark_problems_ingest_each_hessian_unrecorded_once(monkeypatch, problems):
+    # the record's floor rests on this traffic: a problem that returns a new
+    # Hessian at every call, or a writable one under _CHECKED_MIN_BYTES, fails here
+    lq = bench_module("lq").make_lq(1, 20, 20)
+    points = [(np.random.default_rng(3).uniform(-1, 1, 20), np.random.default_rng(4).uniform(-1, 1, 20))]
+    runs = {name: lambda p=p: _library_results(p) for name, p in problems.items()}
+    runs[lq.name] = lambda: bn.check_derivatives(lq, points)
+    for name, run in runs.items():
+        misses, hits = _record_traffic(monkeypatch, run)
+        # each missed once, recorded then, and still recorded: its array is alive
+        assert len(set(misses)) == len(misses) and all(key in problem_module._CHECKED for key in misses), name
+        assert hits > 10 * len(misses), name
 
 
 def _writable_40(d2F, d2f):

@@ -9,7 +9,7 @@ import bilevel_newton as bn
 from bilevel_newton import linalg
 from bilevel_newton.linalg import null_space_basis, sym_eig_min
 from bilevel_newton.regularity import RANK_TOL, _independent, ssosc_matrices
-from bilevel_newton.system import hessian_block
+from bilevel_newton.system import hessian_block, kept_evaluations
 
 from conftest import counting
 
@@ -226,15 +226,16 @@ def test_augmented_min_eig_is_that_of_the_augmented_form_built_by_hand(problems,
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
 def test_diagnostics_reject_an_invalid_penalty(entries, lam):
+    # before any evaluator call, so that the point keeps no evaluation
     entry = entries["dempe-parabola"]
+    part = bn.classify(entry.problem, entry.certified_points[0].build(4.0))
     zeta = entry.certified_points[0].build(4.0)
-    part = bn.classify(entry.problem, zeta)
-    with pytest.raises(ValueError, match="penalty"):
-        bn.diagnose(entry.problem, zeta, lam)
-    with pytest.raises(ValueError, match="penalty"):
-        ssosc_matrices(entry.problem, zeta, lam, part)
-    with pytest.raises(ValueError, match="penalty"):
-        bn.check_ssosc(entry.problem, zeta, lam, part)
+    p, calls = counting(entry.problem, "F", "f", "g")
+    for diagnostic in (lambda: bn.diagnose(p, zeta, lam), lambda: ssosc_matrices(p, zeta, lam, part),
+                       lambda: bn.check_ssosc(p, zeta, lam, part)):
+        with pytest.raises(ValueError, match="penalty"):
+            diagnostic()
+    assert not any(calls.values()) and kept_evaluations(zeta, p) is None
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
