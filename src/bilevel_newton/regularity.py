@@ -16,8 +16,11 @@ The second-order check reduces the form M to a basis Z of the null space of
 the nu-active gradients C (``linalg.null_space_basis``: a complete QR when
 the rows of C are independent, a full SVD when they are not) and reads the
 smallest eigenvalue of Z' M Z (``linalg.sym_eig_min``, LAPACK ``dsyevr``,
-one eigenvalue).  ``diagnose`` forms Z' M Z once, for its verdict and for
-the kink-augmented variant.
+one eigenvalue).  ``check_licq``, ``check_ssosc`` and ``diagnose`` read
+one LICQ pass (``_licq``) and one second-order pass (``_ssosc``), so their
+verdicts agree at a point.  The kink-augmented variant that ``diagnose``
+reports needs no second eigenvalue: its form is block diagonal, Z' M Z and
+-lam per follower kink.
 """
 from __future__ import annotations
 
@@ -73,6 +76,25 @@ class IndexSetPartition:
 
 @dataclass
 class RegularityReport:
+    """The conditions ``diagnose`` checks at one point for one penalty lam.
+
+    partition: the eta / theta / nu index sets of the three blocks
+    (``classify``).  ulicq_holds, llicq_at_xy, llicq_at_xz: linear
+    independence of the active gradients (``check_licq``); licq_margins:
+    the smallest singular value of each of these families, under the same
+    three keys, None for an empty family.  lscc_holds: no follower kink,
+    that is no theta index in (g(x,z), w) (``check_lscc``).
+    ssosc_min_eig, ssosc_holds: the smallest eigenvalue of the reduced form
+    Z' M Z and whether it exceeds EIG_TOL (``check_ssosc``), +inf and True
+    when Z has no columns; ssosc_subspace_dim: the number of columns of Z.
+    Informational variants of the second-order check:
+    ssosc_unperturbed_min_eig, that of Z' M* Z for a follower feasible set
+    with no leader coupling (``_unperturbed_variant``), and
+    ssosc_augmented_min_eig, that of Z' M Z augmented with -lam per
+    follower kink, which is min(ssosc_min_eig, -lam) at a kink and
+    ssosc_min_eig elsewhere.  A non-finite form gives NaN eigenvalues.
+    """
+
     partition: IndexSetPartition
     ulicq_holds: bool
     llicq_at_xy: bool
@@ -82,7 +104,6 @@ class RegularityReport:
     ssosc_min_eig: float
     ssosc_holds: bool
     ssosc_subspace_dim: int
-    # informational variants of the second-order check
     ssosc_unperturbed_min_eig: float
     ssosc_augmented_min_eig: float
 
@@ -143,19 +164,18 @@ def classify(problem: BilevelProblem, zeta: Iterate) -> IndexSetPartition:
     return _partition(zeta, *_bundles(problem, zeta))
 
 
-def _licq_families(
+def _licq(
     m: int, at_y: EvalBundle, at_z: EvalBundle, partition: IndexSetPartition
-) -> dict[str, np.ndarray]:
-    """Active-gradient families as column matrices, one per condition."""
+) -> tuple[tuple[bool, float | None], ...]:
+    """(holds, margin) of ULICQ, LLICQ at (x, y) and LLICQ at (x, z), each
+    read by ``_independent`` from its active-gradient family as columns."""
     n = at_y.n
     aU = list(partition.upper.active)
     aY = list(partition.lower_y.active)
     aZ = list(partition.lower_z.active)
-    return {
-        "ulicq": np.concatenate([at_y.dG[aU], at_y.dg[aY]], axis=0).T,
-        "llicq_at_xy": at_y.dg[aY][:, n:].T if aY else np.zeros((m, 0)),
-        "llicq_at_xz": at_z.dg[aZ][:, n:].T if aZ else np.zeros((m, 0)),
-    }
+    return (_independent(np.concatenate([at_y.dG[aU], at_y.dg[aY]], axis=0).T),
+            _independent(at_y.dg[aY][:, n:].T if aY else np.zeros((m, 0))),
+            _independent(at_z.dg[aZ][:, n:].T if aZ else np.zeros((m, 0))))
 
 
 def _independent(columns: np.ndarray) -> tuple[bool, float | None]:
@@ -180,8 +200,7 @@ def check_licq(problem: BilevelProblem, zeta: Iterate, partition: IndexSetPartit
     derivatives of active g, at (x, y) and at (x, z) respectively.  Empty
     families pass vacuously.
     """
-    fams = _licq_families(problem.dims.m, *_bundles(problem, zeta), partition)
-    return tuple(_independent(fams[k])[0] for k in ("ulicq", "llicq_at_xy", "llicq_at_xz"))
+    return tuple(holds for holds, _ in _licq(problem.dims.m, *_bundles(problem, zeta), partition))
 
 
 def check_lscc(partition: IndexSetPartition) -> bool:
@@ -233,6 +252,16 @@ def _reduced_min_eig(form: np.ndarray) -> tuple[float, bool]:
     return min_eig, min_eig > EIG_TOL
 
 
+def _ssosc(
+    lam: float, zeta: Iterate, at_y: EvalBundle, at_z: EvalBundle, partition: IndexSetPartition
+) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """The null-space basis Z of C, the form M, and the minimum eigenvalue of
+    Z' M Z with its verdict (``_reduced_min_eig``)."""
+    C, M = _ssosc_matrices(lam, zeta, at_y, at_z, partition)
+    Z = null_space_basis(C)
+    return (Z, M, *_reduced_min_eig(Z.T @ M @ Z))
+
+
 def check_ssosc(
     problem: BilevelProblem, zeta: Iterate, lam: float, partition: IndexSetPartition
 ) -> tuple[float, bool]:
@@ -241,9 +270,9 @@ def check_ssosc(
     min_eig is +inf when the feasible-direction subspace is trivial; the
     condition then holds vacuously.
     """
-    C, M = ssosc_matrices(problem, zeta, lam, partition)
-    Z = null_space_basis(C)
-    return _reduced_min_eig(Z.T @ M @ Z)
+    lam = require_penalty(lam)  # before _bundles evaluates anything
+    _, _, min_eig, holds = _ssosc(lam, zeta, *_bundles(problem, zeta), partition)
+    return min_eig, holds
 
 
 def _unperturbed_variant(M: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -265,30 +294,12 @@ def diagnose(problem: BilevelProblem, zeta: Iterate, lam: float) -> RegularityRe
     at_y, at_z = _bundles(problem, zeta)
     partition = _partition(zeta, at_y, at_z)
 
-    fams = _licq_families(problem.dims.m, at_y, at_z, partition)
-    ulicq, m_u = _independent(fams["ulicq"])
-    llicq_xy, m_y = _independent(fams["llicq_at_xy"])
-    llicq_xz, m_z = _independent(fams["llicq_at_xz"])
-
-    C, M = _ssosc_matrices(lam, zeta, at_y, at_z, partition)
-    Z = null_space_basis(C)
-    dim = Z.shape[1]
-    form = Z.T @ M @ Z
-    min_eig, holds = _reduced_min_eig(form)
-
+    (ulicq, m_u), (llicq_xy, m_y), (llicq_xz, m_z) = _licq(problem.dims.m, at_y, at_z, partition)
+    Z, M, min_eig, holds = _ssosc(lam, zeta, at_y, at_z, partition)
     star_eig, _ = _reduced_min_eig(Z.T @ _unperturbed_variant(M, problem.dims.n, problem.dims.m) @ Z)
-
-    # Follower kink indices augment the form with -lam per index (the
-    # symmetric kink element has -b/a = 1), so any kink forces failure.
-    assert abs(-KINK_B / KINK_A - 1.0) < 1e-14
-    n_kink = len(partition.lower_z.theta)
-    if n_kink == 0:
-        aug_eig = min_eig
-    else:
-        aug = np.zeros((dim + n_kink, dim + n_kink))
-        aug[:dim, :dim] = form
-        aug[dim:, dim:] = -lam * np.eye(n_kink)
-        aug_eig = sym_eig_min(aug)
+    # The kink-augmented form is diag(Z' M Z, -lam (-KINK_B / KINK_A) I),
+    # one entry per follower kink; min_eig comes first, so NaN stays NaN.
+    aug_eig = min(min_eig, -lam * (-KINK_B / KINK_A)) if partition.lower_z.theta else min_eig
 
     return RegularityReport(
         partition=partition,
@@ -299,7 +310,7 @@ def diagnose(problem: BilevelProblem, zeta: Iterate, lam: float) -> RegularityRe
         lscc_holds=check_lscc(partition),
         ssosc_min_eig=min_eig,
         ssosc_holds=holds,
-        ssosc_subspace_dim=dim,
+        ssosc_subspace_dim=Z.shape[1],
         ssosc_unperturbed_min_eig=star_eig,
         ssosc_augmented_min_eig=aug_eig,
     )

@@ -9,6 +9,7 @@ zero); absent values serialize as null / empty cells.  ``to_json`` is
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -92,24 +93,16 @@ def sweep_report_to_dict(report: SweepReport) -> dict[str, Any]:
 
 
 def regularity_report_to_dict(report: RegularityReport) -> dict[str, Any]:
-    part = report.partition
-    return {
-        "index_sets": {
-            "upper": {"eta": list(part.upper.eta), "theta": list(part.upper.theta), "nu": list(part.upper.nu)},
-            "lower_y": {"eta": list(part.lower_y.eta), "theta": list(part.lower_y.theta), "nu": list(part.lower_y.nu)},
-            "lower_z": {"eta": list(part.lower_z.eta), "theta": list(part.lower_z.theta), "nu": list(part.lower_z.nu)},
-        },
-        "ulicq_holds": report.ulicq_holds,
-        "llicq_at_xy": report.llicq_at_xy,
-        "llicq_at_xz": report.llicq_at_xz,
-        "licq_margins": {k: v for k, v in report.licq_margins.items()},
-        "lscc_holds": report.lscc_holds,
-        "ssosc_min_eig": _finite_or_str(report.ssosc_min_eig),
-        "ssosc_holds": report.ssosc_holds,
-        "ssosc_subspace_dim": report.ssosc_subspace_dim,
-        "ssosc_unperturbed_min_eig": _finite_or_str(report.ssosc_unperturbed_min_eig),
-        "ssosc_augmented_min_eig": _finite_or_str(report.ssosc_augmented_min_eig),
-    }
+    """The partition as "index_sets" (each block's eta / theta / nu as lists),
+    then every other field of the report in declaration order, each
+    ``*_eig`` one through ``_finite_or_str``."""
+    tree: dict[str, Any] = {"index_sets": {
+        name: {k: list(v) for k, v in vars(block).items()} for name, block in vars(report.partition).items()}}
+    for field in dataclasses.fields(report):
+        if field.name != "partition":
+            value = getattr(report, field.name)
+            tree[field.name] = _finite_or_str(value) if field.name.endswith("_eig") else value
+    return tree
 
 
 def _cell(value: Any) -> str:

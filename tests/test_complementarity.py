@@ -64,6 +64,8 @@ def test_pair_coeffs_kink_element():
     # boundary point of the admissible disc
     assert (a - 1) ** 2 + (b + 1) ** 2 == pytest.approx(1.0, abs=1e-14)
     assert (KINK_A, KINK_B) == (a, b)
+    # regularity.diagnose adds -lam * (-b / a) = -lam per follower kink to the second-order form
+    assert -KINK_B / KINK_A == 1.0
 
 
 def test_pair_coeffs_matches_finite_differences_off_kink():

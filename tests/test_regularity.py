@@ -11,7 +11,7 @@ from bilevel_newton.linalg import null_space_basis, sym_eig_min
 from bilevel_newton.regularity import RANK_TOL, _independent, ssosc_matrices
 from bilevel_newton.system import hessian_block, kept_evaluations
 
-from conftest import counting
+from conftest import bench_module, counting
 
 
 def test_classify_quadratic_projection_certified(entries):
@@ -203,13 +203,17 @@ def test_diagnose_augmented_variant_penalizes_kinks(problems):
     assert report.ssosc_augmented_min_eig <= -2.0 + 1e-12
 
 
-@pytest.mark.parametrize("v", [0.0, 1.0])
-def test_augmented_min_eig_is_that_of_the_augmented_form_built_by_hand(problems, v):
+def _xy_linear_kink(v):
     # g(x,z) = 0 with w = 0 puts index 0 of the follower block in theta; with
     # v = 1 the active g(x,y) is nu, so Z spans a proper subspace (QR path),
     # with v = 0 C is empty and Z is the identity
-    p = problems["xy-linear"]
-    zeta = bn.Iterate.of(p.dims, x=[0.0], y=[0.0], z=[0.0], u=[0.0], v=[v], w=[0.0])
+    p = bn.get_problem("xy-linear")
+    return p, bn.Iterate.of(p.dims, x=[0.0], y=[0.0], z=[0.0], u=[0.0], v=[v], w=[0.0])
+
+
+@pytest.mark.parametrize("v", [0.0, 1.0])
+def test_augmented_min_eig_is_that_of_the_augmented_form_built_by_hand(v):
+    p, zeta = _xy_linear_kink(v)
     lam = 2.0
     report = bn.diagnose(p, zeta, lam)
     assert report.partition.lower_z.theta == (0,)
@@ -220,8 +224,49 @@ def test_augmented_min_eig_is_that_of_the_augmented_form_built_by_hand(problems,
     aug = np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim] = Z.T @ M @ Z
     aug[dim, dim] = -lam
-    assert report.ssosc_augmented_min_eig == sym_eig_min(aug)
+    assert report.ssosc_augmented_min_eig == min(report.ssosc_min_eig, -lam)
+    assert math.isclose(report.ssosc_augmented_min_eig, sym_eig_min(aug))
     assert report.ssosc_min_eig == sym_eig_min(Z.T @ M @ Z)
+
+
+def test_augmented_min_eig_of_a_non_finite_form_is_nan(problems):
+    # both follower pairs at the kink; at lam = 1e308 the form overflows, and
+    # the augmented value stays NaN rather than becoming -lam
+    p = problems["quadratic-projection"]
+    zeta = bn.Iterate.of(p.dims, x=[0.0], y=[0.0, 0.0], z=[0.0, 0.0], v=[0.0, 0.0], w=[0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = bn.diagnose(p, zeta, 1e308)
+    assert report.partition.lower_z.theta == (0, 1)
+    assert math.isnan(report.ssosc_min_eig) and math.isnan(report.ssosc_unperturbed_min_eig)
+    assert math.isnan(report.ssosc_augmented_min_eig)
+
+
+def _agreement_points():
+    for entry in bn.registry():
+        for k, cp in enumerate(entry.certified_points):
+            for lam in (1.0, 4.0, 16.0):
+                if cp.admissible(lam):
+                    yield pytest.param(lambda e=entry, cp=cp, lam=lam: (e.problem, cp.build(lam), lam),
+                                       id=f"{entry.problem.name}-certified{k}-{lam:g}")
+
+    def computed(problem, lam):
+        report = bn.run(problem, bn.SolverConfig(lam=lam), bn.resolve_start(problem))
+        assert report.status == bn.SOLVED
+        return problem, report.final, lam
+    yield pytest.param(lambda: computed(bn.get_problem("dempe-parabola"), 2.0), id="dempe-parabola-computed-2")
+    for v in (0.0, 1.0):
+        yield pytest.param(lambda v=v: (*_xy_linear_kink(v), 2.0), id=f"xy-linear-kink-v{v:g}")
+    yield pytest.param(lambda: computed(bench_module("lq").make_lq(2, 5, 5), 1.0), id="lq-5-computed-1")
+
+
+@pytest.mark.parametrize("point", _agreement_points())
+def test_diagnose_agrees_with_check_licq_and_check_ssosc(point):
+    problem, zeta, lam = point()
+    report = bn.diagnose(problem, zeta, lam)
+    part = report.partition
+    assert bn.check_licq(problem, zeta, part) == (report.ulicq_holds, report.llicq_at_xy, report.llicq_at_xz)
+    min_eig, holds = bn.check_ssosc(problem, zeta, lam, part)
+    assert (min_eig.hex(), holds) == (report.ssosc_min_eig.hex(), report.ssosc_holds)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
